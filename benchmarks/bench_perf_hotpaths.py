@@ -21,9 +21,12 @@ Stages:
 - ``csinet_fwd``/``csinet_bwd``  conv-head DNN forward/backward vs a
                          reference-pinned twin model
 - ``train_step``         a full ladder-rung training run (epoch
-                         pipeline + fused clip/Adam) vs the frozen
-                         loop trainer — trained weights asserted
-                         bit-identical
+                         pipeline + block-swept clip/Adam) vs the
+                         frozen loop trainer — trained weights
+                         asserted bit-identical
+- ``train_step_wide``    the same on the Table II wide 5-layer model
+                         (3.6M parameters, many optimizer blocks);
+                         recorded by ``--train-smoke`` only
 - ``dispatch``           executor worker-pool dispatch of many small
                          tasks sharing one large payload: inline
                          per-task shipping vs the content-addressed
@@ -44,8 +47,9 @@ Stages:
 Run with ``pytest benchmarks/bench_perf_hotpaths.py --perf`` or
 ``python benchmarks/bench_perf_hotpaths.py`` (tier-1 never runs it; see
 ``docs/perf.md``).  ``python benchmarks/bench_perf_hotpaths.py
---train-smoke`` runs only the train_step reference/vectorized
-equivalence at smoke scale (the CI training smoke).
+--train-smoke`` runs only the train_step and train_step_wide
+reference/vectorized equivalence at smoke scale (the CI training smoke)
+and records ``train_step_wide`` into the JSON.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ from repro.perf.reference import (
 from repro.phy.link import LinkConfig, LinkSimulator
 from repro.phy.ofdm import band_plan
 from repro.phy.svd import beamforming_matrices
+from repro.runtime.registry import TABLE2_ARCHITECTURES
 from repro.standard.cbf import MimoControl, decode_cbf, encode_cbf
 from repro.standard.givens import givens_decompose, givens_reconstruct
 
@@ -181,23 +186,32 @@ class _ReferenceLinkSimulator(LinkSimulator):
 #: compression-ladder substrate) at the engine benchmark fidelity.
 TRAIN_DATASET = "D1"
 TRAIN_COMPRESSION = 1 / 8
+#: The Table II wide 5-layer model (224-896-1792-896-224, 3.6M
+#: parameters): its packed optimizer buffers span ~110 optimizer
+#: blocks, where the ladder rung's ~13k parameters are one block.
+WIDE_WIDTHS = TABLE2_ARCHITECTURES["wide 5-layer"]
 
 
-def _train_step_stage(bench, report, fidelity, assert_identical=True):
-    """Time the frozen loop trainer vs the fused trainer on one rung.
+def _train_step_stage(
+    bench, report, fidelity, stage="train_step", widths=None, epochs=None
+):
+    """Time the frozen loop trainer vs the vectorized trainer on one model.
 
-    Both sides train the same ladder rung (same init seed, same data,
-    same schedule); the trained weights are asserted bit-identical —
-    the vectorized trainer replays the reference arithmetic exactly.
-    Returns the (baseline, optimized) results for the comparison row.
+    Both sides train the same model — the D1 ladder rung unless
+    ``widths`` names another, for ``epochs`` (default: the fidelity's)
+    — from the same init seed, data and schedule; the trained weights
+    are asserted bit-identical, since the vectorized trainer replays
+    the reference arithmetic exactly.  Returns the (baseline,
+    optimized) results for the ``stage`` comparison row.
     """
     train_set = build_dataset(
         dataset_spec(TRAIN_DATASET), fidelity=fidelity, seed=7
     )
     x, y = train_set.model_arrays(train_set.splits.train)
-    widths = three_layer_widths(train_set.input_dim, TRAIN_COMPRESSION)
+    if widths is None:
+        widths = three_layer_widths(train_set.input_dim, TRAIN_COMPRESSION)
     config = TrainingConfig(
-        epochs=fidelity.epochs, batch_size=16, optimizer="adam", seed=0
+        epochs=epochs or fidelity.epochs, batch_size=16, optimizer="adam", seed=0
     )
     n_items = x.shape[0] * config.epochs
     meta = {
@@ -212,20 +226,19 @@ def _train_step_stage(bench, report, fidelity, assert_identical=True):
         trainer_cls(model, config=config).fit(x, y)
         return model
 
-    if assert_identical:
-        state_ref = state_dict(fit(ReferenceTrainer))
-        state_vec = state_dict(fit(Trainer))
-        for key in state_ref:
-            assert np.array_equal(state_ref[key], state_vec[key]), key
+    state_ref = state_dict(fit(ReferenceTrainer))
+    state_vec = state_dict(fit(Trainer))
+    for key in state_ref:
+        assert np.array_equal(state_ref[key], state_vec[key]), (stage, key)
 
     baseline = bench.run(
-        "train_step/reference",
+        f"{stage}/reference",
         lambda: fit(ReferenceTrainer),
         n_items=n_items,
         meta=meta,
     )
     optimized = bench.run(
-        "train_step/vectorized",
+        f"{stage}/vectorized",
         lambda: fit(Trainer),
         n_items=n_items,
         meta=meta,
@@ -836,23 +849,36 @@ def test_perf_hotpaths():
 
 
 def train_smoke() -> None:
-    """CI smoke: train_step reference-vs-vectorized equivalence at smoke scale.
+    """CI smoke: trained-weight bit-identity on a one- and a many-block model.
 
     Runs the :func:`_train_step_stage` workload at the ``smoke``
-    fidelity preset — the bit-identity assertion is the point; the
-    timings are printed for information only (no JSON is written and
-    no speedup is asserted, so a noisy CI box cannot flake).
+    fidelity preset on the D1 ladder rung (one optimizer block) and,
+    for one epoch, on the wide 5-layer model (many blocks) — the
+    bit-identity assertions are the point.  No speedup is asserted, so
+    a noisy CI box cannot flake; the ``train_step_wide`` timings are
+    merged into ``BENCH_hotpaths.json`` (the ladder rung's
+    ``train_step`` row belongs to the full suite).
     """
     from repro.config import fidelity as fidelity_preset
 
+    smoke = fidelity_preset("smoke")
     bench = Benchmark(warmup=0, repeats=2)
     report = PerfReport("train_step smoke (reference vs vectorized)")
-    baseline, optimized = _train_step_stage(
-        bench, report, fidelity_preset("smoke")
+    report.add_comparison("train_step", *_train_step_stage(bench, report, smoke))
+    wide = PerfReport("train_step_wide smoke (reference vs vectorized)")
+    wide.add_comparison(
+        "train_step_wide",
+        *_train_step_stage(
+            bench, wide, smoke, "train_step_wide", WIDE_WIDTHS, epochs=1
+        ),
     )
-    report.add_comparison("train_step", baseline, optimized)
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    write_hotpaths_json(
+        wide, os.path.join(RESULTS_DIR, JSON_NAME), family="train_step_wide"
+    )
     print(report.render())
-    print("train_step smoke: trained weights bit-identical")
+    print(wide.render())
+    print("train_step smoke: trained weights bit-identical on both models")
 
 
 def obs_smoke() -> None:

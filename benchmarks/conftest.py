@@ -81,13 +81,15 @@ def pytest_collection_modifyitems(config, items):
 HOTPATH_FAMILIES = {
     "campaign": (("campaign/",), ("campaign_",)),
     "store": (("store/",), ("store_",)),
+    "train_step_wide": (("train_step_wide/",), ("train_step_wide",)),
 }
 
 
 def write_hotpaths_json(report, path: str, family: "str | None") -> None:
     """Write one bench's stages into the co-owned ``BENCH_hotpaths.json``.
 
-    ``benchmarks/bench_perf_hotpaths.py`` (``family=None``),
+    ``benchmarks/bench_perf_hotpaths.py`` (``family=None``; its
+    ``--train-smoke`` mode writes ``family="train_step_wide"``),
     ``benchmarks/bench_network_campaign.py`` (``family="campaign"``),
     and ``benchmarks/bench_store.py`` (``family="store"``) share the
     file: each writer replaces only the stage/comparison family it owns

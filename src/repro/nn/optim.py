@@ -3,16 +3,39 @@
 The paper uses SGD for synthetic datasets and Adam for experimental
 datasets (Sec. IV-D), both with an initial learning rate of 1e-3.
 
-Updates are *fused*: at construction the optimizer packs every
-parameter's ``data`` and ``grad`` into one flat buffer each (the
+At construction the optimizer packs every parameter's ``data`` and
+``grad`` into one flat buffer each (the
 :class:`~repro.nn.module.Parameter` objects are re-pointed at views of
 those buffers, so layers keep accumulating gradients exactly as
-before), and ``step`` applies the update rule as a handful of whole-
-buffer in-place array operations instead of a Python loop over
-parameters.  Every element sees the same arithmetic in the same order
-as the per-parameter loop formulation, so trained weights are
-bit-identical to it — the frozen loop implementations live in
-``repro.perf.reference`` and the equivalence is regression-tested.
+before).  ``step`` and :meth:`Optimizer.clip_global_norm` then make one
+sweep over the packed buffers in blocks of :data:`BLOCK` elements and
+run every elementwise operation of the rule on a block while it is
+still in cache.  Whole-buffer array operations would stream each
+multi-MB buffer through memory once per operation (about 14 passes per
+Adam step), which makes the step bound by memory bandwidth; in blocks
+the step reads ``grad``, ``data`` and the moments once, writes ``data``
+and the moments once, and is bound by its three divides and one
+square root per element instead.
+
+The block size is a constant, not a knob: 32 Ki float64 elements is
+256 KiB per array, so Adam's six live arrays per block (data, grad,
+``m``, ``v`` and two scratch rows) take 1.5 MiB and fit in a 2 MiB L2.
+Blocks of 16 to 64 Ki elements time alike on the wide Table II model
+(see ``docs/perf.md``), so nothing is gained by tuning it per host.  A
+model of at most :data:`BLOCK` parameters is simply one block.
+
+Every element sees the same arithmetic in the same order as the
+per-parameter loop formulation (no reciprocal multiplies, no regrouped
+terms), so trained weights are bit-identical to it — the frozen loop
+implementations live in ``repro.perf.reference`` and the equivalence
+is regression-tested.  The gradient clip stays bit-identical too,
+although a parameter may span many blocks: NumPy's float64 ``sum``
+over a contiguous span is one pairwise recursion that splits at
+``n // 2`` rounded down to a multiple of 8, so
+:meth:`Optimizer.clip_global_norm` descends that same split tree until
+a node fits in one block, squares the node into block scratch, sums it
+with ``sum`` and adds the partial sums back up the tree — exactly the
+additions ``np.sum(grad**2)`` makes.
 
 Construction order matters only in the trivial sense: packing copies
 the parameters' current values, so sequential use of several
@@ -30,17 +53,19 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "SGD", "Adam", "BLOCK"]
+
+#: Elements per block of the optimizer sweep (see the module docstring).
+BLOCK = 1 << 15
 
 
 class Optimizer:
     """Base optimizer: holds parameters and a mutable learning rate.
 
     Packs parameter data/gradients into flat buffers (see the module
-    docstring) and exposes the fused helpers shared by the concrete
-    rules: :meth:`zero_grad` clears all gradients in one write and
-    :meth:`clip_global_norm` rescales them against a global-L2 bound in
-    one fused pass.
+    docstring) and exposes the helpers shared by the concrete rules:
+    :meth:`zero_grad` clears all gradients in one write and
+    :meth:`clip_global_norm` rescales them against a global-L2 bound.
     """
 
     def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
@@ -67,7 +92,12 @@ class Optimizer:
             param.grad = self._flat_grad[span].reshape(shape)
             self._slices.append(span)
             offset += param.size
-        self._scratch = np.empty(total)
+        self._blocks = [
+            slice(start, min(start + BLOCK, total))
+            for start in range(0, total, BLOCK)
+        ]
+        #: Two block-sized scratch rows, reused by every block.
+        self._work = np.empty((2, min(total, BLOCK)))
 
     def zero_grad(self) -> None:
         self._flat_grad[...] = 0.0
@@ -75,30 +105,36 @@ class Optimizer:
     def clip_global_norm(self, limit: float) -> float:
         """Scale all gradients so their global L2 norm stays <= ``limit``.
 
-        One fused squaring pass over the packed gradient buffer; the
-        per-parameter partial sums are then accumulated in parameter
-        order, reproducing the reference loop's float arithmetic
-        bit-for-bit (each partial is ``np.sum`` over the same
-        contiguous values), before the single fused rescale.
-        Returns the pre-clip norm.
+        Each parameter's sum of squares is taken block by block along
+        NumPy's pairwise-summation tree (:meth:`_sum_of_squares`), and
+        the partial sums are accumulated in parameter order, which
+        reproduces the reference loop's float arithmetic bit for bit.
+        The rescale, when needed, is one in-place pass over the packed
+        gradient buffer.  Returns the pre-clip norm.
         """
-        squared = np.multiply(self._flat_grad, self._flat_grad, out=self._scratch)
         total = 0.0
         for span in self._slices:
-            # ndarray.sum is np.sum minus the dispatch wrapper — same
-            # pairwise reduction, so the partials stay bit-identical.
-            total += float(squared[span].sum())
+            total += self._sum_of_squares(span.start, span.stop - span.start)
         norm = float(np.sqrt(total))
         if norm > limit:
             self._flat_grad *= limit / norm
         return norm
 
-    def _effective_grad(self, weight_decay: float, out: np.ndarray) -> np.ndarray:
-        """``grad + weight_decay * data`` (fused); ``grad`` itself if wd=0."""
-        if not weight_decay:
-            return self._flat_grad
-        np.multiply(weight_decay, self._flat_data, out=out)
-        return np.add(self._flat_grad, out, out=out)
+    def _sum_of_squares(self, start: int, count: int) -> float:
+        """``np.sum(grad**2)`` over ``grad[start:start + count]``, bit for bit.
+
+        Follows the split points of NumPy's pairwise sum (``count // 2``
+        rounded down to a multiple of 8) until a node fits in one block;
+        a node's ``sum`` is then the very subtree NumPy would compute.
+        """
+        if count <= BLOCK:
+            grad = self._flat_grad[start : start + count]
+            return float(np.multiply(grad, grad, out=self._work[0, :count]).sum())
+        half = count // 2
+        half -= half % 8
+        return self._sum_of_squares(start, half) + self._sum_of_squares(
+            start + half, count - half
+        )
 
     def step(self) -> None:
         raise NotImplementedError
@@ -122,18 +158,23 @@ class SGD(Optimizer):
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self._velocity = np.zeros_like(self._flat_data)
-        self._update = np.empty_like(self._flat_data)
 
     def step(self) -> None:
-        grad = self._effective_grad(self.weight_decay, self._update)
-        if self.momentum:
-            self._velocity *= self.momentum
-            self._velocity += grad
-            update = self._velocity
-        else:
-            update = grad
-        np.multiply(self.lr, update, out=self._update)
-        self._flat_data -= self._update
+        for block in self._blocks:
+            data = self._flat_data[block]
+            grad = self._flat_grad[block]
+            work = self._work[0, : block.stop - block.start]
+            if self.weight_decay:
+                # grad + weight_decay * data
+                np.multiply(self.weight_decay, data, out=work)
+                grad = np.add(grad, work, out=work)
+            if self.momentum:
+                update = self._velocity[block]
+                update *= self.momentum
+                update += grad
+            else:
+                update = grad
+            data -= np.multiply(self.lr, update, out=work)
 
 
 class Adam(Optimizer):
@@ -160,29 +201,33 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = np.zeros_like(self._flat_data)
         self._v = np.zeros_like(self._flat_data)
-        self._grad_buf = np.empty_like(self._flat_data)
-        self._num = np.empty_like(self._flat_data)
-        self._den = np.empty_like(self._flat_data)
 
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        grad = self._effective_grad(self.weight_decay, self._grad_buf)
-        # First and second moments; each elementwise expression matches
-        # the reference loop's operation order exactly.
-        self._m *= self.beta1
-        np.multiply(1.0 - self.beta1, grad, out=self._num)
-        self._m += self._num
-        self._v *= self.beta2
-        np.multiply(grad, grad, out=self._den)
-        np.multiply(1.0 - self.beta2, self._den, out=self._den)
-        self._v += self._den
-        # Bias-corrected update: data -= lr * m_hat / (sqrt(v_hat) + eps).
-        np.divide(self._m, bias1, out=self._num)
-        np.divide(self._v, bias2, out=self._den)
-        np.sqrt(self._den, out=self._den)
-        self._den += self.eps
-        np.multiply(self.lr, self._num, out=self._num)
-        np.divide(self._num, self._den, out=self._num)
-        self._flat_data -= self._num
+        for block in self._blocks:
+            data = self._flat_data[block]
+            grad = self._flat_grad[block]
+            m = self._m[block]
+            v = self._v[block]
+            num, den = self._work[:, : block.stop - block.start]
+            if self.weight_decay:
+                # grad + weight_decay * data
+                np.multiply(self.weight_decay, data, out=num)
+                grad = np.add(grad, num, out=num)
+            # First and second moments; each elementwise expression
+            # matches the reference loop's operation order exactly.
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, grad, out=den)
+            v *= self.beta2
+            np.multiply(grad, grad, out=den)
+            v += np.multiply(1.0 - self.beta2, den, out=den)
+            # Bias-corrected update: data -= lr * m_hat / (sqrt(v_hat) + eps).
+            np.divide(m, bias1, out=num)
+            num *= self.lr
+            np.divide(v, bias2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            data -= num

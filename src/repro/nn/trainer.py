@@ -253,33 +253,10 @@ class Trainer:
             # final batch (e.g. 1 sample at batch size 16) counts 16x.
             total += self.loss.forward(prediction, batch_target) * (stop - start)
             self.model.backward(self.loss.backward())
-            self._clip_gradients(optimizer)
+            if self.config.max_grad_norm is not None:
+                optimizer.clip_global_norm(self.config.max_grad_norm)
             optimizer.step()
         return total / count
-
-    def _clip_gradients(self, optimizer: "Optimizer | None" = None) -> None:
-        """Scale all gradients so their global L2 norm stays bounded.
-
-        With an optimizer at hand the clip runs fused over its packed
-        gradient buffer (:meth:`~repro.nn.optim.Optimizer.
-        clip_global_norm`, bit-identical to this loop); the loop remains
-        as the optimizer-free fallback.
-        """
-        limit = self.config.max_grad_norm
-        if limit is None:
-            return
-        if optimizer is not None:
-            optimizer.clip_global_norm(limit)
-            return
-        total = 0.0
-        params = list(self.model.parameters())
-        for param in params:
-            total += float(np.sum(param.grad**2))
-        norm = np.sqrt(total)
-        if norm > limit:
-            scale = limit / norm
-            for param in params:
-                param.grad *= scale
 
     def _build_optimizer(self) -> Optimizer:
         params = list(self.model.parameters())

@@ -25,9 +25,9 @@ algorithm or the statistics.)
 The training-stack references (:class:`ReferenceConv1d`,
 :class:`ReferenceSGD`, :class:`ReferenceAdam`,
 :class:`ReferenceTrainer`) freeze the pre-vectorization NN loops.  The
-fused optimizers, the clip, and the trainer's batch pipeline replay the
-reference arithmetic element-for-element, so trained weights are
-asserted *bit-identical*; the im2col convolution's forward is likewise
+block-swept optimizers, the clip, and the trainer's batch pipeline
+replay the reference arithmetic element-for-element, so trained weights
+are asserted *bit-identical*; the im2col convolution's forward is likewise
 bit-identical, while its backward contracts each gradient in one GEMM —
 a floating-point reduction-order change, so conv gradients (and
 therefore trained conv-model weights) match the reference to
@@ -619,9 +619,6 @@ class ReferenceTrainer(_Trainer):
             weight_decay=self.config.weight_decay,
         )
 
-    def _clip_gradients(self, optimizer=None) -> None:
-        reference_clip_gradients(self.model, self.config.max_grad_norm)
-
     def _run_epoch(self, inputs, targets, optimizer, rng) -> float:
         count = inputs.shape[0]
         order = (
@@ -636,6 +633,6 @@ class ReferenceTrainer(_Trainer):
             prediction = self.model.forward(batch_in)
             total += self.loss.forward(prediction, batch_target) * index.size
             self.model.backward(self.loss.backward())
-            self._clip_gradients()
+            reference_clip_gradients(self.model, self.config.max_grad_norm)
             optimizer.step()
         return total / count

@@ -30,7 +30,8 @@ Commit protocol
   (temp + fsync + rename) and only after the active segment has been
   fsync'd — the index can lag the data, never lead it.  Snapshots
   happen every :data:`DEFAULT_SNAPSHOT_EVERY` puts, on segment roll,
-  on ``flush``/``close``, and after compaction.
+  on ``flush``/``close``, and after compaction — each only if the index
+  changed since the last published snapshot.
 - **Recovery**: on open, the store loads the snapshot (a missing,
   torn, or stale one is fine) and scans every segment forward from its
   last committed offset.  Complete records are re-indexed; a torn tail
@@ -272,6 +273,11 @@ class SegmentStore:
         #: segment name -> bytes scanned/validated so far.
         self._segments: "dict[str, int]" = {}
         self._dirty_puts = 0
+        #: ``(generation, segments)`` as of the last snapshot this handle
+        #: published or loaded; ``None`` while none is on disk.  Every
+        #: change to the index moves a segment offset (or the
+        #: generation), so an equal pair means the snapshot is current.
+        self._published: "tuple[int, dict[str, int]] | None" = None
 
     # -- paths -----------------------------------------------------------------
 
@@ -371,6 +377,9 @@ class SegmentStore:
             committed = snapshot["segments"]
             self._entries = snapshot["entries"]
             rebuilt = False
+        self._published = (
+            None if rebuilt else (self._generation, dict(committed))
+        )
         recovered_before = self.health.recovered
         for name in sorted(on_disk, key=lambda n: on_disk[n]):
             generation, _ = on_disk[name]
@@ -682,9 +691,17 @@ class SegmentStore:
     # -- snapshot --------------------------------------------------------------
 
     def _write_snapshot(self) -> None:
-        """Publish the index (record fsync strictly before the rename)."""
+        """Publish the index (record fsync strictly before the rename).
+
+        A no-op when nothing was appended, absorbed or recovered since
+        the last published snapshot: that snapshot already indexes
+        exactly the in-memory state, and every record it indexes was
+        fsync'd before it was renamed into place.
+        """
         with self._locked():
             self._catch_up()
+            if self._published == (self._generation, self._segments):
+                return
             if self._write_fh is not None:
                 os.fsync(self._write_fh.fileno())
             payload = {
@@ -699,7 +716,8 @@ class SegmentStore:
             }
             text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
             plan = active_plan()
-            if plan is not None and plan.tear("index", self.label):
+            torn = plan is not None and plan.tear("index", self.label)
+            if torn:
                 # Injected torn snapshot: the index lands unparseable,
                 # forcing the next open into the full rebuild scan.
                 text = text[: max(1, len(text) // 2)]
@@ -710,9 +728,16 @@ class SegmentStore:
                 os.fsync(handle.fileno())
             os.replace(tmp, self.index_path)
             self._dirty_puts = 0
+            self._published = (
+                None if torn else (self._generation, dict(self._segments))
+            )
 
     def flush(self) -> None:
-        """fsync the active segment and publish an index snapshot."""
+        """fsync the active segment and publish an index snapshot.
+
+        Writes nothing when the published snapshot is already current
+        (a read-only replay leaves ``index.json`` untouched).
+        """
         if not self._ensure_open(create=False):
             return
         self._write_snapshot()

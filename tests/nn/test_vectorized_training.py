@@ -1,11 +1,12 @@
 """Regression tests: vectorized training stack vs the frozen references.
 
-The contract this PR's vectorization pass makes (see
+The contract the vectorized training stack makes (see
 ``repro.perf.reference``):
 
-- fused SGD/Adam, the fused gradient clip, and the trainer's
-  preallocated batch pipeline replay the loop implementations
-  element-for-element — trained weights are **bit-identical**;
+- the block-swept SGD/Adam updates and gradient clip, and the
+  trainer's preallocated batch pipeline replay the loop
+  implementations element-for-element — trained weights are
+  **bit-identical**, also for models that span many optimizer blocks;
 - the im2col convolution's *forward* is bit-identical to the frozen
   per-kernel-position loops; its *backward* contracts each gradient in
   one GEMM, which reorders floating-point reductions — gradients match
@@ -14,14 +15,16 @@ The contract this PR's vectorization pass makes (see
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.nn.conv import Conv1d
 from repro.nn.layers import Linear, Sequential, Tanh
 from repro.nn.losses import NormalizedL1Loss
-from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam
+from repro.nn.module import Module, Parameter
+from repro.nn.optim import BLOCK, SGD, Adam
 from repro.nn.serialize import state_dict
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.perf.reference import (
@@ -51,6 +54,78 @@ def _twin_models(seed=3, widths=(20, 8, 20), activation=Tanh):
     return build(), build()
 
 
+#: A layout that puts every block-edge case of the optimizer sweep in
+#: play: a 3-element bias, a parameter of exactly BLOCK elements that
+#: straddles the first block edge, one of BLOCK + 1 elements that
+#: straddles the second, a matrix spanning more than three blocks, and a
+#: 5-element bias that ends in a ragged final block.
+_MULTI_BLOCK_SHAPES = (
+    (3,),
+    (BLOCK // 128, 128),
+    (BLOCK + 1,),
+    (3, BLOCK + 17),
+    (5,),
+)
+
+
+class _ParameterBag(Module):
+    """Bare parameters of the given shapes; tests write their gradients."""
+
+    def __init__(self, shapes, seed):
+        super().__init__()
+        rng = np.random.default_rng(seed)
+        self.params = [Parameter(rng.standard_normal(shape)) for shape in shapes]
+
+
+def _twins(kind, widths, batch):
+    """Twin models and ``feed(rng)``, which gives both one step's gradients.
+
+    ``"single-block"`` twins are :func:`_twin_models` stacks of
+    ``widths`` that back-propagate a random batch of ``batch`` rows;
+    ``"multi-block"`` twins are :data:`_MULTI_BLOCK_SHAPES` parameter
+    bags (``widths`` and ``batch`` unused) whose gradients are drawn
+    directly.
+    """
+    if kind == "single-block":
+        model_a, model_b = _twin_models(widths=widths)
+
+        def feed(rng):
+            x = rng.standard_normal((batch, widths[0]))
+            grad = rng.standard_normal((batch, widths[-1]))
+            for model in (model_a, model_b):
+                model.forward(x)
+                model.backward(grad)
+
+    else:
+        model_a = _ParameterBag(_MULTI_BLOCK_SHAPES, seed=3)
+        model_b = _ParameterBag(_MULTI_BLOCK_SHAPES, seed=3)
+
+        def feed(rng):
+            for pa, pb in zip(model_a.parameters(), model_b.parameters()):
+                grad = rng.standard_normal(pa.shape)
+                pa.grad += grad
+                pb.grad += grad
+
+    return model_a, model_b, feed
+
+
+def _grid(*axes):
+    """Parametrize rows: every twin kind crossed with ``axes``.
+
+    The single-block rows keep the bare ids these tests had before the
+    multi-block twins joined them (``0.001-0.9``); multi-block rows
+    are prefixed (``multi-block-0.001-0.9``).
+    """
+    rows = []
+    for kind in ("single-block", "multi-block"):
+        for values in itertools.product(*axes):
+            label = "-".join(str(value) for value in values)
+            if kind != "single-block":
+                label = f"{kind}-{label}"
+            rows.append(pytest.param(kind, *values, id=label))
+    return rows
+
+
 def _assert_states_equal(model_a, model_b):
     state_a, state_b = state_dict(model_a), state_dict(model_b)
     assert state_a.keys() == state_b.keys()
@@ -59,12 +134,13 @@ def _assert_states_equal(model_a, model_b):
 
 
 class TestFusedOptimizerBitIdentity:
-    """Fused flat-buffer updates replay the per-parameter loops exactly."""
+    """Block-swept flat-buffer updates replay the per-parameter loops exactly."""
 
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-    def test_sgd_steps(self, momentum, weight_decay):
-        model_a, model_b = _twin_models()
+    @pytest.mark.parametrize(
+        ("twins", "weight_decay", "momentum"), _grid([0.0, 1e-3], [0.0, 0.9])
+    )
+    def test_sgd_steps(self, twins, weight_decay, momentum):
+        model_a, model_b, feed = _twins(twins, widths=(20, 8, 20), batch=5)
         opt_a = ReferenceSGD(
             list(model_a.parameters()),
             lr=0.05,
@@ -79,18 +155,16 @@ class TestFusedOptimizerBitIdentity:
         )
         rng = np.random.default_rng(0)
         for _ in range(7):
-            x = rng.standard_normal((5, 20))
-            grad = rng.standard_normal((5, 20))
-            for model, opt in ((model_a, opt_a), (model_b, opt_b)):
-                opt.zero_grad()
-                model.forward(x)
-                model.backward(grad)
-                opt.step()
+            opt_a.zero_grad()
+            opt_b.zero_grad()
+            feed(rng)
+            opt_a.step()
+            opt_b.step()
             _assert_states_equal(model_a, model_b)
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
-    def test_adam_steps(self, weight_decay):
-        model_a, model_b = _twin_models(widths=(13, 7, 3, 13))
+    @pytest.mark.parametrize(("twins", "weight_decay"), _grid([0.0, 1e-2]))
+    def test_adam_steps(self, twins, weight_decay):
+        model_a, model_b, feed = _twins(twins, widths=(13, 7, 3, 13), batch=4)
         opt_a = ReferenceAdam(
             list(model_a.parameters()), lr=1e-2, weight_decay=weight_decay
         )
@@ -99,40 +173,52 @@ class TestFusedOptimizerBitIdentity:
         )
         rng = np.random.default_rng(1)
         for _ in range(9):
-            x = rng.standard_normal((4, 13))
-            grad = rng.standard_normal((4, 13))
-            for model, opt in ((model_a, opt_a), (model_b, opt_b)):
-                opt.zero_grad()
-                model.forward(x)
-                model.backward(grad)
-                opt.step()
+            opt_a.zero_grad()
+            opt_b.zero_grad()
+            feed(rng)
+            opt_a.step()
+            opt_b.step()
             _assert_states_equal(model_a, model_b)
 
     def test_clip_interaction(self):
-        """Fused clip + fused step == loop clip + loop step, bit for bit."""
-        model_a, model_b = _twin_models(widths=(16, 5, 16))
-        opt_a = ReferenceAdam(list(model_a.parameters()), lr=5e-2)
-        opt_b = Adam(list(model_b.parameters()), lr=5e-2)
-        rng = np.random.default_rng(2)
-        limit = 0.05  # tight enough that every step actually clips
-        for _ in range(6):
-            x = rng.standard_normal((6, 16))
-            grad = rng.standard_normal((6, 16))
-            opt_a.zero_grad()
-            model_a.forward(x)
-            model_a.backward(grad)
-            reference_clip_gradients(model_a, limit)
-            opt_a.step()
-            opt_b.zero_grad()
-            model_b.forward(x)
-            model_b.backward(grad)
-            opt_b.clip_global_norm(limit)
-            opt_b.step()
-            params_a = list(model_a.parameters())
-            params_b = list(model_b.parameters())
-            for pa, pb in zip(params_a, params_b):
-                assert np.array_equal(pa.grad, pb.grad)
-            _assert_states_equal(model_a, model_b)
+        """Blocked clip + blocked step == loop clip + loop step, bit for bit."""
+        # A loop over both twin kinds, not a parametrize, so the test
+        # keeps its id.
+        for twins in ("single-block", "multi-block"):
+            model_a, model_b, feed = _twins(twins, widths=(16, 5, 16), batch=6)
+            opt_a = ReferenceAdam(list(model_a.parameters()), lr=5e-2)
+            opt_b = Adam(list(model_b.parameters()), lr=5e-2)
+            rng = np.random.default_rng(2)
+            limit = 0.05  # tight enough that every step actually clips
+            for _ in range(6):
+                opt_a.zero_grad()
+                opt_b.zero_grad()
+                feed(rng)
+                reference_clip_gradients(model_a, limit)
+                opt_a.step()
+                opt_b.clip_global_norm(limit)
+                opt_b.step()
+                params_a = list(model_a.parameters())
+                params_b = list(model_b.parameters())
+                for pa, pb in zip(params_a, params_b):
+                    assert np.array_equal(pa.grad, pb.grad), twins
+                _assert_states_equal(model_a, model_b)
+
+    def test_clip_norm_is_numpys_pairwise_sum(self):
+        """The blocked sum of squares adds exactly what ``np.sum`` adds."""
+        rng = np.random.default_rng(0)
+        # A split tree that differs from NumPy's only near the top
+        # changes the low bits for roughly one size in three, so sweep
+        # many sizes beyond the block edge cases.
+        sizes = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 51]
+        sizes += [int(n) for n in rng.integers(BLOCK + 2, 12 * BLOCK, 24)]
+        for size in sizes:
+            grad = rng.standard_normal(size)
+            param = Parameter(np.zeros(size))
+            opt = SGD([param], lr=0.1)
+            param.grad += grad
+            norm = opt.clip_global_norm(np.inf)
+            assert norm == float(np.sqrt(np.sum(grad**2))), size
 
     def test_clip_below_limit_is_noop(self):
         param = Parameter(np.zeros(4))

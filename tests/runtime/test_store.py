@@ -318,6 +318,77 @@ class TestFaultLabels:
         _parse_cached.cache_clear()
 
 
+class TestSnapshotPublish:
+    """``flush``/``close`` publish the index only when it changed."""
+
+    @staticmethod
+    def _stamp(root):
+        """Identity of the published ``index.json``: a rewrite renames a
+        fresh file into place, so its inode (and mtime) change."""
+        stat = (root / INDEX_NAME).stat()
+        return stat.st_ino, stat.st_mtime_ns
+
+    @staticmethod
+    def _indexed(root):
+        return sorted(json.loads((root / INDEX_NAME).read_text())["entries"])
+
+    def _filled(self, root):
+        store = SegmentStore(root)
+        store.put("a", b"1")
+        store.put("b", b"2")
+        store.close()
+        return self._stamp(root)
+
+    def test_read_only_replay_leaves_the_index_untouched(self, tmp_path):
+        published = self._filled(tmp_path)
+        replay = SegmentStore(tmp_path)
+        assert replay.get("a") == b"1"
+        assert replay.keys() == ["a", "b"]
+        replay.flush()
+        replay.close()
+        assert self._stamp(tmp_path) == published
+
+    def test_flush_publishes_after_a_put(self, tmp_path):
+        published = self._filled(tmp_path)
+        store = SegmentStore(tmp_path)
+        store.put("c", b"3")
+        store.flush()
+        assert self._stamp(tmp_path) != published
+        assert self._indexed(tmp_path) == ["a", "b", "c"]
+
+    def test_flush_publishes_after_a_recovery_scan(self, tmp_path):
+        store = SegmentStore(tmp_path)
+        store.put("a", b"1")
+        store.flush()
+        store.put("b", b"2")  # the writer dies before its next publish
+        published = self._stamp(tmp_path)
+        recovered = SegmentStore(tmp_path)
+        assert recovered.get("b") == b"2"
+        recovered.flush()
+        assert self._stamp(tmp_path) != published
+        assert self._indexed(tmp_path) == ["a", "b"]
+
+    def test_flush_publishes_after_absorbing_another_writers_append(
+        self, tmp_path
+    ):
+        self._filled(tmp_path)
+        reader = SegmentStore(tmp_path)
+        assert reader.get("a") == b"1"
+        SegmentStore(tmp_path).put("c", b"3")  # another writer, unpublished
+        published = self._stamp(tmp_path)
+        reader.flush()
+        assert self._stamp(tmp_path) != published
+        assert self._indexed(tmp_path) == ["a", "b", "c"]
+
+    def test_flush_publishes_a_store_that_never_published(self, tmp_path):
+        SegmentStore(tmp_path).put("a", b"1")  # below the snapshot cadence
+        assert not (tmp_path / INDEX_NAME).exists()
+        rebuilt = SegmentStore(tmp_path)
+        assert rebuilt.get("a") == b"1"
+        rebuilt.flush()
+        assert self._indexed(tmp_path) == ["a"]
+
+
 class TestConcurrentWriters:
     def test_two_processes_interleave_without_loss(self, tmp_path):
         # Two writers race 40 puts each onto one root.  On reopen the
