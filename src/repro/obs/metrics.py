@@ -5,7 +5,7 @@ Tracer` and captures the run's scalar telemetry — cache hit ratios,
 retries, quarantines, queue depths, IPC message/byte counts, payload
 dedupe ratios — as one coherent surface next to the span timeline.
 The engines fold their :class:`~repro.runtime.executor.RunHealth` and
-per-store :class:`~repro.runtime.cache.StoreHealth` counters in at run
+per-store :class:`~repro.runtime.store.StoreHealth` counters in at run
 end, so everything PR 6 counts is queryable from the trace too.
 
 All three families are plain dicts of floats with deterministic

@@ -35,7 +35,7 @@ See ``docs/runtime.md`` for the scenario format, cache layout, worker
 model, and determinism guarantees.
 """
 
-from repro.runtime.cache import ResultCache, StoreHealth, default_cache_root
+from repro.runtime.cache import ResultCache, default_cache_root
 from repro.runtime.checkpoints import (
     Checkpoint,
     CheckpointStore,
@@ -66,7 +66,7 @@ from repro.runtime.hashing import (
 )
 from repro.runtime.payloads import PayloadRef, PayloadStore
 from repro.runtime.planner import PlannedTask, plan_scenario
-from repro.runtime.store import SegmentStore, migrate
+from repro.runtime.store import SegmentStore, StoreHealth
 from repro.runtime.registry import (
     campaign_names,
     get_campaign,
@@ -135,7 +135,6 @@ __all__ = [
     "active_plan",
     "StoreHealth",
     "SegmentStore",
-    "migrate",
     "PayloadRef",
     "PayloadStore",
     "ResultCache",

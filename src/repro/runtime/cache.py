@@ -23,13 +23,6 @@ CRC.  An entry that is truncated, mis-keyed, or fails either check is
 :class:`StoreHealth` — and reported as a miss, so a torn or bit-rotted
 record costs one recompute, never a wrong number and never an aborted
 run.
-
-Legacy layout: roots written by older versions hold one
-``<key>.json`` file per entry.  ``get`` transparently absorbs such a
-file into the packed store on first touch (validating it exactly as the
-legacy reader did, quarantining corrupt files to ``<root>/quarantine/``),
-and ``python -m repro.runtime.store migrate <root>`` packs a whole root
-in one shot.
 """
 
 from __future__ import annotations
@@ -38,76 +31,22 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.obs.trace import current_tracer
 from repro.runtime import knobs
+from repro.runtime.store import SegmentStore, StoreHealth
 
 __all__ = [
     "ResultCache",
-    "StoreHealth",
     "default_cache_root",
-    "quarantine_files",
     "result_digest",
     "sweep_stale_tmp",
     "sweep_stale_tmp_once",
 ]
 
 SCHEMA_VERSION = 1
-
-#: Subdirectory (of a store root) where corrupt legacy entries are moved.
-QUARANTINE_DIR = "quarantine"
-
-
-@dataclass
-class StoreHealth:
-    """Fault counters for one store instance.
-
-    ``quarantined`` counts corrupt entries tombstoned or moved aside
-    (each cost one recompute); ``rehydrated`` counts payload spool
-    files re-created after vanishing mid-run
-    (:meth:`PayloadStore.spill`); ``recovered`` counts committed
-    records the packed store re-indexed from segment tails or a full
-    rebuild scan; ``truncated`` counts torn segment tails dropped by
-    recovery; ``compactions`` counts compaction runs.
-    """
-
-    quarantined: int = 0
-    rehydrated: int = 0
-    recovered: int = 0
-    truncated: int = 0
-    compactions: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "quarantined": self.quarantined,
-            "rehydrated": self.rehydrated,
-            "recovered": self.recovered,
-            "truncated": self.truncated,
-            "compactions": self.compactions,
-        }
-
-
-def quarantine_files(root: Path, paths) -> int:
-    """Move ``paths`` into ``<root>/quarantine/``; returns files moved.
-
-    Corrupt legacy store entries are moved aside rather than deleted so
-    a post-mortem can inspect exactly what was on disk; the store never
-    addresses the subdirectory, so quarantined files are unreachable.
-    Vanished files count as already gone.
-    """
-    moved = 0
-    target_dir = root / QUARANTINE_DIR
-    for path in paths:
-        path = Path(path)
-        if not path.exists():
-            continue
-        target_dir.mkdir(parents=True, exist_ok=True)
-        os.replace(path, target_dir / path.name)
-        moved += 1
-    return moved
 
 
 def result_digest(result) -> str:
@@ -157,7 +96,7 @@ def sweep_stale_tmp(root: Path, pattern: str = "*.tmp.*") -> int:
     """Remove crashed writers' ``*.tmp.*`` leftovers under ``root``.
 
     Shared by the artifact writer (:mod:`repro.utils.artifacts`), the
-    packed stores' legacy-root maintenance, and ``prune``.  A file is
+    stores' first-write sweep, and ``prune``.  A file is
     only removed when it is both older than :data:`STALE_TMP_GRACE_S`
     (so a concurrent writer on another host is safe) and its pid names
     no locally running process (so a stuck local writer is safe).
@@ -225,8 +164,6 @@ class ResultCache:
     STORE_LABEL = "cache"
 
     def __init__(self, root: "str | os.PathLike") -> None:
-        from repro.runtime.store import SegmentStore
-
         if not str(root):
             raise ConfigurationError("cache root must be non-empty")
         self.root = Path(root)
@@ -234,12 +171,6 @@ class ResultCache:
         self._store = SegmentStore(
             self.root, label=self.STORE_LABEL, health=self.health
         )
-
-    def path(self, key: str) -> Path:
-        """The *legacy* per-file location for ``key`` (one file per
-        entry, the pre-packed layout); used by the lazy migration path
-        and tests that seed legacy roots."""
-        return self.root / f"{key}.json"
 
     def _encode(self, key: str, spec, result) -> bytes:
         payload = {
@@ -287,51 +218,14 @@ class ResultCache:
 
     def _get(self, key: str):
         raw = self._store.get(key)
-        if raw is not None:
-            result = self._decode(key, raw)
-            if result is None:
-                # Record bytes were intact (CRC passed) but the payload
-                # fails validation — same contract: tombstone + miss.
-                self._store.quarantine(key)
-            return result
-        if self._store.contains(key):
-            # Tombstoned (just quarantined, or quarantined earlier):
-            # a clean miss; never resurrect from a stale legacy file.
+        if raw is None:
             return None
-        return self._legacy_get(key)
-
-    def _legacy_get(self, key: str):
-        """Absorb a legacy per-file entry into the packed store."""
-        path = self.path(key)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return self._quarantine_legacy(key)
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            return self._quarantine_legacy(key)
-        if not isinstance(payload, dict) or payload.get("key") != key:
-            return self._quarantine_legacy(key)
-        result = payload.get("result")
-        recorded = payload.get("result_sha256")
-        if recorded is not None and recorded != result_digest(result):
-            return self._quarantine_legacy(key)
-        # Lazy migration: pack the entry, then retire the legacy file.
-        self._store.put(key, self._encode(key, payload.get("spec"), result))
-        path.unlink(missing_ok=True)
+        result = self._decode(key, raw)
+        if result is None:
+            # Record bytes were intact (CRC passed) but the payload
+            # fails validation — same contract: tombstone + miss.
+            self._store.quarantine(key)
         return result
-
-    def _quarantine_legacy(self, key: str):
-        """Move a corrupt legacy entry aside and report the miss."""
-        self.health.quarantined += quarantine_files(self.root, [self.path(key)])
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.inc("store.quarantined")
-            tracer.event("quarantine", "store", store="cache", key=key)
-        return None
 
     def put(self, key: str, spec, result) -> Path:
         """Store one completed point (atomic append; last writer wins)."""
@@ -345,8 +239,8 @@ class ResultCache:
     def _put(self, key: str, spec, result) -> Path:
         from repro.runtime.faults import active_plan
 
-        # First write into a root clears crashed legacy writers'
-        # *.tmp.* leftovers; later puts skip the directory scan.
+        # First write into a root clears crashed writers' *.tmp.*
+        # leftovers; later puts skip the directory scan.
         sweep_stale_tmp_once(self.root)
         plan = active_plan()
         # Injected torn write: the record lands with a broken CRC,
@@ -357,36 +251,13 @@ class ResultCache:
             key, self._encode(key, spec, result), corrupt=corrupt
         )
 
-    def legacy_keys(self) -> "list[str]":
-        """Keys still held as legacy per-file entries (sorted)."""
-        from repro.runtime.store import INDEX_NAME
-
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            p.stem
-            for p in self.root.glob("*.json")
-            if p.name != INDEX_NAME
-        )
-
     def keys(self) -> "list[str]":
-        """Keys of every entry currently stored (sorted).
-
-        Packed entries come straight from the index (no directory
-        scan); legacy per-file entries not yet absorbed are unioned in
-        so a partially migrated root never under-reports.
-        """
-        packed = self._store.keys()
-        legacy = self.legacy_keys()
-        if not legacy:
-            return packed
-        return sorted(set(packed) | set(legacy))
+        """Keys of every entry currently stored (sorted, from the index;
+        no directory scan)."""
+        return self._store.keys()
 
     def __len__(self) -> int:
-        legacy = self.legacy_keys()
-        if not legacy:
-            return len(self._store)
-        return len(self.keys())
+        return len(self._store)
 
     def flush(self) -> None:
         """Publish the packed index (cheap; bounds the next recovery scan)."""
@@ -395,17 +266,8 @@ class ResultCache:
     def prune(self, live_keys) -> int:
         """Compact away entries not in ``live_keys``; returns how many went.
 
-        Replaces the per-file era's delete loop: live records are
-        copied forward into a fresh segment generation and dead
-        segments are removed atomically.  Legacy per-file leftovers
-        (dead entries, crashed writers' ``*.tmp.*`` residue) are swept
-        as before.
+        Live records are copied forward into a fresh segment generation
+        and dead segments are removed atomically; crashed writers'
+        ``*.tmp.*`` residue in the root is swept and counted too.
         """
-        live = set(live_keys)
-        removed = 0
-        for key in self.legacy_keys():
-            if key not in live:
-                self.path(key).unlink(missing_ok=True)
-                removed += 1
-        removed += self._store.compact(live)
-        return removed + sweep_stale_tmp(self.root)
+        return self._store.compact(set(live_keys)) + sweep_stale_tmp(self.root)

@@ -7,7 +7,7 @@ canonical training spec — dataset, widths, training config — plus the
 repro source digest, namespaced ``kind="train"`` so it can never
 collide with a result-cache address) and persisted through the packed
 segment store (:mod:`repro.runtime.store`).  One CRC-framed record per
-checkpoint carries both halves of the old two-file layout::
+checkpoint carries the metadata and the weights::
 
     meta_len (u32) | metadata JSON | np.savez bytes
 
@@ -17,13 +17,6 @@ half-written or corrupted checkpoint is a miss, never a wrong model.
 Because the key embeds the source digest, any library edit silently
 invalidates every checkpoint (exactly like the result cache); ``prune``
 compacts unaddressable leftovers away.
-
-Legacy layout: roots written by older versions hold ``<key>.npz`` +
-``<key>.json`` file pairs.  ``get`` absorbs such pairs into the packed
-store on first touch (validating them exactly as the legacy reader
-did, quarantining corrupt pairs to ``<root>/quarantine/``), and
-``python -m repro.runtime.store migrate <root>`` packs a whole root in
-one shot.
 """
 
 from __future__ import annotations
@@ -41,14 +34,10 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.obs.trace import current_tracer
 from repro.runtime import knobs
-from repro.runtime.cache import (
-    StoreHealth,
-    quarantine_files,
-    sweep_stale_tmp,
-    sweep_stale_tmp_once,
-)
+from repro.runtime.cache import sweep_stale_tmp, sweep_stale_tmp_once
 from repro.runtime.faults import active_plan
 from repro.runtime.hashing import state_digest
+from repro.runtime.store import SegmentStore, StoreHealth
 
 __all__ = ["Checkpoint", "CheckpointStore", "default_checkpoint_root"]
 
@@ -97,8 +86,6 @@ class CheckpointStore:
     STORE_LABEL = "checkpoint"
 
     def __init__(self, root: "str | os.PathLike") -> None:
-        from repro.runtime.store import SegmentStore
-
         if not str(root):
             raise ConfigurationError("checkpoint store root must be non-empty")
         self.root = Path(root)
@@ -106,14 +93,6 @@ class CheckpointStore:
         self._store = SegmentStore(
             self.root, label=self.STORE_LABEL, health=self.health
         )
-
-    def weight_path(self, key: str) -> Path:
-        """The *legacy* per-file weight location (pre-packed layout)."""
-        return self.root / f"{key}.npz"
-
-    def meta_path(self, key: str) -> Path:
-        """The *legacy* per-file metadata location (pre-packed layout)."""
-        return self.root / f"{key}.json"
 
     # -- encoding --------------------------------------------------------------
 
@@ -194,75 +173,12 @@ class CheckpointStore:
         :attr:`health`); the caller sees a miss and retrains.
         """
         raw = self._store.get(key)
-        if raw is not None:
-            checkpoint = self._decode(key, raw)
-            if checkpoint is None:
-                self._store.quarantine(key)
-            return checkpoint
-        if self._store.contains(key):
-            return None  # tombstoned: clean miss, no legacy resurrection
-        return self._legacy_get(key)
-
-    def _legacy_get(self, key: str) -> "Checkpoint | None":
-        """Absorb a legacy two-file checkpoint into the packed store."""
-        try:
-            payload = json.loads(self.meta_path(key).read_text())
-        except FileNotFoundError:
+        if raw is None:
             return None
-        except (OSError, ValueError):
-            return self._quarantine_legacy(key)
-        if not isinstance(payload, dict) or payload.get("key") != key:
-            return self._quarantine_legacy(key)
-        if payload.get("schema_version") != SCHEMA_VERSION:
-            return self._quarantine_legacy(key)
-        try:
-            with np.load(self.weight_path(key)) as data:
-                state = {name: data[name] for name in data.files}
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile):
-            # A truncated/garbled .npz (torn write, partial copy), or
-            # weights vanished after commit: BadZipFile and EOFError
-            # are what np.load raises on mangled zip containers.
-            return self._quarantine_legacy(key)
-        if state_digest(state) != payload.get("state_sha256"):
-            return self._quarantine_legacy(key)
-        checkpoint = Checkpoint(
-            key=key,
-            spec=payload.get("spec", {}),
-            state=state,
-            meta=payload.get("meta", {}),
-            state_sha256=payload["state_sha256"],
-        )
-        # Lazy migration: pack the pair, then retire the legacy files.
-        self._store.put(
-            key,
-            self._encode(
-                key,
-                checkpoint.spec,
-                state,
-                checkpoint.meta,
-                checkpoint.state_sha256,
-            ),
-        )
-        self.meta_path(key).unlink(missing_ok=True)
-        self.weight_path(key).unlink(missing_ok=True)
+        checkpoint = self._decode(key, raw)
+        if checkpoint is None:
+            self._store.quarantine(key)
         return checkpoint
-
-    def _quarantine_legacy(self, key: str):
-        """Move a corrupt legacy checkpoint (both files) aside; miss."""
-        moved = quarantine_files(
-            self.root, [self.meta_path(key), self.weight_path(key)]
-        )
-        # One counter tick per entry (not per file), so cache and
-        # checkpoint quarantine counts are comparable in health dicts.
-        if moved:
-            self.health.quarantined += 1
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.metrics.inc("store.quarantined")
-                tracer.event(
-                    "quarantine", "store", store="checkpoint", key=key
-                )
-        return None
 
     # -- write ----------------------------------------------------------------
 
@@ -296,8 +212,8 @@ class CheckpointStore:
         meta: "dict | None" = None,
         state_sha256: "str | None" = None,
     ) -> Path:
-        # First write into a root clears crashed legacy writers'
-        # *.tmp.* leftovers; later puts skip the directory scan.
+        # First write into a root clears crashed writers' *.tmp.*
+        # leftovers; later puts skip the directory scan.
         sweep_stale_tmp_once(self.root)
         plan = active_plan()
         # Injected torn write: the record lands with a broken CRC under
@@ -311,32 +227,13 @@ class CheckpointStore:
 
     # -- maintenance -----------------------------------------------------------
 
-    def legacy_keys(self) -> "list[str]":
-        """Keys still held as legacy two-file checkpoints (sorted)."""
-        from repro.runtime.store import INDEX_NAME
-
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            p.stem
-            for p in self.root.glob("*.json")
-            if p.name != INDEX_NAME and self.weight_path(p.stem).exists()
-        )
-
     def keys(self) -> "list[str]":
-        """Keys of every committed checkpoint (sorted, no dir scan when
-        the root holds no legacy leftovers)."""
-        packed = self._store.keys()
-        legacy = self.legacy_keys()
-        if not legacy:
-            return packed
-        return sorted(set(packed) | set(legacy))
+        """Keys of every committed checkpoint (sorted, from the index;
+        no directory scan)."""
+        return self._store.keys()
 
     def __len__(self) -> int:
-        legacy = self.legacy_keys()
-        if not legacy:
-            return len(self._store)
-        return len(self.keys())
+        return len(self._store)
 
     def flush(self) -> None:
         """Publish the packed index (cheap; bounds the next recovery scan)."""
@@ -345,27 +242,7 @@ class CheckpointStore:
     def prune(self, live_keys) -> int:
         """Compact away checkpoints not in ``live_keys``; returns removals.
 
-        Packed dead entries are dropped by compaction; legacy leftovers
-        (dead pairs, orphans, stale ``*.tmp.*`` residue of crashed
-        pre-packed writers) are swept file by file as before.
+        Dead records are dropped by compaction; crashed writers'
+        ``*.tmp.*`` residue in the root is swept and counted too.
         """
-        live = set(live_keys)
-        removed = 0
-        if self.root.is_dir():
-            for path in list(self.root.glob("*.json")) + list(
-                self.root.glob("*.npz")
-            ):
-                name = path.name
-                if ".tmp." in name or name == "index.json":
-                    continue  # temp residue handled by the sweep below
-                key = path.stem
-                if key in live:
-                    # Never touch a live key, even half-committed: a
-                    # legacy writer may have died between its weight
-                    # rename and its metadata commit, and the residue
-                    # is harmless (get() misses; the next put wins).
-                    continue
-                path.unlink(missing_ok=True)
-                removed += 1
-        removed += self._store.compact(live)
-        return removed + sweep_stale_tmp(self.root)
+        return self._store.compact(set(live_keys)) + sweep_stale_tmp(self.root)

@@ -24,8 +24,6 @@ __all__ = [
     "CACHE_ENV",
     "CHECKPOINTS_ENV",
     "TRACE_ENV",
-    "STORE_SEGMENT_BYTES_ENV",
-    "STORE_SNAPSHOT_EVERY_ENV",
     "KNOWN_KNOBS",
     "read_knob",
     "knob_snapshot",
@@ -43,10 +41,6 @@ CACHE_ENV = "REPRO_RUNTIME_CACHE"
 CHECKPOINTS_ENV = "REPRO_RUNTIME_CHECKPOINTS"
 #: Trace output directory; setting it traces every engine run.
 TRACE_ENV = "REPRO_RUNTIME_TRACE"
-#: Packed-store segment roll threshold in bytes (``runtime/store.py``).
-STORE_SEGMENT_BYTES_ENV = "REPRO_RUNTIME_STORE_SEGMENT_BYTES"
-#: Packed-store index-snapshot cadence in puts (``runtime/store.py``).
-STORE_SNAPSHOT_EVERY_ENV = "REPRO_RUNTIME_STORE_SNAPSHOT_EVERY"
 
 #: Every runtime knob, for documentation and diagnostics.
 KNOWN_KNOBS = (
@@ -56,8 +50,6 @@ KNOWN_KNOBS = (
     CACHE_ENV,
     CHECKPOINTS_ENV,
     TRACE_ENV,
-    STORE_SEGMENT_BYTES_ENV,
-    STORE_SNAPSHOT_EVERY_ENV,
 )
 
 

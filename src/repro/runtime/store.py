@@ -1,12 +1,13 @@
 """Crash-safe packed segment store: the fleet-scale durability layer.
 
-:class:`ResultCache` and :class:`~repro.runtime.checkpoints.
-CheckpointStore` used to persist one file (pair) per content address —
-perfect for resumability, fatal at 10^5-10^6 cached rounds (directory
-scans on every ``keys()``, inode churn, O(n) prune).  This module packs
-every entry into a handful of bounded, append-only **segment files**
-behind an in-memory hash index, with a commit protocol that keeps the
-interrupted-run resume guarantee byte-exact at fleet scale.
+:class:`~repro.runtime.cache.ResultCache` and
+:class:`~repro.runtime.checkpoints.CheckpointStore` persist every entry
+here.  One file per content address would be fatal at 10^5-10^6 cached
+rounds (directory scans on every ``keys()``, inode churn, O(n) prune),
+so this module packs entries into a handful of bounded, append-only
+**segment files** behind an in-memory hash index, with a commit
+protocol that keeps the interrupted-run resume guarantee byte-exact at
+fleet scale.
 
 Layout (all under one store root)::
 
@@ -38,17 +39,17 @@ Commit protocol
   — a record whose frame runs past end-of-file or whose CRC fails at
   the tail — is truncated and counted, never served.  A full-frame
   CRC failure *mid*-segment (bit rot) is skipped, not served.
-- **Compaction** (:meth:`SegmentStore.compact`) replaces the per-file
-  era's ``prune``: live records are copied forward into a new segment
-  generation, the new index snapshot is renamed into place (the commit
-  point), and only then are the dead generation's segments deleted.  A
+- **Compaction** (:meth:`SegmentStore.compact`, what ``prune`` runs):
+  live records are copied forward into a new segment generation, the
+  new index snapshot is renamed into place (the commit point), and
+  only then are the dead generation's segments deleted.  A
   crash on either side of the rename leaves a store that opens clean:
   orphan segments from other generations are discarded because every
   committed record they held lives in the indexed generation.
 - **Quarantine** (PR 6 semantics): a CRC-failing or mis-keyed record
   is *tombstoned* — a tombstone record is appended and the key
-  reported as a miss — and counted on the store's health, so a
-  corrupted entry costs one recompute, never a wrong number.
+  reported as a miss — and counted on the store's :class:`StoreHealth`,
+  so a corrupted entry costs one recompute, never a wrong number.
 
 Concurrent writers on one root interleave safely: every append takes
 the ``flock``, re-reads the segment size under it, and absorbs any
@@ -61,20 +62,17 @@ as if the writer was killed mid-``write``) and ``index:<store-label>``
 (the snapshot lands corrupt, forcing a full rebuild scan on the next
 open) in addition to the store-level ``cache:<key>`` /
 ``checkpoint:<key>`` labels.
-
-``python -m repro.runtime.store migrate <root>`` migrates a legacy
-per-file store root into packed segments in place (see :func:`migrate`).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
 import threading
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 
 try:
@@ -84,16 +82,9 @@ except ImportError:  # pragma: no cover - non-POSIX fallback (no flock)
 
 from repro.errors import ConfigurationError
 from repro.obs.trace import current_tracer
-from repro.runtime import knobs
 from repro.runtime.faults import active_plan
 
-__all__ = [
-    "SegmentStore",
-    "RecordLocation",
-    "migrate",
-    "default_segment_bytes",
-    "default_snapshot_every",
-]
+__all__ = ["SegmentStore", "StoreHealth", "RecordLocation"]
 
 #: Bump when the on-disk record or index layout changes incompatibly.
 STORE_SCHEMA_VERSION = 1
@@ -110,8 +101,7 @@ KIND_TOMBSTONE = 2
 _HEADER = struct.Struct("<4sBHII")
 HEADER_SIZE = _HEADER.size
 
-#: Reserved file names inside a store root (legacy per-file entries can
-#: never collide: their stems are content hashes / caller keys).
+#: Reserved file names inside a store root.
 INDEX_NAME = "index.json"
 LOCK_NAME = ".lock"
 SEGMENTS_DIR = "segments"
@@ -127,42 +117,29 @@ DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
 DEFAULT_SNAPSHOT_EVERY = 4096
 
 
-def default_segment_bytes() -> int:
-    """$REPRO_RUNTIME_STORE_SEGMENT_BYTES, else the 64 MiB default."""
-    configured = knobs.read_knob(knobs.STORE_SEGMENT_BYTES_ENV)
-    if configured:
-        try:
-            value = int(configured)
-        except ValueError:
-            raise ConfigurationError(
-                f"${knobs.STORE_SEGMENT_BYTES_ENV} must be an integer, "
-                f"got {configured!r}"
-            ) from None
-        if value < 1:
-            raise ConfigurationError(
-                f"${knobs.STORE_SEGMENT_BYTES_ENV} must be >= 1"
-            )
-        return value
-    return DEFAULT_SEGMENT_BYTES
+@dataclass
+class StoreHealth:
+    """Fault counters for one store instance.
 
+    ``quarantined`` counts corrupt entries tombstoned by a read or
+    dropped by compaction (each cost one recompute); ``recovered``
+    counts committed records re-indexed from segment tails or a full
+    rebuild scan; ``truncated`` counts torn segment tails dropped by
+    recovery; ``compactions`` counts compaction runs.
+    """
 
-def default_snapshot_every() -> int:
-    """$REPRO_RUNTIME_STORE_SNAPSHOT_EVERY, else the default cadence."""
-    configured = knobs.read_knob(knobs.STORE_SNAPSHOT_EVERY_ENV)
-    if configured:
-        try:
-            value = int(configured)
-        except ValueError:
-            raise ConfigurationError(
-                f"${knobs.STORE_SNAPSHOT_EVERY_ENV} must be an integer, "
-                f"got {configured!r}"
-            ) from None
-        if value < 1:
-            raise ConfigurationError(
-                f"${knobs.STORE_SNAPSHOT_EVERY_ENV} must be >= 1"
-            )
-        return value
-    return DEFAULT_SNAPSHOT_EVERY
+    quarantined: int = 0
+    recovered: int = 0
+    truncated: int = 0
+    compactions: int = 0
+
+    def to_dict(self) -> dict:
+        return {
+            "quarantined": self.quarantined,
+            "recovered": self.recovered,
+            "truncated": self.truncated,
+            "compactions": self.compactions,
+        }
 
 
 def _segment_name(generation: int, seq: int) -> str:
@@ -221,16 +198,16 @@ class SegmentStore:
     root:
         The store directory (created on first write).
     label:
-        Short name used in fault-injection labels (``index:<label>``),
-        tracer events, and the migration summary — ``"cache"`` or
-        ``"checkpoint"`` for the built-in wrappers.
+        Short name used in fault-injection labels (``index:<label>``)
+        and tracer events — ``"cache"`` or ``"checkpoint"`` for the
+        built-in wrappers.
     health:
-        A :class:`~repro.runtime.cache.StoreHealth` to tick counters
-        on (quarantines, recovered records, truncated tails,
-        compactions).  ``None`` allocates a private one.
+        A :class:`StoreHealth` to tick counters on (quarantines,
+        recovered records, truncated tails, compactions).  ``None``
+        allocates a private one.
     segment_bytes / snapshot_every:
-        Segment roll threshold and snapshot cadence; ``None`` reads
-        the ``$REPRO_RUNTIME_STORE_*`` knobs.
+        Segment roll threshold and snapshot cadence (tests shrink them
+        to force a roll or a snapshot).
     """
 
     def __init__(
@@ -238,23 +215,17 @@ class SegmentStore:
         root: "str | os.PathLike",
         *,
         label: str = "store",
-        health=None,
-        segment_bytes: "int | None" = None,
-        snapshot_every: "int | None" = None,
+        health: "StoreHealth | None" = None,
+        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     ) -> None:
         if not str(root):
             raise ConfigurationError("store root must be non-empty")
-        from repro.runtime.cache import StoreHealth  # circular-safe
-
         self.root = Path(root)
         self.label = label
         self.health = health if health is not None else StoreHealth()
-        self.segment_bytes = (
-            default_segment_bytes() if segment_bytes is None else int(segment_bytes)
-        )
-        self.snapshot_every = (
-            default_snapshot_every() if snapshot_every is None else int(snapshot_every)
-        )
+        self.segment_bytes = int(segment_bytes)
+        self.snapshot_every = int(snapshot_every)
         if self.segment_bytes < 1 or self.snapshot_every < 1:
             raise ConfigurationError(
                 "segment_bytes and snapshot_every must be >= 1"
@@ -673,6 +644,10 @@ class SegmentStore:
         if not self._ensure_open(create=False):
             return
         self._append(KIND_TOMBSTONE, key, b"")
+        self._count_quarantine(key)
+
+    def _count_quarantine(self, key: str) -> None:
+        """Tick health and the trace for one corrupt entry taken out."""
         self.health.quarantined += 1
         tracer = current_tracer()
         if tracer is not None:
@@ -826,13 +801,6 @@ class SegmentStore:
             return None
         return body[key_len:]
 
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` is indexed (live *or* tombstoned)."""
-        if not self._ensure_open(create=False):
-            return False
-        with self._mutex:
-            return key in self._entries
-
     def keys(self) -> "list[str]":
         """Sorted live keys (tombstoned ones excluded) — no dir scan."""
         if not self._ensure_open(create=False):
@@ -869,7 +837,7 @@ class SegmentStore:
             if tracer is not None
             else None
         )
-        with span if span is not None else _nullcontext():
+        with span if span is not None else nullcontext():
             dropped = self._compact(live)
         self.health.compactions += 1
         if tracer is not None:
@@ -902,7 +870,7 @@ class SegmentStore:
                         # Corrupt record discovered during compaction:
                         # same contract as a get — tombstone-equivalent
                         # (simply not copied) and counted.
-                        self.health.quarantined += 1
+                        self._count_quarantine(key)
                         continue
                     frame = _frame(KIND_DATA, key, value)
                     if out_fh is None or out_offset >= self.segment_bytes:
@@ -944,96 +912,3 @@ class SegmentStore:
                 self._discard_segment(name)
             return dropped
 
-
-class _nullcontext:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-# -- migration -----------------------------------------------------------------
-
-
-def migrate(root: "str | os.PathLike", kind: str = "auto") -> dict:
-    """Migrate a legacy per-file store root into packed segments.
-
-    ``kind`` is ``"cache"`` (``<key>.json`` result entries),
-    ``"checkpoint"`` (``<key>.npz`` + ``<key>.json`` pairs), or
-    ``"auto"`` (sniff: any ``.npz`` present means checkpoint).  Every
-    readable legacy entry is absorbed into the packed store **through
-    the same validation path ``get`` uses**, so results are
-    byte-identical before and after; corrupt legacy entries are
-    quarantined to ``<root>/quarantine/`` exactly as a legacy read
-    would have.  Migrated source files are removed.  Returns a summary
-    dict (``kind``, ``migrated``, ``quarantined``, ``remaining``).
-    """
-    from repro.runtime.cache import ResultCache
-    from repro.runtime.checkpoints import CheckpointStore
-
-    root = Path(root)
-    if not root.is_dir():
-        raise ConfigurationError(f"store root {str(root)!r} is not a directory")
-    if kind == "auto":
-        kind = (
-            "checkpoint"
-            if any(root.glob("*.npz"))
-            else "cache"
-        )
-    if kind == "cache":
-        store = ResultCache(root)
-    elif kind == "checkpoint":
-        store = CheckpointStore(root)
-    else:
-        raise ConfigurationError(
-            f"unknown store kind {kind!r}; expected cache|checkpoint|auto"
-        )
-    legacy = store.legacy_keys()
-    migrated = 0
-    before = store.health.quarantined
-    for key in legacy:
-        if store.get(key) is not None:
-            migrated += 1
-    store.flush()
-    return {
-        "root": str(root),
-        "kind": kind,
-        "legacy_entries": len(legacy),
-        "migrated": migrated,
-        "quarantined": store.health.quarantined - before,
-        "packed_entries": len(store),
-    }
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.runtime.store",
-        description="packed segment store maintenance",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    mig = sub.add_parser(
-        "migrate",
-        help="pack a legacy per-file cache/checkpoint root into segments",
-    )
-    mig.add_argument("root", help="store root directory")
-    mig.add_argument(
-        "--kind",
-        choices=("auto", "cache", "checkpoint"),
-        default="auto",
-        help="legacy layout to expect (default: sniff)",
-    )
-    args = parser.parse_args(argv)
-    if args.command == "migrate":
-        summary = migrate(args.root, kind=args.kind)
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    return 2  # pragma: no cover - argparse enforces the subcommand
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    import sys
-
-    sys.exit(main())

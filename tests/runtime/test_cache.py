@@ -135,34 +135,24 @@ class TestResultCache:
         assert payload["key"] == key
         assert payload["spec"] == {"x": 5}
 
-    def test_legacy_entry_absorbed_on_first_get(self, tmp_path):
-        # Pre-packed roots hold one <key>.json per entry; get must
-        # serve it byte-identically, pack it, and retire the file.
-        from repro.runtime.cache import result_digest
-
-        cache = ResultCache(tmp_path)
-        key = task_key({"x": 6}, "v")
-        payload = {
-            "schema_version": 1,
-            "key": key,
-            "spec": {"x": 6},
-            "result": {"ber": 0.0625},
-            "result_sha256": result_digest({"ber": 0.0625}),
-        }
-        cache.path(key).write_text(json.dumps(payload))
-        assert cache.keys() == [key]  # visible before absorption
-        assert cache.get(key) == {"ber": 0.0625}
-        assert not cache.path(key).exists()
-        reopened = ResultCache(tmp_path)
-        assert reopened.get(key) == {"ber": 0.0625}
-
-    def test_corrupt_legacy_entry_is_quarantined(self, tmp_path):
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"{not json",
+            b"\xff\xfe",
+            b"[1, 2]",
+            json.dumps({"key": "someone-else", "result": 1}).encode(),
+        ],
+        ids=["not-json", "not-utf8", "not-an-object", "key-mismatch"],
+    )
+    def test_doctored_record_is_quarantined(self, tmp_path, raw):
+        # The segment store wrote the frame, so its CRC passes: only the
+        # cache's own decoding can catch these payloads.
         cache = ResultCache(tmp_path)
         key = task_key({"x": 7}, "v")
-        cache.path(key).write_text("{not json")
+        cache._store.put(key, raw)
         assert cache.get(key) is None
         assert cache.health.quarantined == 1
-        assert (tmp_path / "quarantine" / f"{key}.json").exists()
         assert cache.keys() == []
 
     def test_prune(self, tmp_path):

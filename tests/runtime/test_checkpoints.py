@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.checkpoints import CHECKPOINT_KIND, CheckpointStore
-from repro.runtime.hashing import task_key
+from repro.runtime.hashing import state_digest, task_key
 
 
 def dead_pid() -> int:
@@ -43,20 +45,60 @@ def _key(i: int) -> str:
     return task_key({"x": i}, "v", kind=CHECKPOINT_KIND)
 
 
-def _legacy_put(store, key, spec, state, meta=None) -> None:
-    """Write a pre-packed two-file checkpoint (<key>.json + <key>.npz)."""
-    from repro.runtime.hashing import state_digest
+def _npz(state: dict) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **state)
+    return buffer.getvalue()
 
+
+def _meta(key: str, state: dict, **overrides) -> bytes:
+    """A record's metadata half, as ``CheckpointStore.put`` writes it."""
     payload = {
         "schema_version": 1,
         "key": key,
-        "spec": spec,
+        "spec": {"x": 0},
         "state_sha256": state_digest(state),
-        "meta": dict(meta or {}),
+        "meta": {},
+        **overrides,
     }
-    store.root.mkdir(parents=True, exist_ok=True)
-    np.savez(store.weight_path(key), **state)
-    store.meta_path(key).write_text(json.dumps(payload, sort_keys=True))
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def _record(meta: bytes, weights: bytes) -> bytes:
+    """``meta_len (u32) | metadata | weight bytes`` — one packed record."""
+    return struct.pack("<I", len(meta)) + meta + weights
+
+
+def _split(raw: bytes) -> "tuple[bytes, bytes]":
+    """A packed record's ``(metadata, weight bytes)`` halves."""
+    (meta_len,) = struct.unpack("<I", raw[:4])
+    return raw[4 : 4 + meta_len], raw[4 + meta_len :]
+
+
+#: The key every doctored record is stored under, and the weight bytes
+#: of a well-formed record.
+_DOCTORED_KEY = _key(14)
+_WEIGHTS = _npz(_state())
+
+#: Records whose CRC frame is intact but whose payload ``_decode`` must
+#: reject, one per rejection branch.
+_DOCTORED = {
+    "shorter-than-meta-len": b"\x01\x02",
+    "meta-len-past-end": struct.pack("<I", 1 << 20) + b"{}",
+    "meta-not-json": _record(b"{not json", _WEIGHTS),
+    "meta-not-utf8": _record(b"\xff\xfe", _WEIGHTS),
+    "key-mismatch": _record(_meta(_key(99), _state()), _WEIGHTS),
+    "schema-version-2": _record(
+        _meta(_DOCTORED_KEY, _state(), schema_version=2), _WEIGHTS
+    ),
+    "npz-truncated": _record(
+        _meta(_DOCTORED_KEY, _state()), _WEIGHTS[: len(_WEIGHTS) // 2]
+    ),
+    "npz-bare-zip-magic": _record(_meta(_DOCTORED_KEY, _state()), b"PK"),
+    "state-sha256-mismatch": _record(
+        _meta(_DOCTORED_KEY, _state()), _npz(_state(seed=9))
+    ),
+}
 
 
 class TestCheckpointStore:
@@ -77,29 +119,14 @@ class TestCheckpointStore:
         assert store.keys() == [key]
         assert len(store) == 1
 
-    def test_legacy_pair_absorbed_on_first_get(self, tmp_path):
-        # Pre-packed roots hold <key>.json + <key>.npz pairs; get must
-        # serve them bit-identically, pack them, and retire the files.
-        store = CheckpointStore(tmp_path)
-        key = _key(20)
-        state = _state(3)
-        _legacy_put(store, key, {"x": 20}, state, meta={"v": 3})
-        assert store.keys() == [key]  # visible before absorption
-        loaded = store.get(key)
-        assert loaded is not None and loaded.meta == {"v": 3}
-        np.testing.assert_array_equal(loaded.state["p0.bias"], state["p0.bias"])
-        assert not store.meta_path(key).exists()
-        assert not store.weight_path(key).exists()
-        reopened = CheckpointStore(tmp_path)
-        again = reopened.get(key)
-        assert again is not None
-        assert again.state_sha256 == loaded.state_sha256
-
     def test_missing_weights_is_a_miss(self, tmp_path):
+        # A record that kept its metadata half but lost every weight
+        # byte must be a miss, never an empty model.
         store = CheckpointStore(tmp_path)
         key = _key(2)
-        _legacy_put(store, key, {"x": 2}, _state())
-        store.weight_path(key).unlink()
+        store.put(key, {"x": 2}, _state())
+        meta, _ = _split(store._store.get(key))
+        store._store.put(key, _record(meta, b""))
         assert store.get(key) is None
         assert store.keys() == []
 
@@ -108,24 +135,36 @@ class TestCheckpointStore:
         # not be served — retraining beats silently loading a wrong model.
         store = CheckpointStore(tmp_path)
         key = _key(3)
-        _legacy_put(store, key, {"x": 3}, _state())
-        other = _state(seed=9)
-        np.savez(store.weight_path(key), **other)
+        store.put(key, {"x": 3}, _state())
+        meta, _ = _split(store._store.get(key))
+        store._store.put(key, _record(meta, _npz(_state(seed=9))))
         assert store.get(key) is None
+        store.put(key, {"x": 3}, _state())  # the retrain
+        loaded = store.get(key)
+        assert loaded is not None
+        np.testing.assert_array_equal(
+            loaded.state["p0.weight"], _state()["p0.weight"]
+        )
 
     def test_truncated_npz_is_a_miss(self, tmp_path):
-        # A torn write can leave a half-written zip container; np.load
-        # raises BadZipFile/EOFError on those, which get must swallow
-        # (retrain), never propagate into a warm rebuild.
+        # A writer killed mid-append leaves a record whose npz is cut
+        # short at the segment tail; the next open must drop it and
+        # report a miss (retrain), never raise into a warm rebuild.
         store = CheckpointStore(tmp_path)
-        key = _key(10)
-        _legacy_put(store, key, {"x": 10}, _state())
-        raw = store.weight_path(key).read_bytes()
-        store.weight_path(key).write_bytes(raw[: len(raw) // 2])
-        assert store.get(key) is None
-        _legacy_put(store, _key(11), {"x": 11}, _state())
-        store.weight_path(_key(11)).write_bytes(b"PK")  # zip magic only
-        assert store.get(_key(11)) is None
+        kept, torn = _key(10), _key(11)
+        store.put(kept, {"x": 10}, _state())
+        segment = store.put(torn, {"x": 11}, _state(1))
+        location = store._store._entries[torn]
+        _, weights = _split(store._store.get(torn))
+        with open(segment, "r+b") as handle:
+            handle.truncate(
+                location.offset + location.length - len(weights) // 2
+            )
+        reopened = CheckpointStore(tmp_path)
+        assert reopened.get(torn) is None
+        assert reopened.health.truncated == 1
+        assert reopened.keys() == [kept]
+        assert reopened.get(kept) is not None
 
     def test_corrupted_record_is_a_miss(self, tmp_path):
         # Same contract for the packed layout: a record whose bytes no
@@ -142,19 +181,39 @@ class TestCheckpointStore:
         assert store.keys() == []
 
     def test_corrupt_meta_is_a_miss(self, tmp_path):
+        # Metadata that still parses but is not the record's object — a
+        # JSON array, or an object that lost its state_sha256 — is a miss.
         store = CheckpointStore(tmp_path)
         key = _key(4)
-        _legacy_put(store, key, {"x": 4}, _state())
-        store.meta_path(key).write_text("{not json")
-        assert store.get(key) is None
+        store.put(key, {"x": 4}, _state())
+        meta, weights = _split(store._store.get(key))
+        payload = json.loads(meta)
+        del payload["state_sha256"]
+        for doctored in (b"[1, 2]", json.dumps(payload).encode()):
+            store._store.put(key, _record(doctored, weights))
+            assert store.get(key) is None
+        assert store.health.quarantined == 2
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
+        # Another key's record copied under this address passes the
+        # segment store's frame-key check; the payload's own key must
+        # refuse it.
         store = CheckpointStore(tmp_path)
         key, other = _key(5), _key(6)
-        _legacy_put(store, key, {"x": 5}, _state())
-        store.meta_path(other).write_text(store.meta_path(key).read_text())
-        np.savez(store.weight_path(other), **_state())
+        store.put(key, {"x": 5}, _state())
+        store._store.put(other, store._store.get(key))
         assert store.get(other) is None
+        assert store.get(key) is not None
+
+    @pytest.mark.parametrize("raw", _DOCTORED.values(), ids=_DOCTORED)
+    def test_doctored_record_is_quarantined(self, tmp_path, raw):
+        # The segment store wrote the frame, so its CRC passes: only the
+        # checkpoint's own decoding can catch these payloads.
+        store = CheckpointStore(tmp_path)
+        store._store.put(_DOCTORED_KEY, raw)
+        assert store.get(_DOCTORED_KEY) is None
+        assert store.health.quarantined == 1
+        assert store.keys() == []
 
     def test_meta_layout(self, tmp_path):
         import struct
@@ -176,31 +235,37 @@ class TestCheckpointStore:
         keys = [_key(i) for i in range(3)]
         for i, key in enumerate(keys):
             store.put(key, {"x": i}, _state(i))
-        # An orphaned npz (no metadata), plus a stale write-temp file.
-        np.savez(store.weight_path("feed1234"), **_state())
+        # A stale write-temp file left by a crashed writer.
         leftover = tmp_path / f"{keys[0]}.tmp.{dead_pid()}"
         leftover.write_text("{interrupted")
         backdate(leftover)
         removed = store.prune(keys[:1])
-        # 2 dead packed records + 1 legacy orphan + 1 temp file.
-        assert removed == 4
+        # 2 dead packed records + 1 temp file.
+        assert removed == 3
         assert store.keys() == [keys[0]]
         assert store.get(keys[0]) is not None
 
     def test_prune_spares_half_committed_live_keys(self, tmp_path):
-        # A concurrent writer sits between its weight rename and its
-        # metadata commit; prune must never delete a live key's files,
-        # committed or not.
+        # A concurrent writer's records are appended but not yet in this
+        # handle's index (no snapshot published); prune must catch up
+        # before compacting, so a live key survives, committed or not.
         store = CheckpointStore(tmp_path)
-        key = _key(11)
-        np.savez(store.weight_path(key), **_state())  # weights, no meta yet
-        assert store.prune([key]) == 0
-        assert store.weight_path(key).exists()
-        # The same half-written pair for a *dead* key is fair game.
-        other = _key(12)
-        np.savez(store.weight_path(other), **_state())
-        assert store.prune([key]) == 1
-        assert not store.weight_path(other).exists()
+        first = _key(10)
+        store.put(first, {"x": 10}, _state())
+        writer = CheckpointStore(tmp_path)
+        live, dead = _key(11), _key(12)
+        writer.put(live, {"x": 11}, _state(1))
+        writer.put(dead, {"x": 12}, _state(2))
+        assert store.keys() == [first]  # not absorbed by this handle yet
+        # The same unabsorbed record for a *dead* key is fair game.
+        assert store.prune([first, live]) == 1
+        assert store.keys() == sorted([first, live])
+        for handle in (writer, CheckpointStore(tmp_path)):
+            loaded = handle.get(live)
+            assert loaded is not None
+            np.testing.assert_array_equal(
+                loaded.state["p0.bias"], _state(1)["p0.bias"]
+            )
 
     def test_put_overwrites_and_sweeps_stale_tmp(self, tmp_path):
         store = CheckpointStore(tmp_path)

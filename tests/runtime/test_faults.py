@@ -7,9 +7,11 @@ cost retries, pool rebuilds, and recomputes — but never bytes.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -308,17 +310,6 @@ class TestPoolRecovery:
 
 
 class TestStoreQuarantine:
-    def test_corrupt_legacy_cache_entry_is_quarantined(self, tmp_path):
-        # A pre-packed root's corrupt <key>.json is moved aside on
-        # first touch instead of being absorbed.
-        cache = ResultCache(tmp_path)
-        cache.path("k1").write_text("{ totally not json")
-        assert cache.get("k1") is None
-        assert cache.health.quarantined == 1
-        assert not cache.path("k1").exists()
-        assert (tmp_path / "quarantine" / "k1.json").exists()
-        assert cache.keys() == []  # quarantine/ is unaddressable
-
     def test_digest_mismatch_is_quarantined(self, tmp_path):
         from repro.runtime.cache import result_digest
 
@@ -330,13 +321,18 @@ class TestStoreQuarantine:
             "result": {"ber": 0.25},  # bit-rot: result no longer
             "result_sha256": result_digest({"ber": 0.5}),  # matches digest
         }
-        cache.path("k1").write_text(json.dumps(payload))
+        cache._store.put("k1", json.dumps(payload).encode())
         assert cache.get("k1") is None
         assert cache.health.quarantined == 1
+        # The tombstone outlives the handle: a reopened cache misses
+        # without quarantining the entry a second time.
+        reopened = ResultCache(tmp_path)
+        assert reopened.get("k1") is None
+        assert reopened.health.quarantined == 0
 
     def test_packed_digest_mismatch_is_quarantined(self, tmp_path):
-        # Same contract inside a packed record: an entry whose payload
-        # fails the result_sha256 check is tombstoned + counted.
+        # A packed record whose payload fails the result_sha256 check
+        # is tombstoned + counted.
         cache = ResultCache(tmp_path)
         cache.put("k1", {"spec": 1}, {"ber": 0.5})
         raw = cache._store.get("k1")
@@ -379,6 +375,8 @@ class TestStoreQuarantine:
     def test_checkpoint_digest_mismatch_quarantines_both_files(
         self, tmp_path
     ):
+        # Metadata and weights share one record, so the tombstone that
+        # quarantines swapped weights retires both halves at once.
         from repro.runtime.hashing import state_digest
 
         store = CheckpointStore(tmp_path)
@@ -390,13 +388,16 @@ class TestStoreQuarantine:
             "state_sha256": state_digest(state),
             "meta": {},
         }
-        (tmp_path / "k1.json").write_text(json.dumps(payload))
-        np.savez(tmp_path / "k1.npz", w=np.zeros(4))  # swapped weights
+        meta = json.dumps(payload).encode()
+        weights = io.BytesIO()
+        np.savez(weights, w=np.zeros(4))  # swapped weights
+        store._store.put(
+            "k1", struct.pack("<I", len(meta)) + meta + weights.getvalue()
+        )
         assert store.get("k1") is None
-        assert not (tmp_path / "k1.npz").exists()
-        assert not (tmp_path / "k1.json").exists()
-        assert (tmp_path / "quarantine" / "k1.npz").exists()
-        assert (tmp_path / "quarantine" / "k1.json").exists()
+        assert store.health.quarantined == 1
+        assert store._store.get("k1") is None  # neither half is readable
+        assert CheckpointStore(tmp_path).get("k1") is None
 
     def test_vanished_spool_file_is_rehydrated(self, tmp_path):
         clear_payload_cache()

@@ -1,4 +1,4 @@
-"""Tests for the packed segment store (crash safety, recovery, migration).
+"""Tests for the packed segment store (crash safety, recovery, compaction).
 
 The commit protocol under test: a record is committed once its CRC
 frame is fully on disk; the index snapshot lags the data, never leads
@@ -16,20 +16,14 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime.cache import ResultCache, result_digest
-from repro.runtime.checkpoints import CheckpointStore
+from repro.obs.trace import Tracer, install_tracer
+from repro.runtime.cache import ResultCache
 from repro.runtime.faults import FaultPlan, FaultRule, install
-from repro.runtime.store import (
-    INDEX_NAME,
-    SegmentStore,
-    default_segment_bytes,
-    default_snapshot_every,
-    migrate,
-)
+from repro.runtime.knobs import knob_snapshot
+from repro.runtime.store import INDEX_NAME, SegmentStore
 
 
 @pytest.fixture(autouse=True)
@@ -66,7 +60,7 @@ class TestSegmentStore:
         assert store.delete("a") is True
         assert store.delete("a") is False
         assert store.get("a") is None
-        assert store.contains("a")  # tombstoned, still indexed
+        assert store._entries["a"] is None  # tombstoned, still indexed
         assert store.keys() == []
         store.put("a", b"y")  # a re-put revives the key
         assert store.get("a") == b"y"
@@ -130,7 +124,7 @@ class TestRecovery:
         (tmp_path / INDEX_NAME).unlink()
         reopened = SegmentStore(tmp_path)
         assert reopened.keys() == ["k1", "k2", "k3"]
-        assert not reopened.contains("k0") or reopened.get("k0") is None
+        assert reopened.get("k0") is None
         assert reopened.get("k2") == b"v2"
 
     def test_garbled_index_triggers_full_rebuild(self, tmp_path):
@@ -196,7 +190,7 @@ class TestRecovery:
         assert store.health.quarantined == 1
         reopened = SegmentStore(tmp_path)
         assert reopened.get("a") is None
-        assert reopened.contains("a")
+        assert reopened._entries["a"] is None  # the tombstone, not a gap
 
     def test_worker_killed_mid_run_loses_nothing_committed(self, tmp_path):
         # A real os._exit (no flush, no close, no atexit) after five
@@ -270,6 +264,30 @@ class TestCompaction:
         reopened = SegmentStore(tmp_path, label="cache")
         assert reopened.keys() == ["k0", "k1"]
         assert reopened.get("k1") == b"v1"
+
+    def test_corrupt_record_found_by_compaction_is_traced(self, tmp_path):
+        # Compaction drops a bit-rotted live record instead of copying
+        # it forward: that quarantine must reach the trace exactly as
+        # one found by a get does.
+        cache = ResultCache(tmp_path)
+        segment = cache.put("k1", {"spec": 1}, {"ber": 0.5})
+        location = cache._store._entries["k1"]
+        with open(segment, "r+b") as handle:
+            handle.seek(location.offset + location.length - 1)
+            handle.write(b"\xff")
+        tracer = Tracer(name="prune")
+        previous = install_tracer(tracer)
+        try:
+            assert cache.prune(["k1"]) == 0
+        finally:
+            install_tracer(previous)
+        assert cache.health.quarantined == 1
+        assert tracer.metrics.counter("store.quarantined") == 1
+        events = [span for span in tracer.spans if span.name == "quarantine"]
+        assert [span.attrs for span in events] == [
+            {"store": "cache", "key": "k1"}
+        ]
+        assert cache.keys() == []
 
 
 class TestFaultLabels:
@@ -447,122 +465,31 @@ class TestConcurrentWriters:
         assert SegmentStore(tmp_path).keys() == ["a", "b", "c"]
 
 
-class TestMigration:
-    def test_cache_migration_is_byte_identical(self, tmp_path):
-        # Populate a legacy per-file root, migrate via the CLI, and
-        # check every result is served byte-identically afterwards.
-        results = {
-            f"key{i:02d}": {"ber": i / 16.0, "evm": [i, i + 1]}
-            for i in range(8)
-        }
-        for key, result in results.items():
-            payload = {
-                "schema_version": 1,
-                "key": key,
-                "spec": {"i": key},
-                "result": result,
-                "result_sha256": result_digest(result),
-            }
-            (tmp_path / f"{key}.json").write_text(json.dumps(payload))
-        (tmp_path / "badkey.json").write_text("{torn legacy entry")
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.runtime.store",
-                "migrate",
-                str(tmp_path),
-            ],
-            env=_child_env(),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        summary = json.loads(proc.stdout)
-        assert summary["kind"] == "cache"
-        assert summary["legacy_entries"] == 9
-        assert summary["migrated"] == 8
-        assert summary["quarantined"] == 1
-        assert summary["packed_entries"] == 8
-        # No per-file entries left behind (only the packed index).
-        assert [p.name for p in tmp_path.glob("*.json")] == [INDEX_NAME]
-        cache = ResultCache(tmp_path)
-        for key, result in results.items():
-            served = cache.get(key)
-            assert served == result
-            assert json.dumps(served, sort_keys=True) == json.dumps(
-                result, sort_keys=True
-            )
-        assert (tmp_path / "quarantine" / "badkey.json").exists()
-
-    def test_checkpoint_migration_preserves_state_bytes(self, tmp_path):
-        from repro.runtime.hashing import state_digest
-
-        rng = np.random.default_rng(7)
-        states = {
-            f"ck{i}": {
-                "w": rng.standard_normal((3, 2)),
-                "b": rng.standard_normal(2),
-            }
-            for i in range(3)
-        }
-        digests = {}
-        for key, state in states.items():
-            payload = {
-                "schema_version": 1,
-                "key": key,
-                "spec": {"k": key},
-                "state_sha256": state_digest(state),
-                "meta": {"tag": key},
-            }
-            np.savez(tmp_path / f"{key}.npz", **state)
-            (tmp_path / f"{key}.json").write_text(json.dumps(payload))
-            digests[key] = payload["state_sha256"]
-        summary = migrate(tmp_path)
-        assert summary["kind"] == "checkpoint"
-        assert summary["migrated"] == 3
-        assert summary["quarantined"] == 0
-        assert list(tmp_path.glob("*.npz")) == []
-        store = CheckpointStore(tmp_path)
-        for key, state in states.items():
-            loaded = store.get(key)
-            assert loaded is not None
-            assert loaded.state_sha256 == digests[key]
-            assert loaded.meta == {"tag": key}
-            for name in state:
-                np.testing.assert_array_equal(loaded.state[name], state[name])
-
-    def test_migrate_rejects_missing_root(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            migrate(tmp_path / "nope")
-
-
 class TestKnobs:
-    def test_segment_bytes_env(self, monkeypatch):
-        from repro.runtime import knobs
+    """The ``segment_bytes``/``snapshot_every`` constructor arguments."""
 
-        monkeypatch.delenv(knobs.STORE_SEGMENT_BYTES_ENV, raising=False)
-        assert default_segment_bytes() == 64 * 1024 * 1024
-        monkeypatch.setenv(knobs.STORE_SEGMENT_BYTES_ENV, "4096")
-        assert default_segment_bytes() == 4096
-        monkeypatch.setenv(knobs.STORE_SEGMENT_BYTES_ENV, "zero")
+    def test_segment_bytes_env(self, tmp_path, monkeypatch):
+        # The roll size is the constant DEFAULT_SEGMENT_BYTES: only the
+        # constructor argument overrides it, never the retired
+        # $REPRO_RUNTIME_STORE_SEGMENT_BYTES.
+        retired = "REPRO_RUNTIME_STORE_SEGMENT_BYTES"
+        monkeypatch.setenv(retired, "4096")
+        assert retired not in knob_snapshot()
+        assert SegmentStore(tmp_path).segment_bytes == 64 * 1024 * 1024
+        assert SegmentStore(tmp_path, segment_bytes=4096).segment_bytes == 4096
         with pytest.raises(ConfigurationError):
-            default_segment_bytes()
-        monkeypatch.setenv(knobs.STORE_SEGMENT_BYTES_ENV, "0")
-        with pytest.raises(ConfigurationError):
-            default_segment_bytes()
+            SegmentStore(tmp_path, segment_bytes=0)
 
-    def test_snapshot_every_env(self, monkeypatch):
-        from repro.runtime import knobs
-
-        monkeypatch.delenv(knobs.STORE_SNAPSHOT_EVERY_ENV, raising=False)
-        assert default_snapshot_every() == 4096
-        monkeypatch.setenv(knobs.STORE_SNAPSHOT_EVERY_ENV, "7")
-        assert default_snapshot_every() == 7
-        monkeypatch.setenv(knobs.STORE_SNAPSHOT_EVERY_ENV, "-1")
+    def test_snapshot_every_env(self, tmp_path, monkeypatch):
+        # Same for the snapshot cadence and the retired
+        # $REPRO_RUNTIME_STORE_SNAPSHOT_EVERY.
+        retired = "REPRO_RUNTIME_STORE_SNAPSHOT_EVERY"
+        monkeypatch.setenv(retired, "7")
+        assert retired not in knob_snapshot()
+        assert SegmentStore(tmp_path).snapshot_every == 4096
+        assert SegmentStore(tmp_path, snapshot_every=7).snapshot_every == 7
         with pytest.raises(ConfigurationError):
-            default_snapshot_every()
+            SegmentStore(tmp_path, snapshot_every=-1)
 
     def test_snapshot_cadence_bounds_recovery(self, tmp_path):
         store = SegmentStore(tmp_path, snapshot_every=3)
