@@ -15,6 +15,12 @@ Execution reuses the whole ``repro.runtime`` stack:
 - SplitBeam ladders build through :func:`~repro.core.zoo_builder.
   train_zoo` (one merged :class:`TrainingGrid`, deduplicated across
   STAs, warm-loaded from a :class:`CheckpointStore`);
+- each CSI dataset recipe builds once per process: before the ladders
+  train, the coordinator builds, through the per-process memo
+  :func:`~repro.runtime.tasks.get_dataset`, the dataset of every STA
+  with a round missing from the cache index.  Serial training reads the
+  same memo, and zoo pool workers forked afterwards inherit it, so no
+  process rebuilds a recipe; a fully warm replay builds none;
 - every STA-round is a pure seeded :func:`~repro.runtime.tasks.
   network_round` task.  A SplitBeam STA's rounds form a feedback chain
   (round *r* plans only after round *r-1*'s BER is observed, via
@@ -55,7 +61,7 @@ from repro.core.costs import StaCostModel
 from repro.core.session import dot11_round_scheme, entry_round_scheme
 from repro.core.zoo import ModelZoo, NetworkConfiguration, ZooEntry
 from repro.core.zoo_builder import train_zoo
-from repro.datasets import build_dataset, dataset_spec
+from repro.datasets import dataset_spec
 from repro.errors import ConfigurationError
 from repro.obs import trace as trace_mod
 from repro.obs.export import write_trace
@@ -73,12 +79,8 @@ from repro.runtime.executor import (
 )
 from repro.runtime.hashing import code_version, task_key
 from repro.runtime.payloads import PayloadStore
-from repro.runtime.spec import (
-    NetworkCampaignSpec,
-    TrainingGrid,
-    fidelity_from_dict,
-    zoo_entry,
-)
+from repro.runtime.spec import NetworkCampaignSpec, TrainingGrid, zoo_entry
+from repro.runtime.tasks import get_dataset
 from repro.sounding.aging import stale_sinr_db
 from repro.sounding.campaign import SoundingCampaign, combine_reports
 from repro.standard.flopmodel import dot11_flops
@@ -184,31 +186,6 @@ def _ladder_label(dataset: dict, scheme: dict, compression: float) -> str:
     )
 
 
-class _DatasetPool:
-    """Lazily built, shared CSI datasets keyed by their build recipe."""
-
-    def __init__(self, fidelity: Fidelity) -> None:
-        self.fidelity = fidelity
-        self._built: dict = {}
-
-    def provider(self, mapping: dict):
-        """A zero-argument builder for one (id, seed, reset) recipe."""
-        key = tuple(sorted(mapping.items()))
-        recipe = dict(mapping)
-
-        def build():
-            if key not in self._built:
-                self._built[key] = build_dataset(
-                    dataset_spec(recipe["id"]),
-                    fidelity=self.fidelity,
-                    reset_interval=recipe["reset_interval"],
-                    seed=recipe["seed"],
-                )
-            return self._built[key]
-
-        return build
-
-
 class _StaState:
     """Coordinator-side bookkeeping for one STA's rounds.
 
@@ -217,20 +194,28 @@ class _StaState:
     chained STA's :meth:`observe` calls are forced into round order by
     the task dependencies, which keeps its controller trajectory exact.
 
-    ``dataset_provider`` builds (or returns the shared, already-built)
-    CSI dataset lazily: only rounds that actually execute touch CSI
-    tensors, so a fully warm replay never samples a channel.  Static
-    facts (antenna counts, bandwidth, subcarriers, group size) come
-    from the Table I catalog entry instead.
+    The STA's CSI dataset comes from the per-process memo
+    (:func:`~repro.runtime.tasks.get_dataset`) that training tasks also
+    read; only rounds that actually execute touch CSI tensors, so a
+    fully warm replay never samples a channel.  Static facts (antenna
+    counts, bandwidth, subcarriers, group size) come from the Table I
+    catalog entry instead.  ``keys`` are the STA's round cache keys,
+    one per round.
     """
 
     def __init__(
-        self, profile: dict, catalog, dataset_provider, base_link: LinkConfig
+        self,
+        profile: dict,
+        catalog,
+        fidelity: dict,
+        base_link: LinkConfig,
+        keys: "list[str]",
     ) -> None:
         self.profile = profile
         self.catalog = catalog
-        self._dataset = dataset_provider
+        self.fidelity = fidelity
         self.base_link = base_link
+        self.keys = keys
         self.config = NetworkConfiguration(
             n_tx=catalog.n_tx,
             n_rx=catalog.n_rx,
@@ -244,7 +229,6 @@ class _StaState:
         self.measured: "dict[int, dict]" = {}
         self.actions: "dict[int, str]" = {}
         self.rungs: "dict[int, ZooEntry | None]" = {}
-        self.keys: "list[str]" = []  # cache keys, one per round
         self.first_pending = 0  # chains: rounds before this replayed
 
     @property
@@ -254,6 +238,9 @@ class _StaState:
     @property
     def chained(self) -> bool:
         return self.controller is not None
+
+    def _dataset(self):
+        return get_dataset(self.profile["dataset"], self.fidelity)
 
     def attach_ladder(self, entries: "list[ZooEntry]") -> None:
         """Run the Eq. (7) selection; fall back to 802.11 if infeasible."""
@@ -609,11 +596,29 @@ class NetworkCampaign:
         spec = self.spec
         version = code_version()
         health = RunHealth()
-        # Datasets are shared and lazy: training tasks build their own
-        # (per-process memoized) copies, round resolves pull from the
-        # pool only when a round actually executes, and a fully warm
-        # replay therefore never samples a channel.
-        pool = _DatasetPool(fidelity_from_dict(spec.fidelity))
+        # Round keys depend on the spec, not on the ladders, so they are
+        # computed once, here, and reused by _plan_rounds.
+        keys = [
+            [
+                task_key(
+                    campaign_round_spec(spec, sta, round_index),
+                    version,
+                    kind=CAMPAIGN_ROUND_KIND,
+                )
+                for round_index in range(spec.n_rounds)
+            ]
+            for sta in spec.stas
+        ]
+        # Build every dataset a round will need before training, through
+        # the per-process memo the training tasks read: serial training
+        # reuses it, a zoo pool forked after this point inherits it, and
+        # the rounds' resolve hooks find it.  An index membership check
+        # (not a get) picks the STAs with a round to execute, so a fully
+        # warm replay samples no channel.
+        cached = set(self.cache.keys()) if self.cache is not None else set()
+        for sta, sta_keys in zip(spec.stas, keys):
+            if not cached.issuperset(sta_keys):
+                get_dataset(sta["dataset"], spec.fidelity)
         grid = self._training_grid()
         build = (
             train_zoo(
@@ -629,12 +634,13 @@ class NetworkCampaign:
 
         base_link = LinkConfig(**dict(spec.link))
         states: "list[_StaState]" = []
-        for sta in spec.stas:
+        for sta, sta_keys in zip(spec.stas, keys):
             state = _StaState(
                 sta,
                 dataset_spec(sta["dataset"]["id"]),
-                pool.provider(sta["dataset"]),
+                spec.fidelity,
                 base_link,
+                sta_keys,
             )
             scheme = sta["scheme"]
             if scheme["kind"] == "splitbeam":
@@ -653,9 +659,7 @@ class NetworkCampaign:
         with tracer.span(
             "plan_rounds", "engine", stas=len(states)
         ) if tracer else _null():
-            tasks, by_task_id, n_cached = self._plan_rounds(
-                states, version, payloads
-            )
+            tasks, by_task_id, n_cached = self._plan_rounds(states, payloads)
 
         def persist(task_id: str, result) -> None:
             # Store each round the moment it completes, so an
@@ -720,9 +724,7 @@ class NetworkCampaign:
                 run_health=health,
             )
 
-    def _plan_rounds(
-        self, states: "list[_StaState]", version: str, payloads=None
-    ):
+    def _plan_rounds(self, states: "list[_StaState]", payloads=None):
         """Cache-walk every STA and build tasks for the rest.
 
         A SplitBeam STA is a feedback chain: its cached *prefix* is
@@ -739,14 +741,6 @@ class NetworkCampaign:
         by_task_id: dict = {}
         n_cached = 0
         for state in states:
-            state.keys = [
-                task_key(
-                    campaign_round_spec(spec, state.profile, round_index),
-                    version,
-                    kind=CAMPAIGN_ROUND_KIND,
-                )
-                for round_index in range(spec.n_rounds)
-            ]
             if state.chained:
                 # Only the contiguous prefix is usable for a chain, so
                 # stop reading the store at the first miss — entries

@@ -26,6 +26,7 @@ from repro.phy.metrics import (
     sum_rate_bps_per_hz,
     evm_rms,
     compute_link_metrics,
+    batch_link_metrics,
 )
 from repro.phy.scrambler import Scrambler, scramble, descramble
 from repro.phy.interleaver import BlockInterleaver
@@ -70,6 +71,7 @@ __all__ = [
     "sum_rate_bps_per_hz",
     "evm_rms",
     "compute_link_metrics",
+    "batch_link_metrics",
     "Scrambler",
     "scramble",
     "descramble",

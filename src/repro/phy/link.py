@@ -31,7 +31,7 @@ speedup tracking in ``benchmarks/bench_perf_hotpaths.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +39,9 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.perf.profile import profiled
 from repro.phy.coding import bcc_rate_half
 from repro.phy.interleaver import BlockInterleaver
-from repro.phy.metrics import LinkMetrics, compute_link_metrics
+from repro.phy.metrics import LinkMetrics, batch_link_metrics
 from repro.phy.modulation import QamModem
 from repro.phy.noise import snr_db_to_linear
-from repro.phy.precoding import zero_forcing
 from repro.phy.scrambler import Scrambler
 from repro.phy.svd import (
     beamforming_matrices,
@@ -96,11 +95,23 @@ class LinkConfig:
 
 @dataclass
 class BerResult:
-    """Aggregated BER measurement."""
+    """Aggregated BER measurement.
+
+    ``gains`` ``(n, S, users, users)`` and ``noise_power`` ``(n,)`` are
+    the effective gains and calibrated noise powers
+    :meth:`LinkSimulator.measure_ber` computed on the way, so a caller
+    can derive :func:`~repro.phy.metrics.batch_link_metrics` without a
+    second gain pass.  They are ``None`` from the frozen reference path
+    and for an empty batch.
+    """
 
     bit_errors: int
     total_bits: int
     per_user_ber: np.ndarray
+    gains: "np.ndarray | None" = field(default=None, repr=False, compare=False)
+    noise_power: "np.ndarray | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def ber(self) -> float:
@@ -150,6 +161,9 @@ class LinkSimulator:
             shape ``(n_samples, n_users, S, Nt)``.
         rng:
             Seed/Generator; defaults to ``LinkConfig.seed``.
+
+        The result also carries the batch's effective ``gains`` and
+        ``noise_power``, the inputs of the SINR metrics.
         """
         channels = np.asarray(channels, dtype=np.complex128)
         bf_estimates = np.asarray(bf_estimates, dtype=np.complex128)
@@ -161,7 +175,10 @@ class LinkSimulator:
             return BerResult(0, 0, np.zeros(n_users))
         gains, noise_power = self._batched_sample_gains(channels, bf_estimates)
         errors, totals = self._transmit_and_count(gains, noise_power, rng)
-        return self._aggregate(errors, totals)
+        result = self._aggregate(errors, totals)
+        result.gains = gains
+        result.noise_power = noise_power
+        return result
 
     def measure_ber_reference(
         self,
@@ -533,25 +550,18 @@ class LinkSimulator:
     ) -> LinkMetrics:
         """SINR/leakage/sum-rate metrics averaged over a batch of samples.
 
-        Same array conventions as :meth:`measure_ber`; metrics are
-        computed per sample and averaged (leakage and sum rate are means
-        of per-sample values, min-SINR is the batch minimum).
+        Same array conventions as :meth:`measure_ber`; the samples
+        combine as in :func:`~repro.phy.metrics.batch_link_metrics`
+        (leakage and sum rate are means of per-sample values, min-SINR
+        is the batch minimum).  A caller that also needs the BER should
+        pass :meth:`measure_ber`'s ``gains``/``noise_power`` to that
+        function instead of calling this, which recomputes them.
         """
         channels = np.asarray(channels, dtype=np.complex128)
         bf_estimates = np.asarray(bf_estimates, dtype=np.complex128)
         self._check_shapes(channels, bf_estimates)
-        gains, noise_power = self._batched_sample_gains(channels, bf_estimates)
-        per_sample = [
-            compute_link_metrics(gains[j], float(noise_power[j]))
-            for j in range(channels.shape[0])
-        ]
-        return LinkMetrics(
-            mean_sinr_db=float(np.mean([m.mean_sinr_db for m in per_sample])),
-            min_sinr_db=float(np.min([m.min_sinr_db for m in per_sample])),
-            leakage=float(np.mean([m.leakage for m in per_sample])),
-            sum_rate_bps_per_hz=float(
-                np.mean([m.sum_rate_bps_per_hz for m in per_sample])
-            ),
+        return batch_link_metrics(
+            *self._batched_sample_gains(channels, bf_estimates)
         )
 
     def _batched_precoder(

@@ -29,6 +29,7 @@ __all__ = [
     "sum_rate_bps_per_hz",
     "evm_rms",
     "compute_link_metrics",
+    "batch_link_metrics",
 ]
 
 
@@ -125,4 +126,66 @@ def compute_link_metrics(gains: np.ndarray, noise_power: float) -> LinkMetrics:
         min_sinr_db=float(np.min(sinr_db)),
         leakage=leakage_ratio(gains),
         sum_rate_bps_per_hz=sum_rate_bps_per_hz(gains, noise_power),
+    )
+
+
+def batch_link_metrics(
+    gains: np.ndarray, noise_power: np.ndarray
+) -> LinkMetrics:
+    """:func:`compute_link_metrics` averaged over a batch of samples.
+
+    ``gains`` is ``(n, S, n_users, n_users)`` and ``noise_power``
+    ``(n,)``.  Mean SINR, leakage and sum rate are means of the
+    per-sample values; min-SINR is the batch minimum.  The result
+    equals averaging :func:`compute_link_metrics` over the samples,
+    bit for bit.
+
+    The elementwise work (powers, SINR, logs) and the sums over each
+    row's users run once over the whole batch, but every reduction over
+    a whole sample (means, minimum, totals) runs on that sample's own
+    slice.  The link simulator's gain tensors are not C-ordered, and a
+    sample's slice is summed in memory order; a batched
+    ``reshape(n, -1)`` reduction would copy to C order, sum in a
+    different order and move the last bit.
+    """
+    gains = np.asarray(gains, dtype=np.complex128)
+    noise_power = np.asarray(noise_power, dtype=np.float64)
+    if gains.ndim != 4 or gains.shape[2] != gains.shape[3]:
+        raise ShapeError(
+            f"gains must be (n, S, n_users, n_users), got {gains.shape}"
+        )
+    if noise_power.shape != gains.shape[:1]:
+        raise ShapeError(
+            f"noise_power shape {noise_power.shape} does not match "
+            f"{gains.shape[0]} samples"
+        )
+    if gains.shape[0] == 0:
+        raise ShapeError("batch_link_metrics needs at least one sample")
+    if np.any(noise_power < 0):
+        raise ShapeError("noise_power must be non-negative")
+    # The steps of sinr_per_user, leakage_ratio and sum_rate_bps_per_hz.
+    power = np.abs(gains) ** 2  # (n, S, i, j)
+    signal = np.diagonal(power, axis1=2, axis2=3)  # (n, S, users)
+    interference = power.sum(axis=3) - signal
+    sinr = signal / np.maximum(
+        interference + noise_power[:, None, None], 1e-30
+    )
+    sinr_db = 10.0 * np.log10(np.maximum(sinr, 1e-30))
+    rates = np.log2(1.0 + sinr)
+    per_sample = np.empty((4, gains.shape[0]))
+    for j in range(gains.shape[0]):
+        signal_total = signal[j].sum()
+        per_sample[0, j] = np.mean(sinr_db[j])
+        per_sample[1, j] = np.min(sinr_db[j])
+        per_sample[2, j] = (
+            np.inf
+            if signal_total <= 0
+            else (power[j].sum() - signal_total) / signal_total
+        )
+        per_sample[3, j] = np.mean(np.sum(rates[j], axis=1))
+    return LinkMetrics(
+        mean_sinr_db=float(np.mean(per_sample[0])),
+        min_sinr_db=float(np.min(per_sample[1])),
+        leakage=float(np.mean(per_sample[2])),
+        sum_rate_bps_per_hz=float(np.mean(per_sample[3])),
     )

@@ -18,6 +18,7 @@ import numpy as np
 from repro.config import Fidelity
 from repro.errors import ConfigurationError
 from repro.phy.link import LinkConfig, LinkSimulator
+from repro.phy.metrics import batch_link_metrics
 
 __all__ = [
     "run_point",
@@ -27,6 +28,7 @@ __all__ = [
     "train_zoo_entry",
     "payload_probe",
     "clear_memos",
+    "get_dataset",
 ]
 
 _DATASETS: dict = {}
@@ -52,7 +54,13 @@ def _freeze(payload: Mapping) -> tuple:
     return tuple(sorted(payload.items()))
 
 
-def _get_dataset(dataset: Mapping, fidelity: Mapping):
+def get_dataset(dataset: Mapping, fidelity: Mapping):
+    """The CSI dataset of one ``{id, seed, reset_interval}`` recipe.
+
+    Built once per process and recipe: training tasks and the network
+    campaign's coordinator read the same memo, and pool workers forked
+    after a build inherit it.
+    """
     key = (_freeze(dataset), _freeze(fidelity))
     # Pure read-through memo: the key freezes every input, so a miss
     # rebuilds bit-identical state; clear_memos only forces that rebuild.
@@ -72,7 +80,7 @@ def _get_scheme(scheme: Mapping, dataset_spec_map: Mapping, fidelity: Mapping):
     """Build (or reuse) the feedback scheme a point asks for."""
     kind = scheme.get("kind")
     key = (_freeze(scheme), _freeze(dataset_spec_map), _freeze(fidelity))
-    # Pure read-through memo (see _get_dataset): fully-keyed, rebuilds
+    # Pure read-through memo (see get_dataset): fully-keyed, rebuilds
     # bit-identically on a miss.
     if key in _SCHEMES:  # repro: allow[REP-PURE-TASK]
         return _SCHEMES[key]
@@ -90,7 +98,7 @@ def _get_scheme(scheme: Mapping, dataset_spec_map: Mapping, fidelity: Mapping):
 
         built = SplitBeamFeedback(
             train_splitbeam(
-                _get_dataset(dataset_spec_map, fidelity),
+                get_dataset(dataset_spec_map, fidelity),
                 compression=scheme["compression"],
                 fidelity=_fidelity(fidelity),
                 seed=scheme["seed"],
@@ -100,7 +108,7 @@ def _get_scheme(scheme: Mapping, dataset_spec_map: Mapping, fidelity: Mapping):
         from repro.baselines import train_lbscifi
 
         built = train_lbscifi(
-            _get_dataset(dataset_spec_map, fidelity),
+            get_dataset(dataset_spec_map, fidelity),
             compression=scheme["compression"],
             fidelity=_fidelity(fidelity),
             seed=scheme["seed"],
@@ -120,10 +128,10 @@ def run_point(params: Mapping) -> dict:
     from repro.core.pipeline import evaluate_scheme
 
     fidelity = params["fidelity"]
-    dataset = _get_dataset(params["dataset"], fidelity)
+    dataset = get_dataset(params["dataset"], fidelity)
     eval_spec = params.get("eval_dataset")
     eval_dataset = (
-        _get_dataset(eval_spec, fidelity) if eval_spec is not None else None
+        get_dataset(eval_spec, fidelity) if eval_spec is not None else None
     )
     scheme = _get_scheme(params["scheme"], params["dataset"], fidelity)
     target = eval_dataset if eval_dataset is not None else dataset
@@ -163,7 +171,7 @@ def train_zoo_entry(params: Mapping) -> dict:
     from repro.nn.serialize import state_dict
 
     fidelity = params["fidelity"]
-    dataset = _get_dataset(params["dataset"], fidelity)
+    dataset = get_dataset(params["dataset"], fidelity)
     model_spec = params["model"]
     train_spec = params["train"]
     trained = train_splitbeam(
@@ -277,13 +285,14 @@ def session_round(params: Mapping) -> dict:
         label = "802.11"
     else:
         raise ConfigurationError(f"unknown session scheme {scheme['kind']!r}")
-    link = LinkSimulator(params["link_config"])
-    ber = link.measure_ber(channels, bf).ber
-    metrics = link.measure_metrics(channels, bf)
+    # One gain pass per round: the SINR metrics reuse the effective
+    # gains the BER measurement already computed.
+    measured = LinkSimulator(params["link_config"]).measure_ber(channels, bf)
+    metrics = batch_link_metrics(measured.gains, measured.noise_power)
     return {
         "scheme": label,
         "feedback_bits": int(scheme["bits"]),
-        "ber": float(ber),
+        "ber": float(measured.ber),
         "mean_sinr_db": float(metrics.mean_sinr_db),
     }
 

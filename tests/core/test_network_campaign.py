@@ -13,6 +13,7 @@ from repro.core.network import (
     campaign_round_spec,
     run_campaign,
 )
+from repro.datasets import build_dataset, dataset_spec
 from repro.errors import ConfigurationError
 from repro.perf import profile_summary, reset_profiles
 from repro.runtime import (
@@ -155,6 +156,99 @@ class TestDeterminism:
     def test_second_cold_run_loads_zoo_from_store(self, campaign_runs):
         assert campaign_runs["cold_pool"].zoo_trained == 0
         assert campaign_runs["cold_pool"].zoo_cached == 3
+
+
+def collect_session_calls() -> int:
+    """Channel-sampling calls in the @profiled registry (workers merged)."""
+    return sum(
+        entry.calls
+        for entry in profile_summary()
+        if entry.name == "sampler.collect_session"
+    )
+
+
+class TestDatasetBuilds:
+    """A cold campaign builds each dataset recipe it needs exactly once.
+
+    Training tasks and the rounds read one per-process memo, and the zoo
+    pool forks after the coordinator has built the datasets, so neither
+    the serial run nor the pooled one samples a recipe twice.
+    """
+
+    @staticmethod
+    def _spec() -> NetworkCampaignSpec:
+        return NetworkCampaignSpec(
+            name="build-count",
+            title="one build per recipe",
+            fidelity=SMOKE_FIDELITY,
+            stas=(
+                sta_profile(
+                    "sb-d1",
+                    "D1",
+                    compressions=(1 / 8,),
+                    max_ber=0.5,
+                    samples_per_round=2,
+                    seed=0,
+                ),
+                sta_profile(
+                    "sb-d5",
+                    "D5",
+                    compressions=(1 / 8,),
+                    max_ber=0.5,
+                    samples_per_round=2,
+                    seed=1,
+                ),
+                sta_profile(
+                    "bl-d1", "D1", scheme="dot11", samples_per_round=2, seed=2
+                ),
+                # A recipe no ladder trains on: only its rounds need it.
+                sta_profile(
+                    "bl-d5",
+                    "D5",
+                    dataset_seed=8,
+                    scheme="dot11",
+                    samples_per_round=2,
+                    seed=3,
+                ),
+            ),
+            n_rounds=2,
+        )
+
+    @pytest.fixture(scope="class")
+    def one_build_each(self):
+        """collect_session calls of building every recipe once."""
+        recipes = {
+            tuple(sorted(sta["dataset"].items())): sta["dataset"]
+            for sta in self._spec().stas
+        }
+        clear_memos()
+        reset_profiles()
+        for recipe in recipes.values():
+            build_dataset(
+                dataset_spec(recipe["id"]),
+                fidelity=SMOKE,
+                reset_interval=recipe["reset_interval"],
+                seed=recipe["seed"],
+            )
+        return collect_session_calls()
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_cold_campaign_builds_each_recipe_once(
+        self, one_build_each, n_workers, tmp_path
+    ):
+        # A fresh checkpoint store: at 2 workers the zoo trains in the
+        # pool, whose workers would otherwise build their own datasets.
+        clear_memos()
+        reset_profiles()
+        result = NetworkCampaign(
+            self._spec(),
+            cache=ResultCache(tmp_path / "cache"),
+            store=CheckpointStore(tmp_path / "store"),
+            n_workers=n_workers,
+        ).run()
+        assert result.zoo_trained == 2
+        assert result.n_executed_rounds == 8
+        assert collect_session_calls() == one_build_each
 
 
 class TestHeterogeneity:

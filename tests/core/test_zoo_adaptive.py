@@ -8,7 +8,6 @@ import pytest
 from repro.core.adaptive import (
     AdaptiveCompressionController,
     QosProfile,
-    SelectionOutcome,
     select_model,
 )
 from repro.core.costs import StaCostModel

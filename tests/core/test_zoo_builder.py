@@ -15,7 +15,6 @@ import pytest
 
 from repro.config import SMOKE
 from repro.core.zoo_builder import (
-    ZooBuilder,
     checkpoint_spec,
     plan_training_grid,
     train_zoo,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lint import LintConfig
 from repro.lint.callgraph import CallGraph
 from repro.lint.dataflow import analyze_function
 from repro.lint.readsets import ReadSetAnalysis

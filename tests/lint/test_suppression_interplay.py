@@ -9,7 +9,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.lint import Baseline, LintConfig, load_project, run_lint
+from repro.lint import Baseline, LintConfig, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"

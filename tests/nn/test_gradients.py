@@ -5,7 +5,6 @@ substrate: they compare analytic backward passes against central finite
 differences on random shapes.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

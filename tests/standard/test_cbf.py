@@ -11,7 +11,6 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.phy.ofdm import band_plan
 from repro.phy.svd import beamforming_matrices
 from repro.standard.cbf import (
-    CbfReport,
     Dot11CbfCodec,
     MimoControl,
     cbf_payload_bits,
