@@ -25,168 +25,104 @@ Sub-packages
 - ``repro.analysis`` -- experiment reporting helpers;
 - ``repro.perf`` -- wall-clock benchmarks and profiling hooks;
 - ``repro.runtime`` -- scenario registry, worker-pool experiment
-  engine, and content-addressed result caching (``docs/runtime.md``).
+  engine, and content-addressed result caching (``docs/runtime.md``);
+- ``repro.lint`` -- determinism and concurrency linter
+  (``docs/static-analysis.md``);
+- ``repro.obs`` -- run tracing and its report (``docs/observability.md``).
 
-See DESIGN.md for the full system inventory and per-experiment index.
+Every name in ``__all__`` is importable from ``repro`` directly and is
+loaded on first use, so a job imports only the sub-packages it touches.
 """
+
+import importlib as _importlib
 
 __version__ = "1.0.0"
 
-from repro.errors import (
-    ReproError,
-    ConfigurationError,
-    ShapeError,
-    TrainingError,
-    FeedbackError,
-    ConstraintViolation,
-    DatasetError,
-)
-from repro.config import Fidelity, PAPER, FAST, TRANSFER, SMOKE, fidelity
-from repro.datasets import (
-    DatasetSpec,
-    CATALOG,
-    dataset_spec,
-    CsiDataset,
-    build_dataset,
-    save_dataset,
-    load_dataset,
-)
-from repro.core import (
-    SplitBeamNet,
-    three_layer_widths,
-    BottleneckQuantizer,
-    SplitExecutor,
-    train_splitbeam,
-    TrainedSplitBeam,
-    BopConstraints,
-    BopResult,
-    solve_bop,
-    compare_schemes,
-    NetworkConfiguration,
-    ZooEntry,
-    ModelZoo,
-    ZooBuilder,
-    ZooBuildResult,
-    train_zoo,
-    QosProfile,
-    select_model,
-    AdaptiveCompressionController,
-)
-from repro.core.pipeline import SplitBeamFeedback
-from repro.baselines import Dot11Feedback, IdealSvdFeedback, LbSciFi, train_lbscifi
-from repro.phy import LinkConfig, LinkSimulator
-from repro.channels import Environment, E1, E2, SYNTHETIC, environment
-from repro.core.session import NetworkSession, SessionReport
-from repro.core.network import (
-    NetworkCampaign,
-    NetworkCampaignResult,
-    run_campaign,
-)
-from repro.sounding import (
-    bm_reporting_delay,
-    simulate_sounding,
-    SoundingCampaign,
-    feedback_overhead_rate_bps,
-)
-from repro.fpga import table3_latency_s, splitbeam_latency_s
-from repro.runtime import (
-    CheckpointStore,
-    ExperimentEngine,
-    NetworkCampaignSpec,
-    ResultCache,
-    Scenario,
-    TrainingGrid,
-    campaign_names,
-    get_campaign,
-    get_scenario,
-    get_training_grid,
-    scenario_names,
-    training_grid_names,
-)
+#: Where each public name is defined.  ``import repro`` loads none of
+#: them; the module-level ``__getattr__`` (PEP 562) imports a name's
+#: module on first access, so ``import repro.lint`` loads no NumPy.
+_EXPORTS = {
+    "repro.errors": (
+        "ReproError",
+        "ConfigurationError",
+        "ShapeError",
+        "TrainingError",
+        "FeedbackError",
+        "ConstraintViolation",
+        "DatasetError",
+    ),
+    "repro.config": ("Fidelity", "PAPER", "FAST", "TRANSFER", "SMOKE", "fidelity"),
+    "repro.datasets": (
+        "DatasetSpec",
+        "CATALOG",
+        "dataset_spec",
+        "CsiDataset",
+        "build_dataset",
+        "save_dataset",
+        "load_dataset",
+    ),
+    "repro.core": (
+        "SplitBeamNet",
+        "three_layer_widths",
+        "BottleneckQuantizer",
+        "SplitExecutor",
+        "train_splitbeam",
+        "TrainedSplitBeam",
+        "BopConstraints",
+        "BopResult",
+        "solve_bop",
+        "compare_schemes",
+        "NetworkConfiguration",
+        "ZooEntry",
+        "ModelZoo",
+        "ZooBuilder",
+        "ZooBuildResult",
+        "train_zoo",
+        "QosProfile",
+        "select_model",
+        "AdaptiveCompressionController",
+    ),
+    "repro.core.pipeline": ("SplitBeamFeedback",),
+    "repro.baselines": ("Dot11Feedback", "IdealSvdFeedback", "LbSciFi", "train_lbscifi"),
+    "repro.phy": ("LinkConfig", "LinkSimulator"),
+    "repro.channels": ("Environment", "E1", "E2", "SYNTHETIC", "environment"),
+    "repro.core.session": ("NetworkSession", "SessionReport"),
+    "repro.core.network": ("NetworkCampaign", "NetworkCampaignResult", "run_campaign"),
+    "repro.sounding": (
+        "bm_reporting_delay",
+        "simulate_sounding",
+        "SoundingCampaign",
+        "feedback_overhead_rate_bps",
+    ),
+    "repro.fpga": ("table3_latency_s", "splitbeam_latency_s"),
+    "repro.runtime": (
+        "CheckpointStore",
+        "ExperimentEngine",
+        "ResultCache",
+        "Scenario",
+        "TrainingGrid",
+        "NetworkCampaignSpec",
+        "get_scenario",
+        "get_training_grid",
+        "get_campaign",
+        "scenario_names",
+        "training_grid_names",
+        "campaign_names",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    # errors
-    "ReproError",
-    "ConfigurationError",
-    "ShapeError",
-    "TrainingError",
-    "FeedbackError",
-    "ConstraintViolation",
-    "DatasetError",
-    # config
-    "Fidelity",
-    "PAPER",
-    "FAST",
-    "TRANSFER",
-    "SMOKE",
-    "fidelity",
-    # datasets
-    "DatasetSpec",
-    "CATALOG",
-    "dataset_spec",
-    "CsiDataset",
-    "build_dataset",
-    "save_dataset",
-    "load_dataset",
-    # core
-    "SplitBeamNet",
-    "three_layer_widths",
-    "BottleneckQuantizer",
-    "SplitExecutor",
-    "train_splitbeam",
-    "TrainedSplitBeam",
-    "BopConstraints",
-    "BopResult",
-    "solve_bop",
-    "compare_schemes",
-    "NetworkConfiguration",
-    "ZooEntry",
-    "ModelZoo",
-    "ZooBuilder",
-    "ZooBuildResult",
-    "train_zoo",
-    "QosProfile",
-    "select_model",
-    "AdaptiveCompressionController",
-    "SplitBeamFeedback",
-    # baselines
-    "Dot11Feedback",
-    "IdealSvdFeedback",
-    "LbSciFi",
-    "train_lbscifi",
-    # phy
-    "LinkConfig",
-    "LinkSimulator",
-    # channels
-    "Environment",
-    "E1",
-    "E2",
-    "SYNTHETIC",
-    "environment",
-    # sessions / campaigns / sounding / fpga
-    "NetworkSession",
-    "SessionReport",
-    "NetworkCampaign",
-    "NetworkCampaignResult",
-    "run_campaign",
-    "bm_reporting_delay",
-    "simulate_sounding",
-    "SoundingCampaign",
-    "feedback_overhead_rate_bps",
-    "table3_latency_s",
-    "splitbeam_latency_s",
-    # runtime orchestration
-    "CheckpointStore",
-    "ExperimentEngine",
-    "ResultCache",
-    "Scenario",
-    "TrainingGrid",
-    "NetworkCampaignSpec",
-    "get_scenario",
-    "get_training_grid",
-    "get_campaign",
-    "scenario_names",
-    "training_grid_names",
-    "campaign_names",
-]
+__all__ = ["__version__", *_ORIGIN]
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -13,7 +13,7 @@ built on:
 - :mod:`repro.channels.doppler` — Jakes temporal correlation and a
   human-blockage shadowing process;
 - :mod:`repro.channels.environment` — the E1/E2 environment presets and
-  the MATLAB-equivalent synthetic preset (DESIGN.md Sec. 5);
+  the MATLAB-equivalent synthetic preset;
 - :mod:`repro.channels.sampler` — packetized CSI sampling with
   estimation noise, packet drops, and sequence numbers.
 """

@@ -27,10 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from scipy.signal import lfilter
-
 from repro.errors import ConfigurationError
-from repro.channels.doppler import jakes_ar1_coefficient
+from repro.channels.doppler import ar1_filter, jakes_ar1_coefficient
 from repro.channels.spatial import correlation_sqrt, ula_correlation
 from repro.phy.ofdm import BandPlan
 from repro.utils.rng import as_generator
@@ -403,11 +401,11 @@ class TgacChannel:
     def sample(self, n_samples: int) -> np.ndarray:
         """Collect ``n_samples`` consecutive CSI samples (n, S, Nr, Nt).
 
-        Equivalent to ``n_samples`` calls to :meth:`step` but fully
-        vectorized: the AR(1) tap evolution runs as one C-level filter
-        pass over a single batched innovation draw, and the per-cluster
-        correlation shaping and tone steering are applied to all steps
-        in one einsum each.
+        Equivalent to ``n_samples`` calls to :meth:`step` but batched:
+        the AR(1) tap evolution runs :func:`ar1_filter` over a single
+        batched innovation draw, one array step per sample, and the
+        per-cluster correlation shaping and tone steering are applied
+        to all steps in one einsum each.
         """
         if n_samples < 1:
             raise ConfigurationError("n_samples must be >= 1")
@@ -421,12 +419,8 @@ class TgacChannel:
             innovations = self._draw_gaussian(
                 (n_samples,) + cluster.gains.shape
             )
-            series, _ = lfilter(
-                [1.0],
-                [1.0, -rho],
-                innovation_scale * innovations,
-                axis=0,
-                zi=(rho * cluster.gains)[None],
+            series = ar1_filter(
+                innovation_scale * innovations, rho, rho * cluster.gains
             )
             cluster.gains = series[-1].copy()
             shaped = np.einsum(

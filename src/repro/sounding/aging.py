@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import j0
 
+from repro.channels.doppler import j0
 from repro.errors import ConfigurationError
 from repro.phy.mcs import data_rate_bps, select_mcs
 from repro.phy.noise import snr_db_to_linear, snr_linear_to_db
@@ -47,7 +47,7 @@ def temporal_correlation(doppler_hz: float, delay_s: float) -> float:
     """Jakes-model correlation ``J0(2 pi f_d tau)`` between CSI snapshots."""
     if doppler_hz < 0 or delay_s < 0:
         raise ConfigurationError("doppler_hz and delay_s must be non-negative")
-    return float(j0(2.0 * np.pi * doppler_hz * delay_s))
+    return j0(2.0 * np.pi * doppler_hz * delay_s)
 
 
 def stale_sinr_db(

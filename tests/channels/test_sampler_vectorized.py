@@ -5,8 +5,9 @@ per-packet drop draws) exactly like the seed loop, so packet-drop
 patterns — and therefore the sequence numbers driving multi-user
 alignment — are identical per seed.  Channel realizations draw their
 innovations in a different (batched) order and are compared
-statistically; the shadowing AR(1) recursion matches the stepwise path
-to floating-point rounding through ``scipy.signal.lfilter``.
+statistically; the shadowing AR(1) recursion evaluates the stepwise
+path's arithmetic step for step, so only its final dB-to-linear power
+may round differently.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class TestShadowingBlockSampling:
         blocked = ShadowingProcess(3.0, 0.5, 1e-3, rng=1)
         a = np.array([stepped.step() for _ in range(100)])
         b = blocked.sample(100)
-        # Same draws, same recursion; lfilter only reorders the
-        # floating-point accumulation.
+        # Same draws, same recursion; only the dB-to-linear power runs
+        # as an array operation, which may round in the last place.
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_state_continues_across_blocks(self):
