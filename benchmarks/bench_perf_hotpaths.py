@@ -27,10 +27,10 @@ Stages:
 - ``train_step_wide``    the same on the Table II wide 5-layer model
                          (3.6M parameters, many optimizer blocks);
                          recorded by ``--train-smoke`` only
-- ``dispatch``           executor worker-pool dispatch of many small
-                         tasks sharing one large payload: inline
-                         per-task shipping vs the content-addressed
-                         payload store
+- ``dispatch``           executor worker-pool dispatch of one wave of
+                         small independent tasks sharing one large
+                         payload: inline per-task shipping vs the
+                         content-addressed payload store
 - ``engine/*``           the ``repro.runtime`` orchestration engine on a
                          6-point scenario: cold vs warm (content-
                          addressed) cache, and 1 vs 4 worker processes;
@@ -249,16 +249,16 @@ def _train_step_stage(
 
 
 def _dispatch_stage(bench, report, n_tasks=24, n_workers=2):
-    """Pool dispatch of a task *chain* sharing one large payload.
+    """Pool dispatch of one wave of tasks sharing one large payload.
 
-    The shape of a campaign feedback chain: round ``r`` depends on
-    round ``r-1``, so every round is its own wave, and each wave's
-    message used to re-ship the deployed model.  (A single wave would
-    not show this — pickling one packed message already dedups shared
-    objects within it.)  Reference ships the payload inline in every
-    wave; the optimized side interns it in a :class:`PayloadStore`, so
-    it crosses the process boundary once per worker instead of once
-    per round.  Both sides must return identical digests.
+    The shape of a campaign's wave: independent tasks that all carry
+    the same large object (a SplitBeam ladder).  The executor packs a
+    wave into up to four messages per worker, and pickling a message
+    dedups a shared object only within that message, so the reference
+    (the payload inline in every task) ships it once per message; the
+    optimized side interns it in a :class:`PayloadStore`, so it crosses
+    the process boundary once per worker, through the spool.  Both
+    sides must return identical digests.
     """
     from repro.runtime import PayloadStore, Task, run_tasks
 
@@ -268,7 +268,7 @@ def _dispatch_stage(bench, report, n_tasks=24, n_workers=2):
         "n_tasks": n_tasks,
         "n_workers": n_workers,
         "payload_mb": round(blob.nbytes / 1e6, 2),
-        "chained": True,
+        "waves": 1,
     }
 
     def tasks_for(payload):
@@ -277,7 +277,6 @@ def _dispatch_stage(bench, report, n_tasks=24, n_workers=2):
                 task_id=f"probe-{index:03d}",
                 fn="repro.runtime.tasks:payload_probe",
                 params={"blob": payload, "row": index},
-                deps=(f"probe-{index - 1:03d}",) if index else (),
             )
             for index in range(n_tasks)
         ]

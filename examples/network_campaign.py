@@ -10,10 +10,12 @@ and measures every STA-round; the warm run replays everything from the
 content-addressed stores and executes zero link simulations.
 
 With ``--chaos`` the campaign runs a third time on a fresh round cache
-under an injected fault plan — worker hard-crashes, first-attempt task
-errors, torn cache writes — and asserts the manifest is byte-identical
-to the fault-free run: chaos costs retries, never bytes
-(docs/runtime.md, "Fault tolerance").
+under an injected fault plan — worker hard-crashes, task errors, torn
+cache writes — and asserts that the plan hit at least one SplitBeam
+chain task and that the manifest is byte-identical to the fault-free
+run: chaos costs retries, never bytes (docs/runtime.md,
+"Fault tolerance").  Smoke-fidelity ladders need ``--gamma-scale`` to
+stay selectable, or every STA falls back to 802.11 and no chain runs.
 
 With ``--trace DIR`` the cold campaign records its span timeline —
 zoo training, STA-round dispatch, every worker-side task, store
@@ -26,7 +28,7 @@ Run:  python examples/network_campaign.py
       python examples/network_campaign.py --preset mobility-episodes
       REPRO_RUNTIME_WORKERS=4 python examples/network_campaign.py
       python examples/network_campaign.py --fidelity smoke --stas 6 --rounds 3
-      python examples/network_campaign.py --fidelity smoke --stas 6 --rounds 3 --chaos
+      python examples/network_campaign.py --fidelity smoke --stas 6 --rounds 3 --gamma-scale 10 --chaos
       python examples/network_campaign.py --fidelity smoke --trace /tmp/campaign-trace
 """
 
@@ -46,12 +48,14 @@ from repro.runtime import (
 from repro.utils.tables import render_table
 
 #: The ``--chaos`` fault schedule: one-shot worker crashes on 40% of
-#: first rounds, a 30% first-attempt error rate, and torn writes on
-#: half the cache entries — all recoverable within the default retry
-#: budget.
+#: SplitBeam chain tasks (``<sta>/rounds-<first>-<last>``), errors on
+#: the first two attempts of 50% of chains and 802.11 round tasks
+#: (``<sta>/round-<r>``) alike — two, because a crash replays every
+#: in-flight task as a new attempt — and torn writes on half the cache
+#: entries, all recoverable within the default retry budget.
 CHAOS_PLAN = (
-    "crash,*/round-0000,rate=0.4,count=1;"
-    "error,*/round-*,rate=0.3,count=1;"
+    "crash,*/rounds-*,rate=0.4,count=1;"
+    "error,*/round*,rate=0.5,count=2;"
     "torn,cache:*,rate=0.5"
 )
 
@@ -144,6 +148,11 @@ def chaos_demo(args, fidelity, overrides, cold, cache, store) -> None:
         **overrides,
     )
     executor = chaotic.health["executor"]
+    # Only chain task ids (``<sta>/rounds-...``) match the crash rule,
+    # so an observed worker crash is a fault that hit a SplitBeam chain.
+    assert executor["worker_crashes"] >= 1, (
+        "no injected fault hit a SplitBeam chain task"
+    )
     print(
         f"chaos run: {executor['injected_faults']} injected fault(s), "
         f"{executor['worker_crashes']} worker crash(es), "

@@ -183,6 +183,40 @@ class AdaptiveCompressionController:
         """The model currently in use."""
         return self.ladder[self._index]
 
+    def state(self) -> dict:
+        """Everything :meth:`observe` reads apart from the ladder.
+
+        With :attr:`ladder`, :meth:`resume` rebuilds a controller that
+        steps exactly like this one — a few scalars to ship where a deep
+        copy would drag the models along.
+        """
+        return {
+            "qos": self.qos,
+            "patience": self.patience,
+            "step_up_margin": self.step_up_margin,
+            "index": self._index,
+            "good_streak": self._good_streak,
+        }
+
+    @classmethod
+    def resume(
+        cls, ladder: "list[ZooEntry]", state: dict
+    ) -> "AdaptiveCompressionController":
+        """A controller at ``state`` (see :meth:`state`) over ``ladder``.
+
+        ``ladder`` is the source controller's (already sorted)
+        :attr:`ladder`; the history starts empty.
+        """
+        controller = cls(
+            ladder,
+            state["qos"],
+            patience=state["patience"],
+            step_up_margin=state["step_up_margin"],
+        )
+        controller._index = state["index"]
+        controller._good_streak = state["good_streak"]
+        return controller
+
     def observe(self, measured_ber: float) -> ZooEntry:
         """Feed one BER measurement; returns the (possibly new) model."""
         if not 0.0 <= measured_ber <= 1.0:

@@ -18,20 +18,22 @@ Execution reuses the whole ``repro.runtime`` stack:
 - each CSI dataset recipe builds once per process: before the ladders
   train, the coordinator builds, through the per-process memo
   :func:`~repro.runtime.tasks.get_dataset`, the dataset of every STA
-  with a round missing from the cache index.  Serial training reads the
-  same memo, and zoo pool workers forked afterwards inherit it, so no
-  process rebuilds a recipe; a fully warm replay builds none;
-- every STA-round is a pure seeded :func:`~repro.runtime.tasks.
-  network_round` task.  A SplitBeam STA's rounds form a feedback chain
-  (round *r* plans only after round *r-1*'s BER is observed, via
-  ``resolve`` hooks in the coordinator), 802.11 STAs' rounds are
-  independent — and different STAs' chains always run in parallel on
-  the worker pool;
-- results flow through the content-addressed :class:`ResultCache`
-  (keys exclude the cosmetic STA ``name`` and fidelity ``name``), so a
-  warm re-run replays every round from the store and executes **zero**
-  link simulations, and manifests are byte-identical for any worker
-  count.
+  with a round missing from the cache index.  Serial training and chain
+  tasks read the same memo, and the zoo and round pools' workers forked
+  afterwards inherit it, so no process rebuilds a recipe; a fully warm
+  replay builds none;
+- the rounds run as one wave of independent tasks.  A SplitBeam STA's
+  rounds form a feedback chain (round *r*'s rung depends on round
+  *r-1*'s BER), so its pending rounds are one
+  :func:`~repro.runtime.tasks.network_chain` task that steps the
+  controller locally; every 802.11 STA-round is its own pure seeded
+  :func:`~repro.runtime.tasks.network_round` task.  A chain is the
+  unit of dispatch, retry, fault injection and failure;
+- results flow, one entry per STA-round, through the
+  content-addressed :class:`ResultCache` (keys exclude the cosmetic STA
+  ``name`` and fidelity ``name``), so a warm re-run replays every round
+  from the store and executes **zero** link simulations, and manifests
+  are byte-identical for any worker count.
 
 Per-round aggregate airtime/occupancy numbers come from
 :mod:`repro.sounding.campaign`: STAs group by bandwidth into
@@ -58,7 +60,7 @@ from repro.core.adaptive import (
     select_model,
 )
 from repro.core.costs import StaCostModel
-from repro.core.session import dot11_round_scheme, entry_round_scheme
+from repro.core.session import dot11_round_scheme
 from repro.core.zoo import ModelZoo, NetworkConfiguration, ZooEntry
 from repro.core.zoo_builder import train_zoo
 from repro.datasets import dataset_spec
@@ -80,7 +82,7 @@ from repro.runtime.executor import (
 from repro.runtime.hashing import code_version, task_key
 from repro.runtime.payloads import PayloadStore
 from repro.runtime.spec import NetworkCampaignSpec, TrainingGrid, zoo_entry
-from repro.runtime.tasks import get_dataset
+from repro.runtime.tasks import campaign_round_indices, get_dataset
 from repro.sounding.aging import stale_sinr_db
 from repro.sounding.campaign import SoundingCampaign, combine_reports
 from repro.standard.flopmodel import dot11_flops
@@ -100,8 +102,10 @@ CAMPAIGN_SCHEMA_VERSION = 1
 #: with scenario-point or checkpoint addresses).
 CAMPAIGN_ROUND_KIND = "network-round"
 
-#: The campaign's task entry point (importable in worker processes).
+#: The campaign's task entry points (importable in worker processes):
+#: one 802.11 STA-round, and one SplitBeam STA's chain of rounds.
 ROUND_FN = "repro.runtime.tasks:network_round"
+CHAIN_FN = "repro.runtime.tasks:network_chain"
 
 #: Link-adaptation backoff applied when mapping a round's measured SINR
 #: to the MCS behind the goodput accounting (matches NetworkSession).
@@ -191,8 +195,9 @@ class _StaState:
 
     Per-round facts live in dicts keyed by round index, because an
     uncoupled (802.11) STA's rounds may complete in any order; a
-    chained STA's :meth:`observe` calls are forced into round order by
-    the task dependencies, which keeps its controller trajectory exact.
+    chained STA's :meth:`observe` calls come in round order (cached
+    prefix first, then its chain task's results), which keeps its
+    controller trajectory exact.
 
     The STA's CSI dataset comes from the per-process memo
     (:func:`~repro.runtime.tasks.get_dataset`) that training tasks also
@@ -228,8 +233,9 @@ class _StaState:
         self.controller: "AdaptiveCompressionController | None" = None
         self.measured: "dict[int, dict]" = {}
         self.actions: "dict[int, str]" = {}
-        self.rungs: "dict[int, ZooEntry | None]" = {}
-        self.first_pending = 0  # chains: rounds before this replayed
+        self.rungs: "dict[int, ZooEntry]" = {}
+        self.errors: "dict[int, str]" = {}  # failed round -> error
+        self.skipped: "set[int]" = set()  # rounds behind a failed one
 
     @property
     def name(self) -> str:
@@ -238,9 +244,6 @@ class _StaState:
     @property
     def chained(self) -> bool:
         return self.controller is not None
-
-    def _dataset(self):
-        return get_dataset(self.profile["dataset"], self.fidelity)
 
     def attach_ladder(self, entries: "list[ZooEntry]") -> None:
         """Run the Eq. (7) selection; fall back to 802.11 if infeasible."""
@@ -272,30 +275,19 @@ class _StaState:
         )
 
     def observe(self, round_index: int, measured: dict) -> None:
-        """Record one round's measurement (idempotent per round).
+        """Record one round's measurement, once per round.
 
-        For a chained STA the controller consumes the BER exactly once,
-        in round order — replayed prefix first, then each executed
-        round as its successor's ``resolve`` (or the final drain) sees
-        it.
+        A chained STA's controller consumes the BER here, in round
+        order, and the rung that measured it is recorded alongside — so
+        only rounds that reported count towards :meth:`deadline_misses`.
         """
-        if round_index in self.actions:
-            return
         self.measured[round_index] = measured
         if self.controller is None:
             self.actions[round_index] = "n/a"
         else:
+            self.rungs[round_index] = self.controller.current
             self.controller.observe(measured["ber"])
             self.actions[round_index] = self.controller.history[-1][1]
-
-    def round_indices(self, round_index: int) -> np.ndarray:
-        """The round's CSI draw — a pure function of (profile, round)."""
-        pool = self._dataset().splits.test
-        rng = np.random.default_rng(
-            [0x5E55, int(self.profile["seed"]), int(round_index)]
-        )
-        size = min(int(self.profile["samples_per_round"]), int(pool.size))
-        return rng.choice(pool, size=size, replace=False)
 
     def round_link(self, round_index: int, interval_s, episodes) -> LinkConfig:
         """The round's link: episode-shifted SNR, per-round noise seed."""
@@ -315,33 +307,41 @@ class _StaState:
             % (2**31 - 1),
         )
 
-    def round_params(
-        self, round_index: int, interval_s, episodes, payloads=None
-    ) -> dict:
-        """Task parameters for one round (slices + model, no dataset).
+    def round_params(self, round_index: int, interval_s, episodes) -> dict:
+        """Task parameters for one 802.11 round (slices, no dataset).
 
-        With a payload store, the deployed model/quantizer (shared by
-        every round on the same rung) travel as content-addressed
-        references — each worker materializes the model once per
-        campaign instead of once per round task.  The unique per-round
-        slices travel inline, so coordinator memory stays O(one round).
+        The slices are unique per round, so they travel inline rather
+        than through the payload store.
         """
-        rung = (
-            self.controller.current if self.controller is not None else None
-        )
-        self.rungs[round_index] = rung
-        dataset = self._dataset()
-        indices = self.round_indices(round_index)
-        if rung is not None:
-            scheme = entry_round_scheme(
-                dataset, indices, rung, payloads=payloads
-            )
-        else:
-            scheme = dot11_round_scheme(dataset, indices)
+        dataset = get_dataset(self.profile["dataset"], self.fidelity)
+        indices = campaign_round_indices(dataset, self.profile, round_index)
         return {
             "channels": dataset.link_channels(indices),
             "link_config": self.round_link(round_index, interval_s, episodes),
-            "scheme": scheme,
+            "scheme": dot11_round_scheme(dataset, indices),
+        }
+
+    def chain_params(
+        self, first: int, n_rounds: int, interval_s, episodes, payloads
+    ) -> dict:
+        """Task parameters for a chain over rounds ``first..n_rounds-1``.
+
+        The ladder is interned (every pending round of every STA
+        deploying it shares one copy per worker) and the controller
+        travels as its post-prefix :meth:`~repro.core.adaptive.
+        AdaptiveCompressionController.state`; the worker builds each
+        round's slices itself.
+        """
+        return {
+            "profile": self.profile,
+            "fidelity": self.fidelity,
+            "ladder": payloads.intern(self.controller.ladder),
+            "state": self.controller.state(),
+            "first_round": first,
+            "links": [
+                self.round_link(round_index, interval_s, episodes)
+                for round_index in range(first, n_rounds)
+            ],
         }
 
     def round_compute_s(self, round_index: int) -> float:
@@ -359,7 +359,7 @@ class _StaState:
         )
 
     def deadline_misses(self) -> int:
-        """Rounds whose end-to-end reporting delay overran τ (Eq. (7d)).
+        """Reported rounds whose reporting delay overran τ (Eq. (7d)).
 
         The controller optimizes for BER only, so a step-down to a less
         compressed rung can push a slow device past its own deadline —
@@ -367,8 +367,6 @@ class _StaState:
         """
         misses = 0
         for rung in self.rungs.values():
-            if rung is None:
-                continue
             delay = self.cost.end_to_end_delay_s(
                 rung.head_flops, rung.tail_flops, rung.feedback_bits
             )
@@ -462,8 +460,9 @@ class NetworkCampaign:
         = retrain on every run).
     n_workers:
         Worker processes; ``None`` reads ``$REPRO_RUNTIME_WORKERS``.
-        STA chains parallelize across the pool; each chain stays
-        sequential.  Results never depend on this.
+        STA chains and 802.11 rounds parallelize across the pool; each
+        chain stays sequential inside its task.  Results never depend
+        on this.
     policy:
         A :class:`~repro.runtime.executor.RetryPolicy` bounding
         retries/timeouts (``None`` = the default).
@@ -474,14 +473,15 @@ class NetworkCampaign:
         Observability: a directory path (or a
         :class:`~repro.obs.trace.Tracer`) recording the campaign's
         span timeline and metrics — the embedded zoo build and every
-        round task land in the same trace; ``None`` joins an installed
+        chain and round task land in the same trace; ``None`` joins an installed
         tracer or honours ``$REPRO_RUNTIME_TRACE``; ``False`` disables
         tracing.  Tracing never changes manifest bytes.
 
-    Graceful degradation: the campaign runs its rounds in
-    collect-errors mode — an STA-round that exhausts its retries marks
-    only *that* STA degraded (its remaining chained rounds are skipped,
-    the manifest's per-STA ``degraded`` entry and the summary's
+    Graceful degradation: the campaign runs its tasks in collect-errors
+    mode — a chain (or 802.11 round) that exhausts its retries marks
+    only *that* STA degraded (a chain's first pending round is recorded
+    as failed and the rest of the chain as skipped; the manifest's
+    per-STA ``degraded`` entry and the summary's
     ``degraded_stas``/``partial_coverage`` flags record the gap) while
     the other N-1 STAs complete normally.
     """
@@ -611,10 +611,10 @@ class NetworkCampaign:
         ]
         # Build every dataset a round will need before training, through
         # the per-process memo the training tasks read: serial training
-        # reuses it, a zoo pool forked after this point inherits it, and
-        # the rounds' resolve hooks find it.  An index membership check
-        # (not a get) picks the STAs with a round to execute, so a fully
-        # warm replay samples no channel.
+        # reuses it, the zoo and round pools forked after this point
+        # inherit it, and the round planner finds it.  An index
+        # membership check (not a get) picks the STAs with a round to
+        # execute, so a fully warm replay samples no channel.
         cached = set(self.cache.keys()) if self.cache is not None else set()
         for sta, sta_keys in zip(spec.stas, keys):
             if not cached.issuperset(sta_keys):
@@ -661,25 +661,30 @@ class NetworkCampaign:
         ) if tracer else _null():
             tasks, by_task_id, n_cached = self._plan_rounds(states, payloads)
 
-        def persist(task_id: str, result) -> None:
-            # Store each round the moment it completes, so an
-            # interrupted campaign resumes from every finished round.
-            if self.cache is not None:
-                state, round_index = by_task_id[task_id]
-                self.cache.put(
-                    state.keys[round_index],
-                    campaign_round_spec(spec, state.profile, round_index),
-                    result,
-                )
+        def record(task_id: str, result) -> None:
+            # Store each round the moment its task completes, so an
+            # interrupted campaign resumes from every finished task, and
+            # replay it into the STA's state — a chain's rounds in order,
+            # stepping the coordinator's controller as the worker's did.
+            state, rounds = by_task_id[task_id]
+            for round_index, measured in zip(
+                rounds, result if state.chained else [result]
+            ):
+                if self.cache is not None:
+                    self.cache.put(
+                        state.keys[round_index],
+                        campaign_round_spec(spec, state.profile, round_index),
+                        measured,
+                    )
+                state.observe(round_index, measured)
 
         with payloads:
-            # collect_errors: a round that exhausts its retries fails
-            # only its own STA chain (graceful degradation), never the
-            # other N-1 STAs.
+            # collect_errors: a task that exhausts its retries fails only
+            # its own STA (graceful degradation), never the other N-1.
             executed = run_tasks(
                 tasks,
                 n_workers=self.n_workers,
-                on_result=persist,
+                on_result=record,
                 payloads=payloads,
                 policy=self.policy,
                 faults=plan,
@@ -687,27 +692,23 @@ class NetworkCampaign:
                 collect_errors=True,
             )
             rehydrated = payloads.rehydrated
+        for row in health.failed:
+            # A failed task's first round carries the error; the rest of
+            # a failed chain never reported, so it counts as skipped.
+            state, rounds = by_task_id[row["task"]]
+            state.errors[rounds[0]] = row["summary"]
+            state.skipped.update(rounds[1:])
 
         if self.cache is not None:
             # Publish the packed index so the next open recovers from a
             # snapshot instead of rescanning every segment tail.
             self.cache.flush()
 
-        # Drain: record every executed round.  observe() is idempotent
-        # and the ascending sweep keeps chain order, so rounds already
-        # consumed by a successor's resolve hook are not re-observed.
-        with tracer.span("drain", "engine") if tracer else _null():
-            for state in states:
-                for round_index in range(spec.n_rounds):
-                    task_id = f"{state.name}/round-{round_index:04d}"
-                    if task_id in executed:
-                        state.observe(round_index, executed[task_id])
-
         with tracer.span("assemble", "engine") if tracer else _null():
             return self._assemble(
                 states,
                 n_cached=n_cached,
-                n_executed=len(executed),
+                n_executed=sum(len(by_task_id[t][1]) for t in executed),
                 build=build,
                 version=version,
                 wall_s=time.perf_counter() - start,
@@ -721,23 +722,26 @@ class NetworkCampaign:
                     "payloads": {"rehydrated": rehydrated},
                     "zoo": None if build is None else build.health,
                 },
-                run_health=health,
             )
 
-    def _plan_rounds(self, states: "list[_StaState]", payloads=None):
-        """Cache-walk every STA and build tasks for the rest.
+    def _plan_rounds(self, states: "list[_StaState]", payloads):
+        """Cache-walk every STA and build one wave of tasks for the rest.
 
         A SplitBeam STA is a feedback chain: its cached *prefix* is
         replayed (observing each stored BER keeps the controller
-        trajectory exact) and execution resumes at the first miss, each
-        task depending on its predecessor so the ``resolve`` hook can
-        observe the previous round before planning the next.  An
+        trajectory exact) and its pending rounds become one chain task
+        that resumes from the controller's post-prefix state.  An
         802.11 STA has no cross-round coupling: every cached round is a
-        hit wherever it falls, and only the misses become (independent)
-        tasks.
+        hit wherever it falls, and each miss becomes its own round task.
+        Chains are listed first, so the executor's round-robin packing
+        spreads these long tasks over its messages.
+
+        Returns the tasks, ``{task_id: (state, rounds)}``, and the
+        number of cached rounds.
         """
         spec = self.spec
-        tasks: "list[Task]" = []
+        chains: "list[Task]" = []
+        rounds: "list[Task]" = []
         by_task_id: dict = {}
         n_cached = 0
         for state in states:
@@ -758,61 +762,52 @@ class NetworkCampaign:
                     )
                     if result is None:
                         break
-                    state.rungs[prefix] = state.controller.current
                     state.observe(prefix, result)
                     n_cached += 1
                     prefix += 1
-                state.first_pending = prefix
-                pending = list(range(prefix, spec.n_rounds))
-            else:
-                state.first_pending = 0
-                pending = []
-                for round_index, key in enumerate(state.keys):
-                    result = (
-                        self.cache.get(key)
-                        if self.cache is not None
-                        else None
+                if prefix == spec.n_rounds:
+                    continue
+                task_id = (
+                    f"{state.name}/rounds-{prefix:04d}-{spec.n_rounds - 1:04d}"
+                )
+                chains.append(
+                    Task(
+                        task_id=task_id,
+                        fn=CHAIN_FN,
+                        params=state.chain_params(
+                            prefix,
+                            spec.n_rounds,
+                            spec.interval_s,
+                            spec.episodes,
+                            payloads,
+                        ),
                     )
-                    if result is None:
-                        pending.append(round_index)
-                    else:
-                        state.observe(round_index, result)
-                        n_cached += 1
-
-            for round_index in pending:
+                )
+                by_task_id[task_id] = (state, range(prefix, spec.n_rounds))
+                continue
+            for round_index, key in enumerate(state.keys):
+                result = (
+                    self.cache.get(key) if self.cache is not None else None
+                )
+                if result is not None:
+                    state.observe(round_index, result)
+                    n_cached += 1
+                    continue
                 task_id = f"{state.name}/round-{round_index:04d}"
-                needs_dep = state.chained and round_index > state.first_pending
-                tasks.append(
+                rounds.append(
                     Task(
                         task_id=task_id,
                         fn=ROUND_FN,
-                        deps=(
-                            (f"{state.name}/round-{round_index - 1:04d}",)
-                            if needs_dep
-                            else ()
-                        ),
-                        resolve=self._make_resolve(
-                            state, round_index, payloads
+                        params=state.round_params(
+                            round_index, spec.interval_s, spec.episodes
                         ),
                     )
                 )
-                by_task_id[task_id] = (state, round_index)
-        return tasks, by_task_id, n_cached
-
-    def _make_resolve(self, state: _StaState, round_index: int, payloads=None):
-        spec = self.spec
-
-        def resolve(dep_results: dict) -> dict:
-            if state.chained and round_index > state.first_pending:
-                state.observe(
-                    round_index - 1,
-                    dep_results[f"{state.name}/round-{round_index - 1:04d}"],
+                by_task_id[task_id] = (
+                    state,
+                    range(round_index, round_index + 1),
                 )
-            return state.round_params(
-                round_index, spec.interval_s, spec.episodes, payloads
-            )
-
-        return resolve
+        return chains + rounds, by_task_id, n_cached
 
     # -- aggregation ------------------------------------------------------------
 
@@ -825,16 +820,8 @@ class NetworkCampaign:
         version,
         wall_s,
         health,
-        run_health,
     ) -> NetworkCampaignResult:
         spec = self.spec
-        # Collect-errors post-mortem: which rounds never produced a
-        # measurement, and why (failed outright vs skipped behind a
-        # failed chain predecessor).
-        failure_summaries = {
-            row["task"]: row["summary"] for row in run_health.failed
-        }
-        skipped_tasks = set(run_health.skipped)
         sta_rows = []
         for state in states:
             rows = []
@@ -843,15 +830,15 @@ class NetworkCampaign:
             for round_index in range(spec.n_rounds):
                 measured = state.measured.get(round_index)
                 if measured is None:
-                    task_id = f"{state.name}/round-{round_index:04d}"
-                    if task_id in skipped_tasks:
+                    # Collect-errors post-mortem (see _run).
+                    if round_index in state.skipped:
                         skipped_rounds.append(round_index)
                     else:
                         failed_rounds.append(
                             {
                                 "round": round_index,
-                                "error": failure_summaries.get(
-                                    task_id, "round missing"
+                                "error": state.errors.get(
+                                    round_index, "round missing"
                                 ),
                             }
                         )

@@ -11,14 +11,15 @@ into the goodput left for data at an SINR-selected MCS.
 This is the integration surface the examples and the end-to-end tests
 drive; each constituent model is unit-tested in its own package.
 
-The campaign loop executes through :mod:`repro.runtime.executor`: each
-sounding round is a pure measurement task, and the RNG/scheme logic
-runs in ``resolve`` hooks in the coordinating process, in round order.
-Fixed-scheme (802.11-only) sessions have no cross-round coupling, so
-their rounds form an edge-free DAG that a worker pool runs in parallel;
-adaptive sessions are a feedback chain (the controller reacts to each
-round before the next is planned) and always execute in-process.
-Results are identical for any worker count either way.
+Every round's CSI draw comes from the session RNG up front, in round
+order (no draw depends on a measured BER).  Fixed-scheme (802.11-only)
+sessions have no cross-round coupling: each round is a pure
+measurement task, and :mod:`repro.runtime.executor` runs them on a
+worker pool.  An adaptive session is one feedback chain (the controller
+reacts to each round before the next is built) and steps in-process
+through :func:`repro.runtime.tasks.step_chain`, the code a network
+campaign's chain task runs.  Results are identical for any worker count
+either way.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.errors import ConfigurationError
 from repro.phy.link import LinkConfig, LinkSimulator
 from repro.phy.mcs import data_rate_bps, select_mcs
 from repro.runtime.executor import Task, run_tasks
-from repro.runtime.payloads import PayloadStore
+from repro.runtime.tasks import session_round, step_chain
 from repro.sounding.campaign import MU_MIMO_SOUNDING_INTERVAL_S, SoundingCampaign
 from repro.standard.feedback import Dot11FeedbackConfig, bmr_bits
 
@@ -79,19 +80,14 @@ def entry_round_scheme(
     indices: np.ndarray,
     entry,
     trained: "TrainedSplitBeam | None" = None,
-    payloads: "PayloadStore | None" = None,
 ) -> dict:
-    """A zoo entry's payload for one round task (model + inputs).
+    """A zoo entry's parameters for one round (model + inputs).
 
     ``trained`` optionally overrides the entry's model/quantizer with a
     freshly-trained pair (the :class:`NetworkSession` ``trained_models``
     path); by default the entry carries everything the STA deploys.
-
-    With ``payloads``, the model and quantizer are interned: the pair
-    is shared by every round that deploys the same rung, so each worker
-    deserializes it once per run instead of once per round task.  The
-    per-round input rows are unique, so they always travel inline
-    (interning them would pin every round's arrays for the whole run).
+    Built where the round runs — a campaign's chain task builds it in
+    the worker — so the model never travels per round.
     """
     if trained is not None:
         model, quantizer = trained.model, trained.quantizer
@@ -103,9 +99,6 @@ def entry_round_scheme(
             else None
         )
     x, _ = dataset.model_arrays(indices)
-    if payloads is not None:
-        model = payloads.intern(model)
-        quantizer = payloads.intern(quantizer)
     return {
         "kind": "model",
         "label": entry.model.label(),
@@ -202,9 +195,9 @@ class NetworkSession:
     n_workers:
         Worker processes for the round measurements (``None`` reads
         ``$REPRO_RUNTIME_WORKERS``; the default 1 stays in-process).
-        Only fixed-scheme sessions parallelize — an adaptive session's
-        rounds are a controller feedback chain with nothing to overlap,
-        so it always runs in-process.  Results never depend on this.
+        Only fixed-scheme sessions parallelize — an adaptive session is
+        one controller feedback chain with nothing to overlap, so it
+        always steps in-process.  Results never depend on this.
     """
 
     def __init__(
@@ -265,27 +258,21 @@ class NetworkSession:
 
     # -- internals --------------------------------------------------------------
 
-    def _round_params(
-        self, indices: np.ndarray, payloads: "PayloadStore | None" = None
-    ) -> dict:
-        """Parameters for one ``session_round`` task (pure measurement).
+    def _round_params(self, indices: np.ndarray, entry=None) -> dict:
+        """Parameters for one ``session_round`` (pure measurement).
 
-        Ships only the round's data slices (and the model, for DNN
-        rounds) — not the dataset — so a worker pool never pickles the
-        full CSI tensors.  The run-shared model/quantizer are interned
-        in the payload store when one is given; the unique per-round
-        slices travel inline.
+        ``entry`` is the zoo entry an adaptive session deploys this
+        round (``None``: the 802.11 path).  Only the round's data slices
+        (and the model, for DNN rounds) go in — not the dataset — so a
+        worker pool never pickles the full CSI tensors.
         """
-        if self.controller is not None:
-            entry = self.controller.current
+        if entry is not None:
             trained = (
                 self.trained_models[entry.model.bottleneck_dim]
                 if self.trained_models is not None
                 else None
             )
-            scheme = entry_round_scheme(
-                self.dataset, indices, entry, trained, payloads=payloads
-            )
+            scheme = entry_round_scheme(self.dataset, indices, entry, trained)
         else:
             scheme = dot11_round_scheme(self.dataset, indices)
         return {
@@ -293,14 +280,6 @@ class NetworkSession:
             "link_config": self.link.config,
             "scheme": scheme,
         }
-
-    def _observe(self, ber: float, actions: "list[str]") -> None:
-        """Feed one round's BER to the controller; record its action."""
-        if self.controller is not None:
-            self.controller.observe(ber)
-            actions.append(self.controller.history[-1][1])
-        else:
-            actions.append("n/a")
 
     # -- public API -----------------------------------------------------------
 
@@ -310,56 +289,35 @@ class NetworkSession:
             raise ConfigurationError("n_rounds must be >= 1")
         pool = self.dataset.splits.test
         n_users = self.dataset.n_users
-        actions: list[str] = []
-        # Adaptive sessions are a feedback chain: round i's scheme
-        # choice needs round i-1's BER observed first, so the DAG is a
-        # line and a pool would only add pickling overhead — run those
-        # in-process.  Fixed-scheme rounds are independent tasks.
-        chained = self.controller is not None
-
-        # The resolve hooks run in the coordinator, in round order (for
-        # the chain: after the previous round's BER has been observed),
-        # preserving the serial loop's exact RNG and controller
-        # trajectory.
-        payloads = PayloadStore()
-
-        def make_resolve(round_index: int):
-            def resolve(dep_results: dict) -> dict:
-                if chained and round_index > 0:
-                    prev = dep_results[f"round-{round_index - 1:04d}"]
-                    self._observe(prev["ber"], actions)
-                indices = self.rng.choice(
-                    pool,
-                    size=min(self.samples_per_round, pool.size),
-                    replace=False,
-                )
-                return self._round_params(indices, payloads)
-
-            return resolve
-
-        tasks = [
-            Task(
-                task_id=f"round-{i:04d}",
-                fn="repro.runtime.tasks:session_round",
-                deps=(f"round-{i - 1:04d}",) if chained and i > 0 else (),
-                resolve=make_resolve(i),
-            )
-            for i in range(n_rounds)
+        size = min(self.samples_per_round, pool.size)
+        draws = [
+            self.rng.choice(pool, size=size, replace=False)
+            for _ in range(n_rounds)
         ]
-        with payloads:
-            results = run_tasks(
-                tasks,
-                n_workers=1 if chained else self.n_workers,
-                payloads=payloads,
-            )
-        if chained:
-            self._observe(results[f"round-{n_rounds - 1:04d}"]["ber"], actions)
-        else:
+        if self.controller is None:
+            tasks = [
+                Task(
+                    task_id=f"round-{i:04d}",
+                    fn="repro.runtime.tasks:session_round",
+                    params=self._round_params(indices),
+                )
+                for i, indices in enumerate(draws)
+            ]
+            results = run_tasks(tasks, n_workers=self.n_workers)
+            measured_rounds = [results[task.task_id] for task in tasks]
             actions = ["n/a"] * n_rounds
+        else:
+            seen = len(self.controller.history)
+            measured_rounds = step_chain(
+                self.controller,
+                n_rounds,
+                lambda offset, rung: self._round_params(draws[offset], rung),
+                session_round,
+            )
+            actions = [action for _, action in self.controller.history[seen:]]
 
         report = SessionReport()
-        for round_index in range(n_rounds):
-            measured = results[f"round-{round_index:04d}"]
+        for round_index, measured in enumerate(measured_rounds):
             bits = measured["feedback_bits"]
             campaign = SoundingCampaign(
                 n_users=n_users,

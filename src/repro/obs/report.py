@@ -3,16 +3,13 @@
 ``python -m repro.obs report <trace>`` loads a trace (a directory
 containing ``trace.jsonl``, or the JSONL file itself) and prints the
 text summary this module renders: the run's wall time, a per-category
-time rollup, the **critical path** — the dependency chain of task
-spans with the largest cumulative duration, i.e. the lower bound on
-wall time no worker count can beat — the top-k slowest tasks, and the
-cache/retry counters.
+time rollup, the **critical path** — the lower bound on wall time no
+worker count can beat — the top-k slowest tasks, and the cache/retry
+counters.
 
-The critical path is computed over the recorded task spans using the
-``deps`` attribute the executor stamps on each one (the task DAG's
-edges), via a longest-path dynamic program in topological order —
-re-deriving it from the trace alone, with no access to the original
-scenario.
+The executor runs independent tasks in one wave (sequential work such
+as a SplitBeam feedback chain runs inside one task), so the critical
+path is the longest task span, read off the trace alone.
 """
 
 from __future__ import annotations
@@ -89,55 +86,20 @@ def task_rows(events) -> "list[dict]":
 
 
 def critical_path(events) -> "tuple[list[str], float]":
-    """``(task chain, cumulative seconds)`` of the longest dependency path.
+    """``([task], seconds)`` of the longest task span.
 
-    Longest-path DP over the task spans' recorded ``deps`` edges; ties
-    break lexicographically so the named chain is deterministic.
-    Dependencies without a recorded span (cache-served points never
-    execute) contribute zero time, which is exactly their cost.
+    Tasks carry no edges, so no chain of them outlasts its longest
+    member.  Ties break on the task id, so the named task is
+    deterministic; a trace without task spans gives ``([], 0.0)``.
     """
-    rows = {row["attrs"].get("task", row["name"]): row for row in task_rows(events)}
-    best: "dict[str, tuple[float, tuple[str, ...]]]" = {}
-
-    order = sorted(rows)
-    resolved: "set[str]" = set()
-    # Dependencies always precede their dependents in the DAG; iterate
-    # until the fixed point so recording order cannot matter.
-    while order:
-        progressed = False
-        deferred = []
-        for task in order:
-            deps = [
-                dep
-                for dep in rows[task]["attrs"].get("deps", [])
-                if dep in rows
-            ]
-            if any(dep not in resolved for dep in deps):
-                deferred.append(task)
-                continue
-            chains = [best[dep] for dep in deps]
-            base_s, base_chain = max(
-                chains, default=(0.0, ()), key=lambda item: (item[0], item[1])
-            )
-            best[task] = (
-                base_s + _duration(rows[task]),
-                base_chain + (task,),
-            )
-            resolved.add(task)
-            progressed = True
-        if not progressed:
-            # A dependency cycle can only come from a mangled trace;
-            # fall back to treating the remainder as independent.
-            for task in deferred:
-                best[task] = (_duration(rows[task]), (task,))
-            break
-        order = deferred
-    if not best:
+    rows = [
+        (_duration(row), row["attrs"].get("task", row["name"]))
+        for row in task_rows(events)
+    ]
+    if not rows:
         return [], 0.0
-    total, chain = max(
-        best.values(), key=lambda item: (item[0], item[1])
-    )
-    return list(chain), total
+    seconds, task = max(rows)
+    return [task], seconds
 
 
 def _format_s(seconds: float) -> str:

@@ -2,7 +2,7 @@
 
 A :class:`Tracer` records **spans** — named, nested intervals measured
 with monotonic timestamps — for one engine run: engine run → plan →
-wave → dispatch → per-task execute, plus store get/put, retries,
+execute → dispatch → per-task execute, plus store get/put, retries,
 backoff, pool rebuilds, and payload spills.  Workers record their own
 task-execute spans locally and ship them back piggybacked on the
 executor's outcome tuples, so coordinator and worker telemetry merge

@@ -9,14 +9,14 @@ into explicit plans and executes them with reuse:
 - :mod:`repro.runtime.registry` — named scenario presets covering the
   paper's figures plus new workloads (160 MHz, mobility, multi-user
   scaling, cross-environment matrices);
-- :mod:`repro.runtime.planner` — expands a scenario into a DAG of
-  tasks with stable content-addressed keys;
-- :mod:`repro.runtime.executor` — runs task DAGs on a worker pool
-  (with a deterministic in-process fallback); results are bit-identical
-  to serial execution because every task is a pure function of its
-  parameters;
+- :mod:`repro.runtime.planner` — expands a scenario into a wave of
+  independent tasks with stable content-addressed keys;
+- :mod:`repro.runtime.executor` — runs a wave of independent tasks on
+  a worker pool (with a deterministic in-process fallback); results are
+  bit-identical to serial execution because every task is a pure
+  function of its parameters;
 - :mod:`repro.runtime.payloads` — per-run content-addressed interning
-  of large task payloads (models, round slices), so each worker
+  of large task payloads (models, ladders), so each worker
   deserializes a shared payload once instead of once per task;
 - :mod:`repro.runtime.cache` — content-addressed result store keyed by
   (task spec, code version) so re-runs and overlapping scenarios skip

@@ -1,4 +1,4 @@
-"""Task-DAG execution: fault-tolerant worker pools with a serial fallback.
+"""Task execution: fault-tolerant worker pools with a serial fallback.
 
 A :class:`Task` names a *pure* function (an importable ``"module:name"``
 string, or a picklable callable) and the parameters it receives as a
@@ -9,28 +9,24 @@ fault-tolerance contract: a failed attempt can always be retried (and a
 crashed worker's chunk replayed) with byte-identical results, so chaos
 costs retries, never bytes.
 
-Dependencies form a DAG.  A dependent task may compute its parameters
-from its dependencies' results through a ``resolve`` hook, which runs in
-the coordinating process, in plan order — sequential logic (such as an
-adaptive controller reacting round by round) stays deterministic while
-the measurement itself still ships to a worker.  Hooks run exactly once
-per task, before its first dispatch; retries and crash replays reuse the
-already-computed parameters, so coordinator state (RNG draws, controller
-observations) is never consumed twice.
+Tasks are independent: a run is one wave.  Sequential logic that reacts
+to a measurement (a SplitBeam STA's adaptive controller walking its
+ladder round by round) runs *inside* one task — see
+:func:`repro.runtime.tasks.network_chain` — so the task, not the round,
+is the unit of dispatch, retry, fault injection and failure.
 
 Sharding: tasks carrying the same ``shard`` label are executed by the
 same worker in plan order, so per-process memoization (e.g. one worker
 building one dataset that several tasks reuse) stays effective.
 
-Dispatch economics: within a wave, shard chunks are *packed* into a
-small bounded number of messages (at most 4 per worker, keeping the
-pool's dynamic balancing effective), so a hundred small independent
-tasks cost a handful of IPC round-trips instead of a hundred — and with a
+Dispatch economics: shard chunks are *packed* into a small bounded
+number of messages (at most 4 per worker, keeping the pool's dynamic
+balancing effective), so a hundred small independent tasks cost a
+handful of IPC round-trips instead of a hundred — and with a
 :class:`~repro.runtime.payloads.PayloadStore` attached, large repeated
-payloads (models, round slices) travel as content-addressed references
-that each worker materializes once per run.  Both are pure transport
-optimizations: parameters are computed in plan order either way and
-results are byte-identical for any worker count.
+payloads (models, ladders) travel as content-addressed references that
+each worker materializes once per run.  Both are pure transport
+optimizations: results are byte-identical for any worker count.
 
 Fault tolerance (see :mod:`repro.runtime.faults` for injection):
 
@@ -171,7 +167,7 @@ class RunHealth:
     followed them, ``worker_crashes``/``timeouts`` count pool-level
     failures, ``pool_rebuilds``/``serial_fallbacks`` the recoveries.
     ``failed`` lists tasks that exhausted their retries (collect-error
-    mode), ``skipped`` their never-attempted dependents.
+    mode).
     """
 
     retries: int = 0
@@ -183,7 +179,6 @@ class RunHealth:
     serial_fallbacks: int = 0
     fallback_reason: "str | None" = None
     failed: "list[dict]" = field(default_factory=list)
-    skipped: "list[str]" = field(default_factory=list)
 
     @property
     def faulted(self) -> bool:
@@ -194,7 +189,6 @@ class RunHealth:
             or self.worker_crashes
             or self.serial_fallbacks
             or self.failed
-            or self.skipped
         )
 
     def to_dict(self) -> dict:
@@ -209,37 +203,29 @@ class RunHealth:
             "serial_fallbacks": self.serial_fallbacks,
             "fallback_reason": self.fallback_reason,
             "failed": sorted(self.failed, key=lambda row: row["task"]),
-            "skipped": sorted(self.skipped),
         }
 
 
 @dataclass(frozen=True)
 class Task:
-    """One pure unit of work in a DAG.
+    """One pure, independent unit of work.
 
     Parameters
     ----------
     task_id:
-        Unique name; dependency edges and the result dict use it.
+        Unique name; the result dict and fault plans use it.
     fn:
         ``"module:callable"`` or a picklable callable taking one mapping.
     params:
-        The argument mapping (ignored when ``resolve`` is given).
-    deps:
-        Task ids that must complete first.
-    resolve:
-        Optional hook ``resolve({dep_id: result, ...}) -> params`` run in
-        the coordinator, in plan order, once all ``deps`` completed.
+        The argument mapping.
     shard:
         Optional affinity label: tasks sharing a shard run serially on
-        one worker (within a wave), preserving plan order.
+        one worker, preserving plan order.
     """
 
     task_id: str
     fn: "str | Callable[[Mapping], object]"
     params: Mapping | None = None
-    deps: tuple[str, ...] = ()
-    resolve: "Callable[[dict], Mapping] | None" = None
     shard: str | None = None
 
 
@@ -366,31 +352,13 @@ def _run_chunk(message):
     return out, _worker_profile_delta(), spans
 
 
-def _topological(tasks: Sequence[Task]) -> list[Task]:
-    """Kahn's algorithm preserving plan order; rejects cycles/bad edges."""
-    by_id: dict[str, Task] = {}
+def _check_ids(tasks: Sequence[Task]) -> None:
+    """Reject duplicate task ids (results and fault plans key on them)."""
+    seen: set[str] = set()
     for task in tasks:
-        if task.task_id in by_id:
+        if task.task_id in seen:
             raise ConfigurationError(f"duplicate task id {task.task_id!r}")
-        by_id[task.task_id] = task
-    for task in tasks:
-        for dep in task.deps:
-            if dep not in by_id:
-                raise ConfigurationError(
-                    f"task {task.task_id!r} depends on unknown task {dep!r}"
-                )
-    ordered: list[Task] = []
-    done: set[str] = set()
-    pending = list(tasks)
-    while pending:
-        ready = [t for t in pending if set(t.deps) <= done]
-        if not ready:
-            cycle = sorted(t.task_id for t in pending)
-            raise ConfigurationError(f"task graph has a cycle among {cycle}")
-        ordered.extend(ready)
-        done.update(t.task_id for t in ready)
-        pending = [t for t in pending if t.task_id not in done]
-    return ordered
+        seen.add(task.task_id)
 
 
 def _make_pool(n_workers: int) -> ProcessPoolExecutor:
@@ -403,7 +371,7 @@ def _make_pool(n_workers: int) -> ProcessPoolExecutor:
 #: lose all dynamic load balancing (two expensive tasks round-robined
 #: into one group serialize while other workers idle); a small
 #: oversubscription keeps the pool's work-stealing effective while a
-#: 100-round wave still costs ~4*workers messages instead of 100.
+#: 100-task wave still costs ~4*workers messages instead of 100.
 _PACK_OVERSUBSCRIPTION = 4
 
 
@@ -411,11 +379,11 @@ def _pack_wave(wave, wave_params, n_workers: int, attempts=None):
     """Pack a wave's shard chunks into at most ``4 * n_workers`` messages.
 
     Tasks sharing a shard stay contiguous (one worker, plan order);
-    singleton chunks round-robin across the messages in plan order.
-    Purely a transport decision — parameters were already computed, in
-    plan order, by the caller.  Each packed item carries the task's
-    dispatch-attempt index so the (deterministic) fault plan can count
-    occurrences without any cross-process state.
+    singleton chunks round-robin across the messages in plan order, so
+    a caller that lists its heaviest tasks first spreads them over the
+    messages.  Purely a transport decision.  Each packed item carries
+    the task's dispatch-attempt index so the (deterministic) fault plan
+    can count occurrences without any cross-process state.
     """
     chunks: dict = {}
     for task in wave:
@@ -461,9 +429,6 @@ class _Execution:
         self.plan = plan
         self.collect_errors = collect_errors
         self.results: dict = {}
-        self.done: "set[str]" = set()
-        self.failed: "dict[str, str]" = {}  # task_id -> summary
-        self.skipped: "set[str]" = set()
         self.attempts: "dict[str, int]" = {}  # dispatches (fault occurrences)
         self.failures: "dict[str, int]" = {}  # observed failed attempts
         self.retry_round = 0
@@ -472,9 +437,9 @@ class _Execution:
         self._pool: "ProcessPoolExecutor | None" = None
         self.tracer = current_tracer()
         # Task spans parent to the run's execute-phase span — a *logical*
-        # parent, independent of which wave round or chunk the transport
-        # happened to place the task in — so the span tree's shape is
-        # identical whatever the worker count.
+        # parent, independent of which dispatch round or chunk the
+        # transport happened to place the task in — so the span tree's
+        # shape is identical whatever the worker count.
         self._task_parent = ""
 
     # -- tracing -----------------------------------------------------------------
@@ -496,14 +461,12 @@ class _Execution:
             fixed_id=span_id(self._task_parent, name, attempt),
             task=task.task_id,
             attempt=attempt,
-            deps=list(task.deps),
         )
 
     # -- shared bookkeeping ------------------------------------------------------
 
     def _complete(self, task_id: str, result) -> None:
         self.results[task_id] = result
-        self.done.add(task_id)
         if self.on_result is not None:
             self.on_result(task_id, result)
 
@@ -518,7 +481,6 @@ class _Execution:
                 task_id=task_id,
                 remote_traceback=remote_traceback,
             )
-        self.failed[task_id] = summary
         self.health.failed.append({"task": task_id, "summary": summary})
 
     def _record_error(self, task_id: str, injected: bool) -> bool:
@@ -562,38 +524,6 @@ class _Execution:
                     self.health.injected_faults += 1
         return attempt
 
-    def _skip_blocked(self, pending: "list[Task]") -> "list[Task]":
-        """Drop (and record) tasks whose dependencies failed or skipped."""
-        if not self.failed and not self.skipped:
-            return pending
-        remaining = []
-        for task in pending:
-            unrunnable = self.failed.keys() | self.skipped
-            if any(dep in unrunnable for dep in task.deps):
-                self.skipped.add(task.task_id)
-                self.health.skipped.append(task.task_id)
-            else:
-                remaining.append(task)
-        # A newly skipped task may block another later in plan order;
-        # the list is topologically ordered, so one forward pass per
-        # call plus the caller's wave loop reaches the fixed point.
-        if len(remaining) != len(pending):
-            return self._skip_blocked(remaining)
-        return remaining
-
-    def _wave_params(self, wave: "list[Task]") -> dict:
-        """Resolve parameters in plan order, exactly once per task."""
-        params = {}
-        for task in wave:
-            if task.resolve is None:
-                computed = task.params
-            else:
-                computed = task.resolve(
-                    {dep: self.results[dep] for dep in task.deps}
-                )
-            params[task.task_id] = dict(computed or {})
-        return params
-
     # -- serial path -------------------------------------------------------------
 
     def _run_task_serial(self, task: Task, params) -> None:
@@ -632,8 +562,8 @@ class _Execution:
             self._complete(task.task_id, result)
             return
 
-    def _run_wave_serial(self, wave: "list[Task]", params: dict) -> None:
-        for task in wave:
+    def _run_serial(self, tasks: "list[Task]", params: dict) -> None:
+        for task in tasks:
             self._run_task_serial(task, params[task.task_id])
 
     # -- pool path ---------------------------------------------------------------
@@ -675,25 +605,21 @@ class _Execution:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    def _consume_chunk(self, chunk_result, remaining: dict, deps_by_id: dict) -> None:
+    def _consume_chunk(self, chunk_result, remaining: dict) -> None:
         """Fold one worker chunk's outcomes + telemetry into the run.
 
         Profile deltas merge unconditionally — that wall time genuinely
         elapsed even if the chunk is a salvaged replay.  Worker spans
-        are absorbed only for tasks still outstanding (their deps
-        stamped in from the plan, which never crosses the IPC boundary)
-        so a replayed chunk cannot duplicate a task's timeline row.
+        are absorbed only for tasks still outstanding, so a replayed
+        chunk cannot duplicate a task's timeline row.
         """
         outcomes, profile_delta, spans = chunk_result
         if profile_delta:
             merge_profiles(profile_delta)
         if self.tracer is not None and spans:
-            fresh = [s for s in spans if s["attrs"]["task"] in remaining]
-            for span in fresh:
-                span["attrs"]["deps"] = deps_by_id.get(
-                    span["attrs"]["task"], []
-                )
-            self.tracer.absorb(fresh)
+            self.tracer.absorb(
+                [s for s in spans if s["attrs"]["task"] in remaining]
+            )
         self._handle_outcomes(outcomes, remaining)
 
     def _handle_outcomes(self, outcomes, remaining: dict) -> None:
@@ -711,7 +637,7 @@ class _Execution:
                 del remaining[task_id]
                 self._final_failure(task_id, remote, summary)
 
-    def _salvage(self, futures, remaining: dict, deps_by_id: dict) -> None:
+    def _salvage(self, futures, remaining: dict) -> None:
         """Collect every chunk that finished before the pool broke."""
         for future in futures:
             if not future.done():
@@ -720,7 +646,7 @@ class _Execution:
                 chunk_result = future.result(timeout=0)
             except Exception:
                 continue  # the chunk that crashed/was cancelled
-            self._consume_chunk(chunk_result, remaining, deps_by_id)
+            self._consume_chunk(chunk_result, remaining)
 
     def _on_pool_failure(self, kind: str, detail: str, remaining) -> None:
         """Count, rebuild (or degrade to serial), and let the wave replay."""
@@ -759,15 +685,14 @@ class _Execution:
                     "pool_rebuild", "executor", kind=kind, detail=detail
                 )
 
-    def _run_wave_pool(self, wave: "list[Task]", params: dict) -> None:
+    def _run_pool(self, wave: "list[Task]", params: dict) -> None:
         remaining = {task.task_id: task for task in wave}
-        deps_by_id = {task.task_id: list(task.deps) for task in wave}
         while remaining:
             if self.serial_only or not self._ensure_pool():
                 pending_tasks = [
                     task for task in wave if task.task_id in remaining
                 ]
-                self._run_wave_serial(
+                self._run_serial(
                     pending_tasks, {t: params[t] for t in remaining}
                 )
                 return
@@ -778,7 +703,7 @@ class _Execution:
                 )
                 if digests:
                     # spill() also rehydrates spool files that vanished
-                    # since the last wave (see PayloadStore).
+                    # since the last dispatch round (see PayloadStore).
                     spool_root = self.payloads.spill(digests)
             attempts = {
                 task_id: self._dispatch_attempt(task_id, in_worker=True)
@@ -821,15 +746,13 @@ class _Execution:
                         if self.policy.timeout_s is not None:
                             budget = self.policy.timeout_s * len(message)
                         self._consume_chunk(
-                            future.result(timeout=budget),
-                            remaining,
-                            deps_by_id,
+                            future.result(timeout=budget), remaining
                         )
                 except BrokenProcessPool as exc:
-                    self._salvage(futures, remaining, deps_by_id)
+                    self._salvage(futures, remaining)
                     self._on_pool_failure("crash", repr(exc), remaining)
                 except FuturesTimeoutError:
-                    self._salvage(futures, remaining, deps_by_id)
+                    self._salvage(futures, remaining)
                     self._on_pool_failure(
                         "timeout",
                         f"chunk exceeded its "
@@ -841,43 +764,26 @@ class _Execution:
                     if remaining:
                         self._backoff()  # only retries left in the wave
 
-    # -- the wave loop -----------------------------------------------------------
+    # -- the run ----------------------------------------------------------------
 
-    def execute(self, ordered: "list[Task]") -> dict:
+    def execute(self, tasks: "list[Task]") -> dict:
         if self.tracer is None:
-            return self._execute(ordered)
+            return self._execute(tasks)
         with self.tracer.span(
             "execute",
             "executor",
-            n_tasks=len(ordered),
+            n_tasks=len(tasks),
             n_workers=self.n_workers,
         ) as span:
             self._task_parent = span.span_id
-            return self._execute(ordered)
+            return self._execute(tasks)
 
-    def _execute(self, ordered: "list[Task]") -> dict:
-        pending = list(ordered)
-        wave_index = 0
-        while pending:
-            pending = self._skip_blocked(pending)
-            if not pending:
-                break
-            wave = [t for t in pending if set(t.deps) <= self.done]
-            if not wave:
-                # Only reachable if a dependency failed in raise mode —
-                # which raised — or via skip_blocked; defensive guard.
-                break
-            with self._maybe_span(
-                "wave", index=wave_index, size=len(wave)
-            ):
-                params = self._wave_params(wave)
-                if self.serial_only or self.n_workers <= 1:
-                    self._run_wave_serial(wave, params)
-                else:
-                    self._run_wave_pool(wave, params)
-            wave_index += 1
-            settled = self.done | self.failed.keys() | self.skipped
-            pending = [t for t in pending if t.task_id not in settled]
+    def _execute(self, tasks: "list[Task]") -> dict:
+        params = {task.task_id: dict(task.params or {}) for task in tasks}
+        if self.serial_only or self.n_workers <= 1:
+            self._run_serial(tasks, params)
+        else:
+            self._run_pool(tasks, params)
         return self.results
 
 
@@ -891,11 +797,12 @@ def run_tasks(
     health: "RunHealth | None" = None,
     collect_errors: bool = False,
 ) -> dict:
-    """Execute a task DAG; returns ``{task_id: result}``.
+    """Execute independent tasks in one wave; returns ``{task_id: result}``.
 
     ``n_workers=1`` (the default when ``$REPRO_RUNTIME_WORKERS`` is
-    unset) runs everything in-process.  With more workers, independent
-    tasks run on a process pool — results are identical either way.
+    unset) runs everything in-process, in plan order.  With more
+    workers, tasks run on a process pool — results are identical either
+    way.
 
     ``on_result(task_id, result)`` fires in the coordinator as each
     task completes, before the run finishes — the engine persists cache
@@ -915,14 +822,14 @@ def run_tasks(
     ``collect_errors=False`` (the default) raises
     :class:`TaskExecutionError` on the first task that exhausts its
     retries.  ``collect_errors=True`` instead records the failure in
-    ``health.failed``, skips its dependents (``health.skipped``), and
-    returns the results of every task that did complete — the campaign
-    layer uses this so one broken STA chain cannot kill the other N-1.
+    ``health.failed`` and returns the results of every task that did
+    complete — the campaign layer uses this so one broken STA chain
+    cannot kill the other N-1.
     """
     tasks = list(tasks)
     if not tasks:
         return {}
-    ordered = _topological(tasks)
+    _check_ids(tasks)
     n_workers = resolve_worker_count(n_workers)
     execution = _Execution(
         n_workers=n_workers,
@@ -934,6 +841,6 @@ def run_tasks(
         collect_errors=collect_errors,
     )
     try:
-        return execution.execute(ordered)
+        return execution.execute(tasks)
     finally:
         execution.close()

@@ -1,9 +1,8 @@
-"""Scenario -> task-DAG expansion with content-addressed keys.
+"""Scenario -> task expansion with content-addressed keys.
 
-Scenario points are independent measurements, so the plan is a flat DAG
-(no edges) of :class:`~repro.runtime.executor.Task` entries; dependency
-edges are the executor's job for sequential workloads such as session
-campaigns.  The planner's value is the bookkeeping: every point gets a
+Scenario points are independent measurements, so the plan is one wave
+of :class:`~repro.runtime.executor.Task` entries, like every executor
+run.  The planner's value is the bookkeeping: every point gets a
 stable cache key, and a shard label chosen so workers that memoize
 datasets/models per process see related tasks back to back.
 

@@ -1,12 +1,14 @@
 """Pure task functions executed by the runtime workers.
 
-Every function here takes a single parameter mapping and returns a
-JSON-able (or at least picklable) result, with no reliance on process
+Every task function here takes a single parameter mapping and returns
+a JSON-able (or at least picklable) result, with no reliance on process
 state beyond memoization: datasets and trained models are cached
 per process keyed by their full build recipe, which is safe because
 both are deterministic functions of (spec, fidelity, seed).  A worker
 that rebuilds instead of reusing gets bit-identical objects, so results
-never depend on which worker ran what.
+never depend on which worker ran what.  The helpers the coordinators
+share with their tasks (:func:`get_dataset`, :func:`step_chain`,
+:func:`campaign_round_indices`) live here too.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ __all__ = [
     "link_ber_point",
     "session_round",
     "network_round",
+    "network_chain",
+    "step_chain",
+    "campaign_round_indices",
     "train_zoo_entry",
     "payload_probe",
     "clear_memos",
@@ -309,3 +314,73 @@ def network_round(params: Mapping) -> dict:
     measured = session_round(params)
     measured["effective_snr_db"] = float(params["link_config"].snr_db)
     return measured
+
+
+def step_chain(controller, n_rounds: int, round_params, measure) -> "list[dict]":
+    """Run ``n_rounds`` consecutive rounds of one adaptive feedback chain.
+
+    The SplitBeam online loop (Fig. 1): each round is measured with the
+    rung ``controller`` (an :class:`~repro.core.adaptive.
+    AdaptiveCompressionController`) deploys, and its BER is observed
+    before the next round is built.  ``round_params(offset, rung)``
+    builds round ``offset``'s parameters for ``measure`` (a round task
+    function such as :func:`session_round`).  Returns every round's
+    result, in round order; ``controller`` ends stepped past them.
+    """
+    results = []
+    for offset in range(n_rounds):
+        measured = measure(round_params(offset, controller.current))
+        controller.observe(measured["ber"])
+        results.append(measured)
+    return results
+
+
+def campaign_round_indices(dataset, profile: Mapping, round_index: int):
+    """A campaign round's CSI draw: a pure function of (STA profile, round).
+
+    The draw never depends on a measured BER, so the coordinator (an
+    802.11 round) and a chain task (a SplitBeam round) draw alike.
+    """
+    pool = dataset.splits.test
+    rng = np.random.default_rng(
+        [0x5E55, int(profile["seed"]), int(round_index)]
+    )
+    size = min(int(profile["samples_per_round"]), int(pool.size))
+    return rng.choice(pool, size=size, replace=False)
+
+
+def network_chain(params: Mapping) -> "list[dict]":
+    """A SplitBeam STA's pending campaign rounds, stepped inside one task.
+
+    ``params``: the STA ``profile``, the campaign ``fidelity``, the
+    controller's ``ladder`` (interned once per run), the controller
+    ``state`` after the STA's cached prefix (see
+    :meth:`~repro.core.adaptive.AdaptiveCompressionController.state`),
+    the ``first_round`` to run, and ``links``, one round-pinned
+    :class:`LinkConfig` per pending round.  Each round's slices are
+    built here from the :func:`get_dataset` memo, so no CSI array
+    crosses the process boundary, and a worker unpickles each distinct
+    ladder once per run.  Returns one
+    :func:`network_round` result per pending round, in round order —
+    the coordinator replays them through its own controller.
+    """
+    from repro.core.adaptive import AdaptiveCompressionController
+    from repro.core.session import entry_round_scheme
+
+    profile = params["profile"]
+    dataset = get_dataset(profile["dataset"], params["fidelity"])
+    first = int(params["first_round"])
+    links = params["links"]
+
+    def round_params(offset: int, rung) -> dict:
+        indices = campaign_round_indices(dataset, profile, first + offset)
+        return {
+            "channels": dataset.link_channels(indices),
+            "link_config": links[offset],
+            "scheme": entry_round_scheme(dataset, indices, rung),
+        }
+
+    controller = AdaptiveCompressionController.resume(
+        params["ladder"], params["state"]
+    )
+    return step_chain(controller, len(links), round_params, network_round)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.config import SMOKE
+from repro.core import network as network_mod
 from repro.core.network import (
     NetworkCampaign,
     campaign_round_spec,
@@ -502,14 +503,14 @@ class TestChaosCampaign:
 
     @pytest.fixture(scope="class")
     def chaos_run(self, campaign_runs, tmp_path_factory):
-        # One worker hard-crash, a 50% first-attempt error rate on the
-        # middle round, a scheduling delay, and torn writes on half the
-        # cache entries — all seeded, all recoverable within the
-        # default retry budget.
+        # One worker hard-crash and a scheduling delay on SplitBeam
+        # chains, a 50% first-attempt error rate over chains and 802.11
+        # rounds alike, and torn writes on half the cache entries — all
+        # seeded, all recoverable within the default retry budget.
         plan = parse_plan(
-            "crash,sta004/round-0000,count=1;"
-            "error,*/round-0001,rate=0.5,count=1;"
-            "delay,sta002/round-0002,count=1,delay_s=0.01;"
+            "crash,sta004/rounds-*,count=1;"
+            "error,*/round*,rate=0.5,count=1;"
+            "delay,sta002/rounds-*,count=1,delay_s=0.01;"
             "torn,cache:*,rate=0.5"
         )
         cache = ResultCache(tmp_path_factory.mktemp("chaos") / "cache")
@@ -575,7 +576,7 @@ class TestChaosCampaign:
 
 
 class TestGracefulDegradation:
-    """A STA whose round exhausts retries degrades alone."""
+    """A STA whose chain exhausts retries degrades alone."""
 
     def _spec(self):
         return NetworkCampaignSpec(
@@ -607,18 +608,28 @@ class TestGracefulDegradation:
         clean = NetworkCampaign(
             spec, cache=ResultCache(root / "cache-clean"), store=store
         ).run()
-        # STA "a" is chained (splitbeam): its round 1 fails beyond the
-        # retry budget, so round 2 (which depends on it) is skipped.
-        plan = parse_plan("error,a/round-0001,count=99")
+        # A 1-round campaign stores round 0, so STA "a" (chained,
+        # splitbeam) resumes with the chain over rounds 1-2.  That chain
+        # fails beyond the retry budget: its first round is reported
+        # failed, and round 2 behind it skipped.
+        cache = ResultCache(root / "cache-chaos")
+        NetworkCampaign(replace(spec, n_rounds=1), cache=cache, store=store).run()
+        plan = parse_plan("error,a/rounds-0001-0002,count=99")
         clear_memos()
         degraded = NetworkCampaign(
             spec,
-            cache=ResultCache(root / "cache-chaos"),
+            cache=cache,
             store=store,
             policy=RetryPolicy(retries=1, backoff_s=0.0),
             faults=plan,
         ).run()
-        return {"clean": clean, "degraded": degraded}
+        return {
+            "spec": spec,
+            "store": store,
+            "cache": cache,
+            "clean": clean,
+            "degraded": degraded,
+        }
 
     def test_campaign_completes_with_partial_coverage(self, degraded_runs):
         result = degraded_runs["degraded"]
@@ -646,12 +657,27 @@ class TestGracefulDegradation:
 
     def test_accounting_reflects_completed_rounds_only(self, degraded_runs):
         result = degraded_runs["degraded"]
-        assert result.n_executed_rounds == 4  # 6 tasks - 1 failed - 1 skipped
+        # Both STAs' round 0 replay; b's rounds 1-2 execute, a's chain
+        # over rounds 1-2 fails as one task.
+        assert result.n_cached_rounds == 2
+        assert result.n_executed_rounds == 2
         executor = result.health["executor"]
         assert [row["task"] for row in executor["failed"]] == [
-            "a/round-0001"
+            "a/rounds-0001-0002"
         ]
-        assert executor["skipped"] == ["a/round-0002"]
+
+    def test_rerun_resumes_only_the_failed_chain(self, degraded_runs):
+        # Every task that finished stored its rounds, so a fault-free
+        # re-run executes just the failed chain's two rounds.
+        clear_memos()
+        rerun = NetworkCampaign(
+            degraded_runs["spec"],
+            cache=degraded_runs["cache"],
+            store=degraded_runs["store"],
+        ).run()
+        assert rerun.n_cached_rounds == 4
+        assert rerun.n_executed_rounds == 2
+        assert rerun.to_dict() == degraded_runs["clean"].to_dict()
 
     def test_aggregates_cover_reporting_stas_only(self, degraded_runs):
         result = degraded_runs["degraded"]
@@ -673,6 +699,171 @@ class TestGracefulDegradation:
         assert json.loads(path.read_text()) == degraded_runs[
             "degraded"
         ].to_dict()
+
+
+class TestDeadlineAccounting:
+    """``deadline_misses`` counts reported rounds only.
+
+    STA "a" deploys the 1/16 rung (the 1/8 rung misses τ and is
+    rejected by selection).  A deep blockage makes round 0's BER exceed
+    γ, so the controller steps down to the 1/8 rung for round 1 — a
+    round that misses τ when it reports, and must not count when its
+    chain fails.
+    """
+
+    #: τ between the SMOKE D1 rungs' reporting delays (1/16: ~55 µs,
+    #: 1/8: ~75 µs at the default device tier); γ between the 1/16
+    #: rung's training-time BER (~0.30) and round 0's (~0.46).
+    QOS = {"max_ber": 0.35, "max_delay_s": 65e-6}
+
+    def _spec(self, n_rounds: int = 3):
+        return NetworkCampaignSpec(
+            name="deadline-test",
+            title="deadline accounting",
+            fidelity=SMOKE_FIDELITY,
+            stas=(
+                sta_profile(
+                    "a",
+                    "D1",
+                    compressions=(1 / 16, 1 / 8),
+                    samples_per_round=2,
+                    seed=0,
+                    **self.QOS,
+                ),
+            ),
+            n_rounds=n_rounds,
+            episodes=(mobility_episode(0, snr_offset_db=-30.0),),
+        )
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("deadline")
+        store = CheckpointStore(root / "store")
+        clear_memos()
+        clean = NetworkCampaign(
+            self._spec(), cache=ResultCache(root / "cache-clean"), store=store
+        ).run()
+        cache = ResultCache(root / "cache-chaos")
+        NetworkCampaign(self._spec(1), cache=cache, store=store).run()
+        degraded = NetworkCampaign(
+            self._spec(),
+            cache=cache,
+            store=store,
+            policy=RetryPolicy(retries=0, backoff_s=0.0),
+            # STA a's task that starts at round 1: its chain over 1-2.
+            faults=parse_plan("error,a/round*-0001*,count=99"),
+        ).run()
+        return {"clean": clean, "degraded": degraded}
+
+    def test_reported_step_down_misses_the_deadline(self, runs):
+        row = runs["clean"].sta("a")
+        assert row["selection"]["selected"] == row["rounds"][0]["scheme"]
+        assert row["rounds"][0]["action"] == "step-down"
+        assert row["rounds"][1]["scheme"] != row["rounds"][0]["scheme"]
+        assert row["summary"]["deadline_misses"] == 2  # rounds 1 and 2
+
+    def test_failed_round_does_not_count(self, runs):
+        result = runs["degraded"]
+        row = result.sta("a")
+        assert [r["round"] for r in row["rounds"]] == [0]
+        assert [f["round"] for f in row["degraded"]["failed_rounds"]] == [1]
+        assert row["degraded"]["skipped_rounds"] == [2]
+        assert row["summary"]["deadline_misses"] == 0
+        assert result.summary["deadline_misses"] == 0
+
+
+class TestChainDispatch:
+    """A SplitBeam STA's pending rounds travel as one chain task."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> "list[str]":
+        submitted: "list[str]" = []
+        run_tasks = network_mod.run_tasks
+
+        def spy(tasks, **kwargs):
+            submitted.extend(task.task_id for task in tasks)
+            return run_tasks(tasks, **kwargs)
+
+        monkeypatch.setattr(network_mod, "run_tasks", spy)
+        return submitted
+
+    def test_cold_campaign_submits_one_task_per_chain(
+        self, campaign_runs, monkeypatch, tmp_path
+    ):
+        submitted = self._spy(monkeypatch)
+        clear_memos()
+        result = NetworkCampaign(
+            campaign_runs["spec"],
+            cache=ResultCache(tmp_path / "cache"),
+            store=campaign_runs["store"],
+            n_workers=1,
+        ).run()
+        last = N_ROUNDS - 1
+        expected = []
+        for row in result.stas:
+            if row["mode"] == "splitbeam":
+                expected.append(f"{row['name']}/rounds-0000-{last:04d}")
+            else:
+                expected.extend(
+                    f"{row['name']}/round-{r:04d}" for r in range(N_ROUNDS)
+                )
+        assert sorted(submitted) == sorted(expected)
+        assert result.n_executed_rounds == N_STAS * N_ROUNDS
+        assert result.to_dict() == campaign_runs["cold_serial"].to_dict()
+
+    def test_extended_campaign_resumes_each_chain(self, monkeypatch, tmp_path):
+        # A blockage at round 0 steps STA "a" down from the selected 1/16
+        # rung to its middle 1/8 rung inside the cached prefix, so the
+        # resumed chain must start from the controller's post-prefix
+        # state: neither the selection nor the safest 1/4 rung.
+        def spec(n_rounds):
+            return NetworkCampaignSpec(
+                name="resume-test",
+                title="resume",
+                fidelity=SMOKE_FIDELITY,
+                stas=(
+                    sta_profile(
+                        "a",
+                        "D1",
+                        compressions=(1 / 16, 1 / 8, 1 / 4),
+                        max_ber=0.4,
+                        samples_per_round=2,
+                        seed=0,
+                    ),
+                    sta_profile(
+                        "b", "D1", scheme="dot11", samples_per_round=2, seed=1
+                    ),
+                ),
+                n_rounds=n_rounds,
+                episodes=(
+                    mobility_episode(0, snr_offset_db=-30.0),
+                    mobility_episode(1),
+                ),
+            )
+
+        store = CheckpointStore(tmp_path / "store")
+        cache = ResultCache(tmp_path / "cache")
+        clear_memos()
+        short = NetworkCampaign(spec(2), cache=cache, store=store).run()
+        prefix = short.sta("a")["rounds"]
+        assert prefix[0]["scheme"] == short.sta("a")["selection"]["selected"]
+        assert prefix[0]["action"] == "step-down"
+        assert prefix[1]["scheme"] != prefix[0]["scheme"]
+        submitted = self._spy(monkeypatch)
+        resumed = NetworkCampaign(spec(4), cache=cache, store=store).run()
+        assert submitted == [
+            "a/rounds-0002-0003",
+            "b/round-0002",
+            "b/round-0003",
+        ]
+        assert resumed.n_cached_rounds == 4
+        cold = NetworkCampaign(
+            spec(4), cache=ResultCache(tmp_path / "cold"), store=store
+        ).run()
+        assert resumed.to_dict() == cold.to_dict()
+        assert {r["scheme"] for r in resumed.sta("a")["rounds"][1:]} == {
+            prefix[1]["scheme"]
+        }
 
 
 class TestPresetExecution:

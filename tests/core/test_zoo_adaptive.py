@@ -465,6 +465,24 @@ class TestAdaptiveController:
         assert [a for _, a in controller.history] == ["saturated"] * 3
         assert controller.saturated_count == 3
 
+    def test_resumed_controller_steps_like_the_original(self):
+        # A chain task resumes a controller from state() over the
+        # source's ladder; mid-streak, it must take every later step
+        # the original takes.
+        controller = self.make_controller(patience=3, step_up_margin=0.4)
+        for ber in (0.001, 0.001, 0.001, 0.01):  # step up, then streak 1
+            controller.observe(ber)
+        resumed = AdaptiveCompressionController.resume(
+            controller.ladder, controller.state()
+        )
+        assert resumed.current is controller.current
+        assert resumed.history == []
+        for ber in (0.01, 0.001, 0.2, 0.03, 0.001, 0.001, 0.001):
+            controller.observe(ber)
+            resumed.observe(ber)
+            assert resumed.current is controller.current
+        assert resumed.history == controller.history[-7:]
+
     def test_airtime_savings_grow_with_compression(self):
         controller = self.make_controller(patience=1)
         assert controller.airtime_savings == 0.0

@@ -29,10 +29,12 @@ from repro.obs import (
     CHROME_NAME,
     JSONL_NAME,
     SUMMARY_NAME,
+    critical_path,
     load_trace,
     render_report,
     validate_events,
 )
+from repro.obs.report import task_rows
 from repro.perf import profile_summary, reset_profiles
 from repro.runtime import (
     CheckpointStore,
@@ -194,7 +196,7 @@ class TestEngineAcceptance:
             if event.get("ph") == "X" and event["pid"] == 0
         ]
         names = {event["name"] for event in coordinator}
-        assert {"execute", "dispatch", "wave", "plan", "cache_check"} <= names
+        assert {"execute", "dispatch", "plan", "cache_check"} <= names
         lanes = {
             event["args"]["name"]
             for event in chrome["traceEvents"]
@@ -299,15 +301,24 @@ class TestCampaignAcceptance:
             chrome = json.load(handle)
         tasks = _task_events(chrome)
         round_events = [
-            event for event in tasks if "/round-" in event["args"]["task"]
+            event for event in tasks if "/round" in event["args"]["task"]
         ]
-        expected = {
-            f"sta{i:03d}/round-{r:04d}"
-            for i in range(N_STAS)
-            for r in range(N_ROUNDS)
-        }
-        assert {e["args"]["task"] for e in round_events} == expected
-        assert len(round_events) == traced.n_executed_rounds
+        # One worker span per executed task: a SplitBeam STA's chain
+        # (``<sta>/rounds-<first>-<last>``) or one 802.11 round
+        # (``<sta>/round-<r>``); together they cover every round once.
+        covered = []
+        for event in round_events:
+            sta, _, rounds = event["args"]["task"].partition("/")
+            bounds = [int(part) for part in rounds.split("-")[1:]]
+            covered.extend(
+                (sta, r) for r in range(bounds[0], bounds[-1] + 1)
+            )
+        expected = [
+            (f"sta{i:03d}", r) for i in range(N_STAS) for r in range(N_ROUNDS)
+        ]
+        assert sorted(covered) == expected
+        assert len(covered) == traced.n_executed_rounds
+        assert any("/rounds-" in e["args"]["task"] for e in round_events)
         assert all(event["pid"] != 0 for event in round_events)
         # The embedded zoo build joined the campaign's timeline.
         names = {
@@ -317,15 +328,20 @@ class TestCampaignAcceptance:
         }
         assert f"campaign:{campaign_runs['spec'].name}" in names
         assert any(name.startswith("zoo:") for name in names)
-        assert {"plan_rounds", "drain", "assemble"} <= names
+        assert {"plan_rounds", "assemble"} <= names
 
     def test_trace_validates_and_reports_critical_path(self, campaign_runs):
         events = load_trace(campaign_runs["traced"].trace_dir)
         assert validate_events(events) == []
         report = render_report(events)
-        assert "critical path" in report
-        # Chained STA rounds: the critical path spans multiple rounds.
-        assert "/round-" in report and "->" in report
+        # The critical path is the longest task span.
+        (longest,), _ = critical_path(events)
+        assert longest == max(
+            task_rows(events),
+            key=lambda row: row["end_s"] - row["start_s"],
+        )["attrs"]["task"]
+        assert "critical path (1 task(s), " in report
+        assert f"-> {longest}\n" in report
 
     def test_campaign_metrics_fold_health_and_dedupe(self, campaign_runs):
         events = load_trace(campaign_runs["traced"].trace_dir)

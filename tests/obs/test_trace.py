@@ -139,8 +139,8 @@ def _sample_tracer() -> Tracer:
     tracer = Tracer(name="engine:test")
     with tracer.span("engine:test", "engine"):
         with tracer.span("execute", "executor") as execute:
-            for index, (task, deps, cost) in enumerate(
-                [("a", [], 0.2), ("b", ["a"], 0.3), ("c", [], 0.1)]
+            for index, (task, cost) in enumerate(
+                [("a", 0.2), ("b", 0.3), ("c", 0.1)]
             ):
                 with tracer.span(
                     f"task:{task}",
@@ -149,7 +149,6 @@ def _sample_tracer() -> Tracer:
                     fixed_id=span_id(execute.span_id, f"task:{task}", 1),
                     task=task,
                     attempt=1,
-                    deps=deps,
                 ) as span:
                     pass
                 span.start_s = index * 1.0
@@ -231,18 +230,18 @@ class TestExportAndReport:
         assert worker["args"]["id"] == "feedbeef0001"
         assert all(e["dur"] >= 0 for e in spans)
 
-    def test_critical_path_follows_deps(self):
+    def test_critical_path_is_the_longest_task(self):
         events = trace_events(_sample_tracer())
         chain, total = critical_path(events)
-        # b (0.3) depends on a (0.2): cumulative 0.5 beats c (0.1).
-        assert chain == ["a", "b"]
-        assert total == pytest.approx(0.5)
+        # Independent tasks: b (0.3) outlasts a (0.2) and c (0.1).
+        assert chain == ["b"]
+        assert total == pytest.approx(0.3)
+        assert critical_path(events[:1]) == ([], 0.0)  # no task spans
 
     def test_report_names_critical_path_and_stats(self):
         text = render_report(trace_events(_sample_tracer()))
         assert "trace report: engine:test" in text
-        assert "critical path" in text
-        assert "-> a -> b" in text.replace("  ", " ") or "a" in text
+        assert "critical path (1 task(s), 300.0 ms):\n  -> b\n" in text
         assert "cache misses" in text
 
 

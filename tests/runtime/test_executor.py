@@ -1,4 +1,4 @@
-"""Tests for the task-DAG executor (serial and worker-pool paths)."""
+"""Tests for the task executor (serial and worker-pool paths)."""
 
 from __future__ import annotations
 
@@ -27,25 +27,9 @@ def boom(params):
     raise ValueError("intentional failure")
 
 
-def add_deps(params):
-    return params["base"] + sum(params.get("extra", []))
-
-
 class TestValidation:
     def test_duplicate_ids_rejected(self):
         tasks = [Task("a", square, {"x": 1}), Task("a", square, {"x": 2})]
-        with pytest.raises(ConfigurationError):
-            run_tasks(tasks)
-
-    def test_unknown_dep_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_tasks([Task("a", square, {"x": 1}, deps=("ghost",))])
-
-    def test_cycle_rejected(self):
-        tasks = [
-            Task("a", square, {"x": 1}, deps=("b",)),
-            Task("b", square, {"x": 2}, deps=("a",)),
-        ]
         with pytest.raises(ConfigurationError):
             run_tasks(tasks)
 
@@ -92,32 +76,6 @@ class TestExecution:
         result = run_tasks(tasks)["ber"]
         assert set(result) == {"ber", "bit_errors", "total_bits"}
         assert result["total_bits"] > 0
-
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_resolve_hooks_run_in_plan_order(self, n_workers):
-        observed = []
-
-        def make_resolve(i):
-            def resolve(dep_results):
-                observed.append((i, dict(dep_results)))
-                base = dep_results[f"c{i - 1}"] if i else 0
-                return {"base": base, "extra": [i]}
-
-            return resolve
-
-        tasks = [
-            Task(
-                f"c{i}",
-                add_deps,
-                deps=(f"c{i - 1}",) if i else (),
-                resolve=make_resolve(i),
-            )
-            for i in range(4)
-        ]
-        results = run_tasks(tasks, n_workers=n_workers)
-        # Chain: 0, 0+1, 1+2, 3+3.
-        assert [results[f"c{i}"] for i in range(4)] == [0, 1, 3, 6]
-        assert [i for i, _ in observed] == [0, 1, 2, 3]
 
     def test_shard_affinity(self):
         # Tasks sharing a shard run in one worker process (serially);

@@ -198,27 +198,24 @@ class TestExecutorRetries:
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_pool_failures=0)
 
-    def test_collect_errors_skips_dependents_only(self):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_collect_errors_returns_the_other_tasks(self, n_workers):
         plan = FaultPlan([FaultRule(kind="error", match="a", count=99)])
         policy = RetryPolicy(retries=0, backoff_s=0.0)
         health = RunHealth()
-        tasks = [
-            Task("a", square, {"x": 1}),
-            Task("b", square, {"x": 2}, deps=("a",)),
-            Task("c", square, {"x": 3}, deps=("b",)),
-            Task("d", square, {"x": 4}),
-        ]
+        tasks = [Task(name, square, {"x": x}) for name, x in zip("abcd", range(1, 5))]
         results = run_tasks(
             tasks,
+            n_workers=n_workers,
             faults=plan,
             policy=policy,
             health=health,
             collect_errors=True,
         )
-        assert results == {"d": 16}
+        assert results == {"b": 4, "c": 9, "d": 16}
         assert [row["task"] for row in health.failed] == ["a"]
         assert "InjectedFaultError" in health.failed[0]["summary"]
-        assert sorted(health.skipped) == ["b", "c"]
+        assert health.faulted
 
 
 class TestPoolRecovery:
