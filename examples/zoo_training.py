@@ -20,6 +20,7 @@ import tempfile
 
 from repro import fidelity as fidelity_preset
 from repro.core.zoo_builder import train_zoo
+from repro.nn.serialize import state_dict, state_digest
 from repro.runtime import CheckpointStore
 from repro.utils.tables import render_table
 
@@ -79,6 +80,12 @@ def main() -> None:
         f"(all {warm.n_cached} loaded from {store.root}) in {warm.wall_s:.2f} s"
     )
     assert warm.n_trained == 0, "warm rebuild must not spend an epoch"
+    assert warm.to_dict() == cold.to_dict(), "warm manifest differs from cold"
+    for row in warm.entries:
+        model = warm.entry(row["label"]).model
+        assert state_digest(state_dict(model)) == row["state_sha256"], (
+            f"{row['label']}: the loaded model does not hold its checkpoint"
+        )
 
     zoo = warm.zoo()
     rows = [

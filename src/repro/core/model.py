@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShapeError
 from repro.nn.layers import Identity, LeakyReLU, Linear, ReLU, Sequential, Tanh
 from repro.nn.module import Module
 from repro.utils.rng import as_generator, spawn
@@ -50,6 +50,30 @@ def three_layer_widths(input_dim: int, compression: float) -> list[int]:
     return [input_dim, bottleneck, bottleneck, input_dim]
 
 
+def _checked_widths(widths: Sequence[int]) -> list[int]:
+    """``widths`` as ints, at least ``[input, bottleneck, output]``.
+
+    Larger-than-input bottlenecks are allowed (Table II studies them)
+    but are not compressions; nothing to validate there.
+    """
+    widths = [int(w) for w in widths]
+    if len(widths) < 3:
+        raise ConfigurationError("need at least [input, bottleneck, output] widths")
+    if any(w < 1 for w in widths):
+        raise ConfigurationError(f"widths must be >= 1, got {widths}")
+    return widths
+
+
+def _activation(name: str):
+    """The activation class registered as ``name``."""
+    try:
+        return _ACTIVATIONS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown activation {name!r}; options: {sorted(_ACTIVATIONS)}"
+        ) from None
+
+
 class SplitBeamNet(Module):
     """Dense split DNN with the bottleneck after the first weight layer.
 
@@ -72,33 +96,57 @@ class SplitBeamNet(Module):
         activation: str = "leaky_relu",
         rng: "int | np.random.Generator | None" = 0,
     ) -> None:
-        super().__init__()
-        widths = [int(w) for w in widths]
-        if len(widths) < 3:
-            raise ConfigurationError(
-                "need at least [input, bottleneck, output] widths"
-            )
-        if any(w < 1 for w in widths):
-            raise ConfigurationError(f"widths must be >= 1, got {widths}")
-        if widths[1] > widths[0]:
-            # Larger-than-input bottlenecks are allowed (Table II studies
-            # them) but are not compressions; nothing to validate here.
-            pass
-        try:
-            act_cls = _ACTIVATIONS[activation]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown activation {activation!r}; "
-                f"options: {sorted(_ACTIVATIONS)}"
-            ) from None
+        widths = _checked_widths(widths)
+        rngs = spawn(as_generator(rng), len(widths) - 1)
+        linears = [
+            Linear(widths[i], widths[i + 1], rng=rngs[i])
+            for i in range(len(widths) - 1)
+        ]
+        self._build(widths, linears, activation)
 
+    @classmethod
+    def from_parameters(
+        cls, parameters: Sequence[np.ndarray], activation: str = "leaky_relu"
+    ) -> "SplitBeamNet":
+        """A model around trained parameters, copied in (no init draw).
+
+        ``parameters`` holds each weight layer's ``(in, out)`` weight and
+        ``(out,)`` bias, in :meth:`parameters` order; the widths follow
+        from their shapes.
+        """
+        if len(parameters) % 2:
+            raise ShapeError(
+                f"expected weight/bias pairs, got {len(parameters)} arrays"
+            )
+        linears = [
+            Linear.from_arrays(weight, bias)
+            for weight, bias in zip(parameters[::2], parameters[1::2])
+        ]
+        widths = _checked_widths(
+            [layer.in_features for layer in linears[:1]]
+            + [layer.out_features for layer in linears]
+        )
+        for left, right in zip(linears, linears[1:]):
+            if left.out_features != right.in_features:
+                raise ShapeError(
+                    f"a {left.out_features}-wide layer cannot feed a "
+                    f"{right.in_features}-wide one"
+                )
+        model = cls.__new__(cls)
+        model._build(widths, linears, activation)
+        return model
+
+    def _build(
+        self, widths: "list[int]", linears: "list[Linear]", activation: str
+    ) -> None:
+        act_cls = _activation(activation)
+        super().__init__()
         self.widths = widths
         self.activation_name = activation
-        rngs = spawn(as_generator(rng), len(widths) - 1)
-        layers: list[Module] = [Linear(widths[0], widths[1], rng=rngs[0])]
-        for i in range(1, len(widths) - 1):
+        layers: list[Module] = [linears[0]]
+        for linear in linears[1:]:
             layers.append(act_cls())
-            layers.append(Linear(widths[i], widths[i + 1], rng=rngs[i]))
+            layers.append(linear)
         self.network = Sequential(layers)
 
     # -- Module interface ------------------------------------------------------

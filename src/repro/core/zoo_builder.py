@@ -42,6 +42,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext as _null
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from repro.config import Fidelity
 from repro.core.model import SplitBeamNet, three_layer_widths
@@ -49,7 +50,7 @@ from repro.core.training import splitbeam_training_config
 from repro.core.zoo import ModelZoo, NetworkConfiguration, ZooEntry
 from repro.datasets.catalog import dataset_spec
 from repro.errors import ConfigurationError
-from repro.nn.serialize import load_state_dict
+from repro.nn.serialize import model_from_state
 from repro.obs import trace as trace_mod
 from repro.obs.export import write_trace
 from repro.runtime import faults as faults_mod
@@ -477,10 +478,15 @@ class ZooBuilder:
         zoo_entries: "dict[str, ZooEntry]" = {}
         for entry in planned:
             result = results[entry.index]
-            model = SplitBeamNet(
-                result["widths"], activation=result["activation"]
+            # Built around the trained (or checkpointed) weights: one
+            # copy in, no init draw for them to overwrite.
+            model = model_from_state(
+                partial(
+                    SplitBeamNet.from_parameters,
+                    activation=result["activation"],
+                ),
+                result["state"],
             )
-            load_state_dict(model, result["state"])
             catalog = dataset_spec(entry.spec["dataset"]["id"])
             config = NetworkConfiguration(
                 n_tx=catalog.n_tx,

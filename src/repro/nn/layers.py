@@ -52,18 +52,47 @@ class Linear(Module):
         init: str = "glorot",
         rng: "int | np.random.Generator | None" = None,
     ) -> None:
-        super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ConfigurationError(
                 f"Linear dims must be positive, got {in_features}x{out_features}"
             )
-        self.in_features = in_features
-        self.out_features = out_features
         init_fn = initializer(init)
-        self.weight = Parameter(
-            init_fn(in_features, out_features, as_generator(rng)), name="weight"
+        self._adopt(
+            init_fn(in_features, out_features, as_generator(rng)),
+            np.zeros(out_features) if bias else None,
         )
-        self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
+
+    @classmethod
+    def from_arrays(
+        cls, weight: np.ndarray, bias: "np.ndarray | None" = None
+    ) -> "Linear":
+        """A layer around trained parameters, copied in (no init draw).
+
+        ``weight`` is ``(in_features, out_features)``; ``bias``, if
+        given, ``(out_features,)``.
+        """
+        weight = np.array(weight, dtype=np.float64)
+        if weight.ndim != 2 or weight.size == 0:
+            raise ShapeError(
+                f"Linear weight must be a non-empty 2-D array, got {weight.shape}"
+            )
+        if bias is not None:
+            bias = np.array(bias, dtype=np.float64)
+            if bias.shape != (weight.shape[1],):
+                raise ShapeError(
+                    f"Linear bias has shape {bias.shape}, "
+                    f"expected {(weight.shape[1],)}"
+                )
+        layer = cls.__new__(cls)
+        layer._adopt(weight, bias)
+        return layer
+
+    def _adopt(self, weight: np.ndarray, bias: "np.ndarray | None") -> None:
+        """Set up the layer around its (owned) parameter arrays."""
+        super().__init__()
+        self.in_features, self.out_features = weight.shape
+        self.weight = Parameter(weight, name="weight")
+        self.bias = Parameter(bias, name="bias") if bias is not None else None
         self._cached_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:

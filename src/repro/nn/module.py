@@ -19,12 +19,22 @@ from repro.errors import ShapeError
 __all__ = ["Parameter", "Module"]
 
 
+def _zero_grad(data: np.ndarray) -> np.ndarray:
+    """A zeroed gradient buffer for ``data``.
+
+    ``np.zeros`` rather than ``zeros_like``: its pages are mapped only
+    when a backward pass writes them, so a model that only runs
+    inference (a checkpoint-loaded zoo) holds no gradient memory.
+    """
+    return np.zeros(data.shape)
+
+
 class Parameter:
     """A trainable tensor with an accumulated gradient buffer."""
 
     def __init__(self, data: np.ndarray, name: str = "param") -> None:
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self.grad = _zero_grad(self.data)
         self.name = name
 
     def __getstate__(self) -> dict:
@@ -42,7 +52,7 @@ class Parameter:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = _zero_grad(self.data)
 
     @property
     def shape(self) -> tuple[int, ...]:

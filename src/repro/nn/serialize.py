@@ -1,7 +1,10 @@
 """Model parameter serialization to/from ``.npz`` files.
 
 State dicts map ``"p<i>.<name>"`` keys to arrays in parameter-iteration
-order, which is deterministic for our sequential models.
+order, which is deterministic for our sequential models.  This module
+is the only one that knows that key scheme: :func:`load_state_dict`
+copies a state into a live model, :func:`model_from_state` builds a new
+model around one.
 """
 
 from __future__ import annotations
@@ -16,16 +19,22 @@ from repro.nn.module import Module
 __all__ = [
     "state_dict",
     "load_state_dict",
+    "model_from_state",
     "save_state",
     "load_state",
     "state_digest",
 ]
 
 
+def _key(index: int, param) -> str:
+    """The state-dict key of a model's ``index``-th parameter."""
+    return f"p{index}.{param.name}"
+
+
 def state_dict(model: Module) -> dict[str, np.ndarray]:
     """Snapshot all parameters of ``model`` as copies."""
     return {
-        f"p{i}.{param.name}": param.data.copy()
+        _key(i, param): param.data.copy()
         for i, param in enumerate(model.parameters())
     }
 
@@ -38,7 +47,7 @@ def load_state_dict(model: Module, state: dict[str, np.ndarray]) -> None:
             f"state has {len(state)} tensors but model has {len(params)} parameters"
         )
     for i, param in enumerate(params):
-        key = f"p{i}.{param.name}"
+        key = _key(i, param)
         if key not in state:
             raise ShapeError(f"state is missing parameter {key!r}")
         value = np.asarray(state[key], dtype=np.float64)
@@ -52,13 +61,39 @@ def load_state_dict(model: Module, state: dict[str, np.ndarray]) -> None:
         param.data[...] = value
 
 
+def model_from_state(build, state: dict[str, np.ndarray]) -> Module:
+    """The model ``build`` makes around ``state``'s arrays (no init draw).
+
+    ``build`` receives the arrays in parameter order (the ``p<i>``
+    indices :func:`state_dict` writes) and returns a module whose
+    parameters hold copies of them.  Raises :class:`ShapeError` unless
+    the keys name exactly the built model's parameters, as
+    :func:`load_state_dict` would.
+    """
+    by_index = {key.partition(".")[0]: key for key in state}
+    try:
+        keys = [by_index[f"p{i}"] for i in range(len(state))]
+    except KeyError:
+        raise ShapeError(
+            f"state keys {sorted(state)} are not one per index p0..p{len(state) - 1}"
+        ) from None
+    model = build([state[key] for key in keys])
+    expected = [_key(i, param) for i, param in enumerate(model.parameters())]
+    if keys != expected:
+        raise ShapeError(
+            f"state names {keys} but the model's parameters are {expected}"
+        )
+    return model
+
+
 def state_digest(state: dict[str, np.ndarray]) -> str:
     """sha256 over a state dict (order-independent).
 
-    Covers each array's name, dtype, shape, and raw bytes — used for
+    Covers each array's name, dtype, shape, and C-order bytes — used for
     content-addressed weight filenames (:meth:`ModelZoo.save`) and as
     the integrity check the runtime checkpoint store verifies before
-    serving persisted weights.
+    serving persisted weights.  A C-contiguous array is hashed where it
+    lies; any other is copied to C order first.
     """
     import hashlib
 
@@ -71,7 +106,7 @@ def state_digest(state: dict[str, np.ndarray]) -> str:
         digest.update(b"\0")
         digest.update(repr(value.shape).encode())
         digest.update(b"\0")
-        digest.update(value.tobytes())
+        digest.update(memoryview(value))
         digest.update(b"\0")
     return digest.hexdigest()
 

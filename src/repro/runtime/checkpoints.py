@@ -9,23 +9,29 @@ collide with a result-cache address) and persisted through the packed
 segment store (:mod:`repro.runtime.store`).  One CRC-framed record per
 checkpoint carries the metadata and the weights::
 
-    meta_len (u32) | metadata JSON | np.savez bytes
+    meta_len (u32) | metadata JSON | raw C-order array bytes
 
-The metadata JSON records ``state_sha256``; :meth:`CheckpointStore.get`
-refuses records whose weight bytes no longer hash to it, so a
-half-written or corrupted checkpoint is a miss, never a wrong model.
-Because the key embeds the source digest, any library edit silently
-invalidates every checkpoint (exactly like the result cache); ``prune``
-compacts unaddressable leftovers away.
+The metadata JSON (``schema_version`` 2) records ``state_sha256`` and an
+``arrays`` table of ``[name, dtype, shape]`` rows, one per array in the
+order its bytes follow.  The arrays go to the segment store as separate
+buffers, so a put copies no weight byte before the write, and
+:meth:`CheckpointStore.get` decodes them as read-only ``np.frombuffer``
+views over the record.  ``get`` serves a record only if its schema
+matches, every table row names a numeric dtype and non-negative integer
+dimensions, the rows account for every byte after the metadata, and
+the decoded arrays hash to ``state_sha256`` — so a half-written or
+corrupted checkpoint is a miss, never a wrong model.  Because the key
+embeds the source digest, any library edit silently invalidates every
+checkpoint (exactly like the result cache); ``prune`` compacts
+unaddressable leftovers away.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import os
 import struct
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,13 +47,19 @@ from repro.runtime.store import SegmentStore, StoreHealth
 
 __all__ = ["Checkpoint", "CheckpointStore", "default_checkpoint_root"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Namespace passed as ``task_key(..., kind=...)`` for training keys.
 CHECKPOINT_KIND = "train"
 
-#: Record prefix: little-endian length of the metadata JSON half.
+#: Record prefix: little-endian length of the metadata JSON.
 _META_LEN = struct.Struct("<I")
+
+#: dtype kinds a record may hold: bool, integers, floats, complex.
+_ARRAY_KINDS = "biufc"
+
+#: The most bytes a numpy array can span (its index type's maximum).
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 #: Environment variable overriding the default store location.
 CHECKPOINTS_ENV = knobs.CHECKPOINTS_ENV
@@ -70,6 +82,8 @@ class Checkpoint:
     ``state_sha256`` is the integrity digest :meth:`CheckpointStore.get`
     already verified against the weight bytes — consumers (the zoo
     builder's manifest rows) reuse it instead of re-hashing the state.
+    The ``state`` arrays of a loaded checkpoint are read-only views over
+    the record.
     """
 
     key: str
@@ -77,6 +91,32 @@ class Checkpoint:
     state: "dict[str, np.ndarray]"
     meta: dict = field(default_factory=dict)
     state_sha256: str = ""
+
+
+def _array_layout(row) -> "tuple[str, np.dtype, tuple[int, ...]] | None":
+    """``(name, dtype, shape)`` of one arrays-table row; ``None`` if invalid."""
+    if not (isinstance(row, list) and len(row) == 3):
+        return None
+    name, dtype_text, shape = row
+    if not (
+        isinstance(name, str)
+        and isinstance(dtype_text, str)
+        and isinstance(shape, list)
+    ):
+        return None
+    try:
+        dtype = np.dtype(dtype_text)
+    except TypeError:
+        return None
+    if dtype.kind not in _ARRAY_KINDS:
+        return None
+    if not all(type(dim) is int and dim >= 0 for dim in shape):
+        return None
+    # numpy refuses a shape whose nonzero dimensions overflow its index
+    # type, even when another dimension makes the array empty.
+    if dtype.itemsize * math.prod(dim for dim in shape if dim) > _INTP_MAX:
+        return None
+    return name, dtype, tuple(shape)
 
 
 class CheckpointStore:
@@ -103,41 +143,64 @@ class CheckpointStore:
         state: "dict[str, np.ndarray]",
         meta: "dict | None",
         state_sha256: "str | None",
-    ) -> bytes:
+    ) -> list:
+        """The record as buffers: ``meta_len | metadata``, then each array."""
+        arrays = {name: np.asarray(value) for name, value in state.items()}
+        for name, value in arrays.items():
+            if value.dtype.kind not in _ARRAY_KINDS:
+                raise ConfigurationError(
+                    f"checkpoint array {name!r} has dtype {value.dtype}; "
+                    "only bool, integer, float and complex arrays persist"
+                )
         payload = {
             "schema_version": SCHEMA_VERSION,
             "key": key,
             "spec": spec,
-            "state_sha256": state_sha256 or state_digest(state),
+            "state_sha256": state_sha256 or state_digest(arrays),
             "meta": dict(meta or {}),
+            "arrays": [
+                [name, value.dtype.str, list(value.shape)]
+                for name, value in arrays.items()
+            ],
         }
         meta_bytes = json.dumps(
             payload, sort_keys=True, separators=(",", ":")
         ).encode()
-        buffer = io.BytesIO()
-        np.savez(buffer, **state)
-        return _META_LEN.pack(len(meta_bytes)) + meta_bytes + buffer.getvalue()
+        return [
+            _META_LEN.pack(len(meta_bytes)) + meta_bytes,
+            *(np.ascontiguousarray(value) for value in arrays.values()),
+        ]
 
     def _decode(self, key: str, raw: bytes) -> "Checkpoint | None":
         """The validated checkpoint in ``raw``, or ``None`` if corrupt."""
         if len(raw) < _META_LEN.size:
             return None
-        (meta_len,) = _META_LEN.unpack(raw[: _META_LEN.size])
-        meta_end = _META_LEN.size + meta_len
-        if meta_end > len(raw):
-            return None
+        (meta_len,) = _META_LEN.unpack_from(raw)
+        offset = _META_LEN.size + meta_len
         try:
-            payload = json.loads(raw[_META_LEN.size : meta_end].decode())
-        except (ValueError, UnicodeDecodeError):
+            payload = json.loads(raw[_META_LEN.size : offset].decode())
+        except ValueError:  # not JSON, or not UTF-8
             return None
         if not isinstance(payload, dict) or payload.get("key") != key:
             return None
         if payload.get("schema_version") != SCHEMA_VERSION:
             return None
-        try:
-            with np.load(io.BytesIO(raw[meta_end:])) as data:
-                state = {name: data[name] for name in data.files}
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        table = payload.get("arrays")
+        if not isinstance(table, list):
+            return None
+        state: "dict[str, np.ndarray]" = {}
+        for row in table:
+            layout = _array_layout(row)
+            if layout is None:
+                return None
+            name, dtype, shape = layout
+            count = math.prod(shape)
+            end = offset + count * dtype.itemsize
+            if end > len(raw):
+                return None
+            state[name] = np.frombuffer(raw, dtype, count, offset).reshape(shape)
+            offset = end
+        if offset != len(raw):
             return None
         if state_digest(state) != payload.get("state_sha256"):
             return None
@@ -167,10 +230,11 @@ class CheckpointStore:
     def _get(self, key: str) -> "Checkpoint | None":
         """The checkpoint for ``key``, or ``None`` on miss.
 
-        A committed-but-corrupt record — CRC failure, garbled archive
-        bytes, or weights whose bytes no longer hash to the recorded
-        ``state_sha256`` — is quarantined (tombstoned and counted on
-        :attr:`health`); the caller sees a miss and retrains.
+        A committed-but-corrupt record — CRC failure, a wrong schema, an
+        arrays table that does not describe the record's bytes, or
+        weights that no longer hash to the recorded ``state_sha256`` —
+        is quarantined (tombstoned and counted on :attr:`health`); the
+        caller sees a miss and retrains.
         """
         raw = self._store.get(key)
         if raw is None:
@@ -221,7 +285,7 @@ class CheckpointStore:
         corrupt = plan is not None and plan.tear("checkpoint", key)
         return self._store.put(
             key,
-            self._encode(key, spec, state, meta, state_sha256),
+            *self._encode(key, spec, state, meta, state_sha256),
             corrupt=corrupt,
         )
 

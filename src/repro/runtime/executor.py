@@ -162,10 +162,13 @@ class RunHealth:
 
     The engines attach :meth:`to_dict` to their run statistics (and,
     opt-in, to JSON manifests).  Counter semantics: ``task_errors``
-    counts failed *attempts* (``injected_faults`` of which the fault
-    plan predicted or marked), ``retries`` counts re-dispatches that
+    counts failed *attempts*, ``retries`` counts re-dispatches that
     followed them, ``worker_crashes``/``timeouts`` count pool-level
     failures, ``pool_rebuilds``/``serial_fallbacks`` the recoveries.
+    ``injected_faults`` counts the fault plan's faults whose effect was
+    observed: an injected error, a delay that ran, and one per pool
+    crash or timeout in a dispatch round that scheduled a crash or
+    delay.
     ``failed`` lists tasks that exhausted their retries (collect-error
     mode).
     """
@@ -431,6 +434,9 @@ class _Execution:
         self.results: dict = {}
         self.attempts: "dict[str, int]" = {}  # dispatches (fault occurrences)
         self.failures: "dict[str, int]" = {}  # observed failed attempts
+        #: Crash/delay rule kinds the current pool round scheduled, by
+        #: task, until an outcome or a pool failure shows their effect.
+        self.round_faults: "dict[str, list[str]]" = {}
         self.retry_round = 0
         self.pool_failures = 0
         self.serial_only = False
@@ -509,26 +515,32 @@ class _Execution:
                 time.sleep(delay)
         self.retry_round += 1
 
-    def _dispatch_attempt(self, task_id: str, in_worker: bool) -> int:
+    def _dispatch_attempt(self, task_id: str) -> int:
         """The attempt index of the next dispatch; advances the counter."""
         attempt = self.attempts.get(task_id, 0)
         self.attempts[task_id] = attempt + 1
-        if self.plan is not None:
-            # Pool-path crashes and delays leave no error outcome to
-            # count on the coordinator side, so tally them when they are
-            # scheduled — the plan is deterministic, so the prediction
-            # matches what the worker does.  Serial-path crashes
-            # downgrade to errors and are counted on observation.
-            for rule in self.plan.task_rules(task_id, attempt):
-                if rule.kind == "delay" or (rule.kind == "crash" and in_worker):
-                    self.health.injected_faults += 1
         return attempt
+
+    def _scheduled(self, task_id: str, attempt: int, kinds) -> "list[str]":
+        """Kinds of the plan's rules of ``kinds`` firing on this attempt."""
+        if self.plan is None:
+            return []
+        return [
+            rule.kind
+            for rule in self.plan.task_rules(task_id, attempt)
+            if rule.kind in kinds
+        ]
 
     # -- serial path -------------------------------------------------------------
 
     def _run_task_serial(self, task: Task, params) -> None:
         while True:
-            attempt = self._dispatch_attempt(task.task_id, in_worker=False)
+            attempt = self._dispatch_attempt(task.task_id)
+            # An in-process delay always sleeps; a crash downgrades to an
+            # error, counted when it is recorded.
+            self.health.injected_faults += len(
+                self._scheduled(task.task_id, attempt, ("delay",))
+            )
             try:
                 with self._task_span(task, attempt):
                     if self.plan is not None:
@@ -627,6 +639,10 @@ class _Execution:
             task_id = outcome[1]
             if task_id not in remaining:
                 continue  # a salvaged duplicate from a replayed chunk
+            # A returned outcome shows that the task's delays ran.
+            self.health.injected_faults += self.round_faults.pop(
+                task_id, []
+            ).count("delay")
             if outcome[0] == "ok":
                 del remaining[task_id]
                 self._complete(task_id, outcome[2])
@@ -654,6 +670,13 @@ class _Execution:
             self.health.timeouts += 1
         else:
             self.health.worker_crashes += 1
+        # The failure is the observed effect of one injected fault when
+        # the round scheduled one that no returned outcome accounts for:
+        # the first crash breaks the pool, and the round's other
+        # scheduled crashes replay at the next attempt, never firing.
+        cause = "delay" if kind == "timeout" else "crash"
+        if any(cause in kinds for kinds in self.round_faults.values()):
+            self.health.injected_faults += 1
         if self.tracer is not None:
             self.tracer.metrics.inc(
                 "executor.timeouts" if kind == "timeout"
@@ -706,9 +729,17 @@ class _Execution:
                     # since the last dispatch round (see PayloadStore).
                     spool_root = self.payloads.spill(digests)
             attempts = {
-                task_id: self._dispatch_attempt(task_id, in_worker=True)
+                task_id: self._dispatch_attempt(task_id)
                 for task_id in remaining
             }
+            # Worker crashes and delays return no error outcome; each is
+            # counted once its effect shows (_handle_outcomes,
+            # _on_pool_failure).
+            self.round_faults = {}
+            for task_id, attempt in attempts.items():
+                kinds = self._scheduled(task_id, attempt, ("crash", "delay"))
+                if kinds:
+                    self.round_faults[task_id] = kinds
             messages = _pack_wave(
                 [task for task in wave if task.task_id in remaining],
                 params,

@@ -18,7 +18,11 @@ Layout (all under one store root)::
 Record framing: a fixed little-endian header (``magic | kind | key_len
 | value_len | crc32``) followed by the key and value bytes.  The CRC
 covers kind, key, and value, so a reader can always tell a committed
-record from a torn or bit-rotted one.
+record from a torn or bit-rotted one.  A value may be handed in as
+several buffers (a checkpoint's metadata and its weight arrays): the
+CRC runs over each where it lies and one ``writev`` lands the frame, so
+a multi-megabyte value is never concatenated; a read takes the header
+and key first, then the value straight into its own ``bytes``.
 
 Commit protocol
 ---------------
@@ -26,7 +30,7 @@ Commit protocol
 - ``put`` appends one framed record to the active segment under an
   exclusive ``flock`` and publishes it in the in-memory index.  The
   hot path is O(1): no directory scan, no per-entry file, one
-  buffered ``write``.
+  ``writev``.
 - The index **snapshot** (``index.json``) is written atomically
   (temp + fsync + rename) and only after the active segment has been
   fsync'd — the index can lag the data, never lead it.  Snapshots
@@ -159,14 +163,48 @@ def _parse_segment_name(name: str) -> "tuple[int, int] | None":
         return None
 
 
-def _frame(kind: int, key: str, value: bytes) -> bytes:
-    """One complete record frame (header + key + value)."""
+def _crc(kind: int, *parts) -> int:
+    """The record CRC: CRC-32 over ``kind``, then each part in place."""
+    crc = zlib.crc32(bytes((kind,)))
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return crc
+
+
+def _frame(kind: int, key: str, parts) -> "tuple[list, int]":
+    """One record frame as ``(buffers, length)``: header, key, value parts.
+
+    ``parts`` are the value's C-contiguous buffers, back to back; none
+    of them is copied.
+    """
     key_bytes = key.encode()
     if len(key_bytes) > 0xFFFF:
         raise ConfigurationError("store key exceeds 65535 bytes")
-    crc = zlib.crc32(bytes([kind]) + key_bytes + value) & 0xFFFFFFFF
-    header = _HEADER.pack(MAGIC, kind, len(key_bytes), len(value), crc)
-    return header + key_bytes + value
+    views = [memoryview(part) for part in parts]
+    value_len = sum(view.nbytes for view in views)
+    header = _HEADER.pack(
+        MAGIC, kind, len(key_bytes), value_len, _crc(kind, key_bytes, *views)
+    )
+    return [header, key_bytes, *views], HEADER_SIZE + len(key_bytes) + value_len
+
+
+#: Buffers one ``os.writev`` call accepts (0 where there is no writev).
+_IOV_MAX = os.sysconf("SC_IOV_MAX") if hasattr(os, "writev") else 0
+
+
+def _write_frame(handle, buffers: list, length: int) -> None:
+    """Write a frame's buffers back to back with one ``writev``.
+
+    A short write, or a frame with more buffers than one call accepts,
+    finishes from a joined copy.
+    """
+    written = 0
+    if len(buffers) <= _IOV_MAX:
+        written = os.writev(handle.fileno(), buffers)
+    if written < length:
+        rest = memoryview(b"".join(buffers))[written:]
+        while rest:
+            rest = rest[handle.write(rest):]
 
 
 class RecordLocation(tuple):
@@ -479,11 +517,7 @@ class SegmentStore:
                 if len(body) < key_len + value_len:
                     break  # frame runs past EOF: torn tail
                 key = body[:key_len].decode(errors="replace")
-                value = body[key_len:]
-                if (
-                    zlib.crc32(bytes([kind]) + body[:key_len] + value)
-                    & 0xFFFFFFFF
-                ) != crc:
+                if _crc(kind, body) != crc:
                     if frame_end >= size:
                         break  # bad CRC at the tail: torn write
                     # Bad CRC mid-segment: framing is intact, so skip
@@ -558,7 +592,7 @@ class SegmentStore:
             self._write_fh = None
         self._active = None
 
-    def _append(self, kind: int, key: str, value: bytes, torn: str = "") -> RecordLocation:
+    def _append(self, kind: int, key: str, parts, torn: str = "") -> RecordLocation:
         """Append one record under the lock; returns its location.
 
         ``torn`` injects corruption: ``"tail"`` writes only the first
@@ -591,34 +625,36 @@ class SegmentStore:
                 path = self._segment_path(self._active)
                 offset = 0
             name = self._active
-            frame = _frame(kind, key, value)
+            buffers, length = _frame(kind, key, parts)
             if torn == "tail":
-                handle.write(frame[: max(1, len(frame) // 2)])
+                handle.write(b"".join(buffers)[: max(1, length // 2)])
                 # The "writer" died here: nothing indexed, and the next
                 # append must not land after the garbage tail.
                 self._roll()
-                return RecordLocation(name, offset, len(frame))
+                return RecordLocation(name, offset, length)
             if torn == "value":
-                body = bytearray(frame)
-                half = HEADER_SIZE + (len(frame) - HEADER_SIZE) // 2
-                for i in range(half, len(frame)):
+                body = bytearray(b"".join(buffers))
+                half = HEADER_SIZE + (length - HEADER_SIZE) // 2
+                for i in range(half, length):
                     body[i] = 0
-                frame = bytes(body)
-            handle.write(frame)
-            location = RecordLocation(name, offset, len(frame))
+                buffers = [body]
+            _write_frame(handle, buffers, length)
+            location = RecordLocation(name, offset, length)
             if kind == KIND_TOMBSTONE:
                 self._entries[key] = None
             else:
                 self._entries[key] = location
-            self._segments[name] = offset + len(frame)
+            self._segments[name] = offset + length
             self._dirty_puts += 1
             if self._dirty_puts >= self.snapshot_every:
                 self._write_snapshot()
             return location
 
-    def put(self, key: str, value: bytes, *, corrupt: bool = False) -> Path:
-        """Store ``value`` under ``key`` (last writer wins).
+    def put(self, key: str, *parts, corrupt: bool = False) -> Path:
+        """Store the value ``parts`` make back to back under ``key``.
 
+        Each part is a C-contiguous buffer (``bytes``, an ndarray); the
+        record CRC and the write read them in place.  Last writer wins.
         ``corrupt=True`` is the fault-injection hook used by the
         store wrappers' ``cache:<key>`` / ``checkpoint:<key>`` torn
         labels.  Returns the segment path the record landed in.
@@ -636,14 +672,14 @@ class SegmentStore:
                     )
                 if plan.tear("segment", name):
                     torn = "tail"
-        location = self._append(KIND_DATA, key, value, torn=torn)
+        location = self._append(KIND_DATA, key, parts, torn=torn)
         return self._segment_path(location.segment)
 
     def quarantine(self, key: str) -> None:
         """Tombstone a corrupt entry and count it (PR 6 semantics)."""
         if not self._ensure_open(create=False):
             return
-        self._append(KIND_TOMBSTONE, key, b"")
+        self._append(KIND_TOMBSTONE, key, ())
         self._count_quarantine(key)
 
     def _count_quarantine(self, key: str) -> None:
@@ -660,7 +696,7 @@ class SegmentStore:
             return False
         live = self._entries.get(key) is not None
         if live:
-            self._append(KIND_TOMBSTONE, key, b"")
+            self._append(KIND_TOMBSTONE, key, ())
         return live
 
     # -- snapshot --------------------------------------------------------------
@@ -764,12 +800,32 @@ class SegmentStore:
         return value
 
     def _read_location(self, key: str, location: RecordLocation) -> "bytes | None":
+        """The value of the record at ``location``, if intact and keyed ``key``.
+
+        The value is read into its own ``bytes`` after the header and
+        key check out, so no whole-record buffer is sliced.
+        """
+        key_bytes = key.encode()
         for attempt in (0, 1):
             try:
                 with self._mutex:
                     handle = self._read_handle(location.segment)
                     handle.seek(location.offset)
-                    raw = handle.read(location.length)
+                    head = handle.read(HEADER_SIZE + len(key_bytes))
+                    if len(head) < HEADER_SIZE:
+                        return None
+                    magic, kind, key_len, value_len, crc = _HEADER.unpack_from(
+                        head
+                    )
+                    if (
+                        magic != MAGIC
+                        or kind != KIND_DATA
+                        or key_len != len(key_bytes)
+                        or HEADER_SIZE + key_len + value_len != location.length
+                        or head[HEADER_SIZE:] != key_bytes
+                    ):
+                        return None
+                    value = handle.read(value_len)
             except FileNotFoundError:
                 # Segment vanished under us (another process compacted):
                 # recover once, then re-resolve the key.
@@ -783,23 +839,9 @@ class SegmentStore:
                     return None
                 continue
             break
-        if len(raw) < HEADER_SIZE:
+        if len(value) != value_len or _crc(kind, key_bytes, value) != crc:
             return None
-        magic, kind, key_len, value_len, crc = _HEADER.unpack(
-            raw[:HEADER_SIZE]
-        )
-        if (
-            magic != MAGIC
-            or kind != KIND_DATA
-            or HEADER_SIZE + key_len + value_len != len(raw)
-        ):
-            return None
-        body = raw[HEADER_SIZE:]
-        if (zlib.crc32(bytes([kind]) + body) & 0xFFFFFFFF) != crc:
-            return None
-        if body[:key_len].decode(errors="replace") != key:
-            return None
-        return body[key_len:]
+        return value
 
     def keys(self) -> "list[str]":
         """Sorted live keys (tombstoned ones excluded) — no dir scan."""
@@ -872,7 +914,7 @@ class SegmentStore:
                         # (simply not copied) and counted.
                         self._count_quarantine(key)
                         continue
-                    frame = _frame(KIND_DATA, key, value)
+                    buffers, length = _frame(KIND_DATA, key, (value,))
                     if out_fh is None or out_offset >= self.segment_bytes:
                         if out_fh is not None:
                             os.fsync(out_fh.fileno())
@@ -884,11 +926,11 @@ class SegmentStore:
                         )
                         out_offset = 0
                         new_segments[out_name] = 0
-                    out_fh.write(frame)
+                    _write_frame(out_fh, buffers, length)
                     new_entries[key] = RecordLocation(
-                        out_name, out_offset, len(frame)
+                        out_name, out_offset, length
                     )
-                    out_offset += len(frame)
+                    out_offset += length
                     new_segments[out_name] = out_offset
                 if out_fh is not None:
                     os.fsync(out_fh.fileno())

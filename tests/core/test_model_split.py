@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, FeedbackError
+from repro.errors import ConfigurationError, FeedbackError, ShapeError
 from repro.core.model import SplitBeamNet, three_layer_widths
 from repro.core.split import (
     BottleneckQuantizer,
@@ -84,6 +84,34 @@ class TestSplitBeamNet:
             SplitBeamNet([8, 2, 8], activation=act, rng=0)
         with pytest.raises(ConfigurationError):
             SplitBeamNet([8, 2, 8], activation="gelu", rng=0)
+
+    def test_from_parameters_matches_an_initialized_then_loaded_model(
+        self, rng
+    ):
+        import pickle
+
+        from repro.nn.serialize import load_state_dict, state_dict
+
+        trained = SplitBeamNet([8, 2, 3, 8], activation="tanh", rng=5)
+        loaded = SplitBeamNet([8, 2, 3, 8], activation="tanh", rng=9)
+        load_state_dict(loaded, state_dict(trained))
+        rebuilt = SplitBeamNet.from_parameters(
+            [param.data for param in trained.parameters()], activation="tanh"
+        )
+        assert rebuilt.widths == [8, 2, 3, 8]
+        x = rng.normal(size=(4, 8))
+        assert np.array_equal(rebuilt.forward(x), trained.forward(x))
+        # Same pickled bytes, so payload digests cannot tell them apart.
+        assert pickle.dumps(rebuilt) == pickle.dumps(loaded)
+
+    def test_from_parameters_rejects_unchainable_layers(self):
+        params = [p.data for p in SplitBeamNet([8, 2, 8], rng=0).parameters()]
+        with pytest.raises(ShapeError, match="pairs"):
+            SplitBeamNet.from_parameters(params[:3])
+        with pytest.raises(ShapeError, match="cannot feed"):
+            SplitBeamNet.from_parameters(params[:2] + params[:2])
+        with pytest.raises(ConfigurationError, match="at least"):
+            SplitBeamNet.from_parameters(params[:2])
 
     def test_too_few_widths(self):
         with pytest.raises(ConfigurationError):

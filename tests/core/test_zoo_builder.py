@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.config import SMOKE
@@ -20,6 +21,7 @@ from repro.core.zoo_builder import (
     train_zoo,
 )
 from repro.errors import ConfigurationError
+from repro.nn.serialize import state_dict, state_digest
 from repro.perf import profile_summary, reset_profiles
 from repro.runtime import (
     CheckpointStore,
@@ -188,6 +190,36 @@ class TestZooBuild:
         cold.zoo().save(str(cold_dir))
         for path in sorted(cold_dir.iterdir()):
             assert path.read_bytes() == (warm_dir / path.name).read_bytes()
+
+    def test_loaded_models_hold_exactly_the_checkpointed_weights(
+        self, grid, tmp_path
+    ):
+        # The manifest's state_sha256 digests the checkpoint state, not
+        # the model, so only the model's own digest shows that every
+        # parameter was built from the checkpointed weights.
+        store = CheckpointStore(tmp_path / "ckpt")
+        cold = train_zoo(grid, store=store, n_workers=1)
+        warm = train_zoo(
+            grid, store=CheckpointStore(tmp_path / "ckpt"), n_workers=1
+        )
+        assert warm.n_cached == 2
+        for build in (cold, warm):
+            for row in build.entries:
+                model = build.entry(row["label"]).model
+                assert state_digest(state_dict(model)) == row["state_sha256"]
+        rng = np.random.default_rng(3)
+        for label in warm.labels():
+            warm_model = warm.entry(label).model
+            cold_model = cold.entry(label).model
+            inputs = rng.standard_normal((5, warm_model.input_dim))
+            assert (
+                warm_model.forward(inputs).tobytes()
+                == cold_model.forward(inputs).tobytes()
+            )
+            # Its own writable copy, not a view of the record buffer.
+            for param in warm_model.parameters():
+                assert param.data.flags.writeable
+                assert param.data.flags.owndata
 
     def test_interrupted_build_resumes(self, grid, tmp_path):
         # Checkpoints persist as each training finishes, so a build that

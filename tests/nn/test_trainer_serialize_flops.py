@@ -1,13 +1,25 @@
 """Tests for the training loop, serialization, and FLOP counting."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.errors import ShapeError, TrainingError
 from repro.nn.flops import count_flops, count_macs, count_parameters
 from repro.nn.layers import Dropout, Linear, ReLU, Sequential, Tanh
 from repro.nn.losses import NormalizedL1Loss
-from repro.nn.serialize import load_state, load_state_dict, save_state, state_dict
+from repro.nn.serialize import (
+    load_state,
+    load_state_dict,
+    model_from_state,
+    save_state,
+    state_dict,
+    state_digest,
+)
 from repro.nn.trainer import Trainer, TrainingConfig
 
 
@@ -224,6 +236,90 @@ class TestSerialization:
         snapshot.pop(next(iter(snapshot)))
         with pytest.raises(ShapeError):
             load_state_dict(model, snapshot)
+
+
+def _reference_digest(state: dict) -> str:
+    """``state_digest`` as first written: every array copied by ``tobytes``."""
+    digest = hashlib.sha256()
+    for name in sorted(state):
+        value = state[name]
+        for field in (
+            name.encode(),
+            str(value.dtype).encode(),
+            repr(value.shape).encode(),
+            np.ascontiguousarray(value).tobytes(),
+        ):
+            digest.update(field + b"\0")
+    return digest.hexdigest()
+
+
+def _layouts(value: np.ndarray) -> "list[np.ndarray]":
+    """The same values in C order, Fortran order, and two strided views."""
+    doubled = np.repeat(value, 2, axis=0)
+    return [value, np.asfortranarray(value), doubled[::2], value[::-1]]
+
+
+_ARRAYS = st.sampled_from(["<f8", ">f8", "<i4", "|b1", "<c16"]).flatmap(
+    lambda dtype: arrays(
+        dtype, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+    )
+)
+
+
+class TestStateDigest:
+    @given(value=_ARRAYS, layout=st.integers(0, 3))
+    def test_matches_the_tobytes_reference(self, value, layout):
+        # Pins every manifest's state_sha256 and ModelZoo.save's file
+        # names: hashing buffers in place must not move a digest.
+        state = {"p0.weight": _layouts(value)[layout], "p1.bias": value}
+        assert state_digest(state) == _reference_digest(state)
+
+    def test_layout_does_not_change_the_digest(self):
+        value = np.arange(24.0).reshape(2, 3, 4)
+        digests = {state_digest({"w": view}) for view in _layouts(value)[:2]}
+        assert len(digests) == 1
+
+
+def _two_layer(arrays):
+    """A ``Linear -> Tanh -> Linear`` stack around ``[W0, b0, W1, b1]``."""
+    return Sequential(
+        [
+            Linear.from_arrays(arrays[0], arrays[1]),
+            Tanh(),
+            Linear.from_arrays(arrays[2], arrays[3]),
+        ]
+    )
+
+
+class TestModelFromState:
+    def test_holds_copies_of_exactly_the_state(self, rng):
+        model = Sequential([Linear(6, 3, rng=0), Tanh(), Linear(3, 6, rng=1)])
+        state = state_dict(model)
+        rebuilt = model_from_state(_two_layer, state)
+        for name, value in state_dict(rebuilt).items():
+            np.testing.assert_array_equal(value, state[name])
+        x = rng.normal(size=(3, 6))
+        assert np.array_equal(rebuilt.forward(x), model.forward(x))
+        for param, value in zip(rebuilt.parameters(), state.values()):
+            assert param.data.flags.writeable
+            assert not np.shares_memory(param.data, value)
+
+    def test_keys_must_name_the_built_parameters(self):
+        model = Sequential([Linear(6, 3, rng=0), Tanh(), Linear(3, 6, rng=1)])
+        state = state_dict(model)
+        renamed = {key.replace("bias", "offset"): v for key, v in state.items()}
+        with pytest.raises(ShapeError, match="model's parameters"):
+            model_from_state(_two_layer, renamed)
+        gapped = dict(state)
+        gapped["p9.bias"] = gapped.pop("p1.bias")
+        with pytest.raises(ShapeError, match="one per index"):
+            model_from_state(_two_layer, gapped)
+
+    def test_bias_must_match_its_weight(self):
+        state = state_dict(Sequential([Linear(6, 3, rng=0), Linear(3, 6, rng=1)]))
+        state["p1.bias"] = np.zeros(4)
+        with pytest.raises(ShapeError, match="bias"):
+            model_from_state(_two_layer, state)
 
 
 class TestFlops:

@@ -5,9 +5,13 @@ from __future__ import annotations
 import io
 import json
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.errors import ConfigurationError
 from repro.runtime.checkpoints import CHECKPOINT_KIND, CheckpointStore
@@ -46,19 +50,31 @@ def _key(i: int) -> str:
 
 
 def _npz(state: dict) -> bytes:
+    """An ``np.savez`` archive: the weight half of a schema-1 record."""
     buffer = io.BytesIO()
     np.savez(buffer, **state)
     return buffer.getvalue()
 
 
+def _weights(state: dict) -> bytes:
+    """Every array's C-order bytes, back to back, in table order."""
+    return b"".join(np.ascontiguousarray(v).tobytes() for v in state.values())
+
+
+def _table(state: dict) -> list:
+    """The ``arrays`` table ``CheckpointStore.put`` writes for ``state``."""
+    return [[name, v.dtype.str, list(v.shape)] for name, v in state.items()]
+
+
 def _meta(key: str, state: dict, **overrides) -> bytes:
-    """A record's metadata half, as ``CheckpointStore.put`` writes it."""
+    """A record's metadata, as ``CheckpointStore.put`` writes it."""
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
         "key": key,
         "spec": {"x": 0},
         "state_sha256": state_digest(state),
         "meta": {},
+        "arrays": _table(state),
         **overrides,
     }
     return json.dumps(payload, sort_keys=True).encode()
@@ -78,26 +94,83 @@ def _split(raw: bytes) -> "tuple[bytes, bytes]":
 #: The key every doctored record is stored under, and the weight bytes
 #: of a well-formed record.
 _DOCTORED_KEY = _key(14)
-_WEIGHTS = _npz(_state())
+_WEIGHTS = _weights(_state())
 
-#: Records whose CRC frame is intact but whose payload ``_decode`` must
-#: reject, one per rejection branch.
+
+def _doctored(state: dict, weights: bytes, **overrides) -> bytes:
+    """A record for ``_DOCTORED_KEY`` whose digest matches ``state``."""
+    return _record(_meta(_DOCTORED_KEY, state, **overrides), weights)
+
+
+def _npz_era_record() -> bytes:
+    """A record exactly as the schema-1 (``np.savez``) writer left it."""
+    payload = {
+        "schema_version": 1,
+        "key": _DOCTORED_KEY,
+        "spec": {"x": 0},
+        "state_sha256": state_digest(_state()),
+        "meta": {},
+    }
+    meta = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return _record(meta, _npz(_state()))
+
+
+def _negative_dimension_record() -> bytes:
+    """A record that decodes cleanly if a negative dimension is allowed.
+
+    numpy reads a negative count as "every remaining byte" and reshapes
+    a negative dimension as "infer it", so row ``a`` ([-1]) would take
+    all the weights and step the offset 8 bytes back, into the
+    metadata's 8 trailing spaces, where row ``b`` reads on to the end.
+    """
+    decoded = {
+        "a": np.frombuffer(_WEIGHTS, "<f8"),
+        "b": np.frombuffer(b" " * 8 + _WEIGHTS, "|u1"),
+    }
+    table = [["a", "<f8", [-1]], ["b", "|u1", [8 + len(_WEIGHTS)]]]
+    meta = _meta(_DOCTORED_KEY, decoded, arrays=table) + b" " * 8
+    return _record(meta, _WEIGHTS)
+
+
+#: Each entry is well formed except for what its name says, so the
+#: decoder branch it names is the only one that rejects it (the npz-era
+#: record also lacks an arrays table).  The void and negative-dimension
+#: entries carry the digest of what numpy would decode, so without their
+#: own checks they would be served.
+_VOID_STATE = {"p0.weight": np.frombuffer(_WEIGHTS[:96], "V8")}
 _DOCTORED = {
     "shorter-than-meta-len": b"\x01\x02",
-    "meta-len-past-end": struct.pack("<I", 1 << 20) + b"{}",
     "meta-not-json": _record(b"{not json", _WEIGHTS),
     "meta-not-utf8": _record(b"\xff\xfe", _WEIGHTS),
     "key-mismatch": _record(_meta(_key(99), _state()), _WEIGHTS),
-    "schema-version-2": _record(
-        _meta(_DOCTORED_KEY, _state(), schema_version=2), _WEIGHTS
+    "schema-npz-era": _npz_era_record(),
+    "schema-version-3": _doctored(_state(), _WEIGHTS, schema_version=3),
+    "arrays-table-missing": _doctored(_state(), _WEIGHTS, arrays=None),
+    "arrays-row-malformed": _doctored(
+        _state(), _WEIGHTS, arrays=[["p0.weight", "<f8"], ["p0.bias", "<f8"]]
     ),
-    "npz-truncated": _record(
-        _meta(_DOCTORED_KEY, _state()), _WEIGHTS[: len(_WEIGHTS) // 2]
+    "arrays-row-mistyped": _doctored(
+        _state(), _WEIGHTS, arrays=[[0, "<f8", [4, 3]], [1, "<f8", [3]]]
     ),
-    "npz-bare-zip-magic": _record(_meta(_DOCTORED_KEY, _state()), b"PK"),
-    "state-sha256-mismatch": _record(
-        _meta(_DOCTORED_KEY, _state()), _npz(_state(seed=9))
+    "dtype-unknown": _doctored(
+        _state(), _WEIGHTS, arrays=[["p0.weight", "<q9", [4, 3]]]
     ),
+    "dtype-object": _doctored(
+        _state(), _WEIGHTS, arrays=[["p0.weight", "|O", [15]]]
+    ),
+    "dtype-void": _doctored(_VOID_STATE, _WEIGHTS[:96]),
+    "dimension-negative": _negative_dimension_record(),
+    "dimension-not-integer": _doctored(
+        _state(), _WEIGHTS, arrays=[["p0.weight", "<f8", [5.0, 3]]]
+    ),
+    "dimension-past-numpy": _doctored(
+        _state(),
+        _WEIGHTS,
+        arrays=[*_table(_state()), ["p1.weight", "<f8", [0, 1 << 62]]],
+    ),
+    "array-bytes-past-end": _doctored(_state(), _WEIGHTS[:-8]),
+    "trailing-bytes": _doctored(_state(), _WEIGHTS + b"\0" * 8),
+    "state-sha256-mismatch": _doctored(_state(), _weights(_state(seed=9))),
 }
 
 
@@ -137,7 +210,7 @@ class TestCheckpointStore:
         key = _key(3)
         store.put(key, {"x": 3}, _state())
         meta, _ = _split(store._store.get(key))
-        store._store.put(key, _record(meta, _npz(_state(seed=9))))
+        store._store.put(key, _record(meta, _weights(_state(seed=9))))
         assert store.get(key) is None
         store.put(key, {"x": 3}, _state())  # the retrain
         loaded = store.get(key)
@@ -146,9 +219,9 @@ class TestCheckpointStore:
             loaded.state["p0.weight"], _state()["p0.weight"]
         )
 
-    def test_truncated_npz_is_a_miss(self, tmp_path):
-        # A writer killed mid-append leaves a record whose npz is cut
-        # short at the segment tail; the next open must drop it and
+    def test_truncated_weights_are_a_miss(self, tmp_path):
+        # A writer killed mid-append leaves a record whose weights are
+        # cut short at the segment tail; the next open must drop it and
         # report a miss (retrain), never raise into a warm rebuild.
         store = CheckpointStore(tmp_path)
         kept, torn = _key(10), _key(11)
@@ -216,19 +289,39 @@ class TestCheckpointStore:
         assert store.keys() == []
 
     def test_meta_layout(self, tmp_path):
-        import struct
-
         store = CheckpointStore(tmp_path)
         key = _key(7)
-        store.put(key, {"x": 7}, _state(), meta={"widths": [4, 2, 4]})
-        raw = store._store.get(key)
-        (meta_len,) = struct.unpack("<I", raw[:4])
-        payload = json.loads(raw[4 : 4 + meta_len].decode())
-        assert payload["schema_version"] == 1
+        state = _state()
+        store.put(key, {"x": 7}, state, meta={"widths": [4, 2, 4]})
+        meta, weights = _split(store._store.get(key))
+        payload = json.loads(meta.decode())
+        assert payload["schema_version"] == 2
         assert payload["key"] == key
         assert payload["spec"] == {"x": 7}
         assert payload["meta"] == {"widths": [4, 2, 4]}
-        assert len(payload["state_sha256"]) == 64
+        assert payload["state_sha256"] == state_digest(state)
+        assert payload["arrays"] == [
+            ["p0.weight", "<f8", [4, 3]],
+            ["p0.bias", "<f8", [3]],
+        ]
+        # The weights follow the metadata as raw C-order bytes, in
+        # table order, with nothing after them.
+        assert weights == _weights(state)
+
+    def test_loaded_arrays_are_read_only_views(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        key = _key(15)
+        store.put(key, {"x": 15}, _state())
+        loaded = store.get(key)
+        for value in loaded.state.values():
+            assert not value.flags.writeable
+            assert not value.flags.owndata
+
+    def test_put_rejects_arrays_it_cannot_persist(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(ConfigurationError, match="dtype"):
+            store.put(_key(16), {}, {"p0.weight": np.array([object()])})
+        assert store.keys() == []
 
     def test_prune_removes_dead_orphans_and_tmp(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -297,3 +390,57 @@ class TestCheckpointStore:
         assert default_checkpoint_root().endswith("checkpoint_store")
         monkeypatch.setenv(CHECKPOINTS_ENV, str(tmp_path / "elsewhere"))
         assert default_checkpoint_root("fallback") == str(tmp_path / "elsewhere")
+
+
+#: Every dtype kind a checkpoint persists, in both byte orders.
+_DTYPES = st.sampled_from(
+    ["<f8", ">f8", "<f4", "<i8", ">i4", "|u1", "|b1", "<c16"]
+)
+
+_STATES = st.dictionaries(
+    st.text("abcdefghijklmnopqrstuvwxyz.0123456789", min_size=1, max_size=8),
+    _DTYPES.flatmap(
+        lambda dtype: arrays(
+            dtype, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+        )
+    ),
+    max_size=4,
+)
+
+
+class TestRecordBytes:
+    """Properties of the byte paths: put/get, and the multi-part CRC."""
+
+    @given(state=_STATES)
+    def test_random_states_round_trip_bit_for_bit(self, state):
+        with tempfile.TemporaryDirectory() as root:
+            store = CheckpointStore(root)
+            key = _key(20)
+            store.put(key, {"x": 20}, state)
+            loaded = CheckpointStore(root).get(key)
+        assert loaded is not None
+        assert list(loaded.state) == list(state)
+        for name, value in state.items():
+            got = loaded.state[name]
+            assert got.dtype == value.dtype
+            assert got.shape == value.shape
+            assert got.tobytes() == value.tobytes()
+        assert loaded.state_sha256 == state_digest(state)
+
+    @given(data=st.data())
+    def test_any_flipped_byte_is_a_quarantined_miss(self, data):
+        with tempfile.TemporaryDirectory() as root:
+            store = CheckpointStore(root)
+            key = _key(21)
+            segment = store.put(key, {"x": 21}, _state(), meta={"v": 1})
+            location = store._store._entries[key]
+            at = data.draw(st.integers(0, location.length - 1), label="offset")
+            mask = data.draw(st.integers(1, 255), label="mask")
+            with open(segment, "r+b") as handle:
+                handle.seek(location.offset + at)
+                byte = handle.read(1)[0]
+                handle.seek(location.offset + at)
+                handle.write(bytes([byte ^ mask]))
+            assert store.get(key) is None
+            assert store.health.quarantined == 1
+            assert store.keys() == []

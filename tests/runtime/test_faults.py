@@ -230,8 +230,21 @@ class TestPoolRecovery:
         assert chaotic == clean
         assert health.worker_crashes == 1
         assert health.pool_rebuilds == 1
-        assert health.injected_faults >= 1
+        assert health.injected_faults == 1
         assert health.serial_fallbacks == 0
+
+    def test_crashes_replayed_by_the_first_are_not_counted(self):
+        # Every task schedules a crash on its first attempt, but the
+        # first crash breaks the pool and the rest replay at attempt 1,
+        # where the count=1 rule no longer fires: one fault happened.
+        plan = parse_plan("crash,t*,count=1")
+        health = RunHealth()
+        tasks = [Task(f"t{i}", square, {"x": i}) for i in range(8)]
+        results = run_tasks(tasks, n_workers=2, faults=plan, health=health)
+        assert results == {f"t{i}": i * i for i in range(8)}
+        assert health.injected_faults == 1
+        assert health.worker_crashes == 1
+        assert health.retries == 0
 
     def test_timeout_kills_and_replays(self):
         plan = FaultPlan(
@@ -245,6 +258,7 @@ class TestPoolRecovery:
         )
         assert results == {f"t{i}": i * i for i in range(4)}
         assert health.timeouts == 1
+        assert health.injected_faults == 1
 
     def test_repeated_crashes_degrade_to_serial(self):
         plan = FaultPlan([FaultRule(kind="crash", match="t0", count=10)])

@@ -54,6 +54,47 @@ class TestSegmentStore:
         assert store.keys() == ["a", "b"]
         assert len(store) == 2
 
+    def test_multi_part_value_lands_with_one_write(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        calls = []
+        writev = os.writev
+
+        def spy(fd, buffers):
+            calls.append(len(buffers))
+            return writev(fd, buffers)
+
+        monkeypatch.setattr(os, "writev", spy)
+        store = SegmentStore(tmp_path)
+        weights = np.arange(6.0).reshape(2, 3)
+        store.put("a", b"meta|", weights, b"")
+        store.put("b", b"small")
+        assert calls == [5, 3]  # header, key, then each part: one call each
+        assert store.get("a") == b"meta|" + weights.tobytes()
+        # The multi-part CRC equals the CRC over the joined value: the
+        # record reopens clean from a full rebuild scan.
+        store.close()
+        (tmp_path / INDEX_NAME).unlink()
+        reopened = SegmentStore(tmp_path)
+        assert reopened.get("a") == b"meta|" + weights.tobytes()
+        assert reopened.health.truncated == 0
+
+    def test_frame_that_disagrees_with_its_index_is_a_miss(self, tmp_path):
+        # A frame claiming a shorter value than its index entry, with a
+        # CRC over that shorter value, must not be served truncated.
+        import struct
+        import zlib
+
+        store = SegmentStore(tmp_path)
+        segment = store.put("a", b"abcdef")
+        location = store._entries["a"]
+        crc = zlib.crc32(b"\x01" + b"a" + b"abc")
+        with open(segment, "r+b") as handle:
+            handle.seek(location.offset)
+            handle.write(struct.pack("<4sBHII", b"RSG1", 1, 1, 3, crc))
+        assert store.get("a") is None
+        assert store.health.quarantined == 1
+
     def test_delete_and_contains(self, tmp_path):
         store = SegmentStore(tmp_path)
         store.put("a", b"x")
