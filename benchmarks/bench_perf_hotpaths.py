@@ -10,6 +10,10 @@ tracked across PRs.
 Stages:
 
 - ``sampler``            packetized multi-user CSI collection
+- ``median``             the 10-point CSI moving median on one
+                         campaign STA's batch: sorted windows vs the
+                         per-step ``np.median`` loop — bits asserted
+                         equal on every run
 - ``givens``             Givens decompose + reconstruct
 - ``cbf_encode``/``cbf_decode``  802.11 report framing
 - ``link_ber``           the Sec. 5.2.2 BER procedure
@@ -67,7 +71,7 @@ from repro.channels.sampler import CsiSampler
 from repro.config import Fidelity
 from repro.core.model import SplitBeamNet, three_layer_widths
 from repro.core.pipeline import evaluate_scheme
-from repro.datasets import build_dataset, dataset_spec
+from repro.datasets import build_dataset, dataset_spec, moving_median
 from repro.nn.conv import Conv1d
 from repro.nn.losses import NormalizedL1Loss
 from repro.nn.serialize import state_dict
@@ -83,6 +87,7 @@ from repro.perf.reference import (
     reference_encode_cbf,
     reference_givens_decompose,
     reference_givens_reconstruct,
+    reference_moving_median,
 )
 from repro.phy.link import LinkConfig, LinkSimulator
 from repro.phy.ofdm import band_plan
@@ -339,6 +344,23 @@ def build_report() -> PerfReport:
     report.add(baseline)
     report.add(optimized)
     report.add_comparison("sampler", baseline, optimized)
+
+    # -- moving median (one campaign STA's CSI batch) --------------------------
+    median_rng = np.random.default_rng(11)
+    shape = (57, 114, 1, 2)
+    csi = median_rng.standard_normal(shape) + 1j * median_rng.standard_normal(shape)
+    assert moving_median(csi).tobytes() == reference_moving_median(csi).tobytes()
+    baseline = bench.run(
+        "median/reference",
+        lambda: reference_moving_median(csi),
+        n_items=csi.shape[0],
+    )
+    optimized = bench.run(
+        "median/vectorized", lambda: moving_median(csi), n_items=csi.shape[0]
+    )
+    report.add(baseline)
+    report.add(optimized)
+    report.add_comparison("median", baseline, optimized)
 
     # -- givens ----------------------------------------------------------------
     plan = band_plan(80)
@@ -815,7 +837,9 @@ def test_perf_hotpaths():
     # assert a margin below it so a loaded CI box does not flake.
     assert comparisons["evaluate_scheme"]["speedup"] >= 7.0
     # The vectorized codecs must never regress below the seed loops.
-    for stage in ("sampler", "givens", "cbf_encode", "cbf_decode", "link_ber"):
+    for stage in (
+        "sampler", "median", "givens", "cbf_encode", "cbf_decode", "link_ber"
+    ):
         assert comparisons[stage]["speedup"] >= 1.0, stage
     # The vectorized training stack must never regress below the frozen
     # loop implementations (the measured ratios live in the JSON; the

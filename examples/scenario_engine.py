@@ -24,6 +24,7 @@ Run:  python examples/scenario_engine.py
 
 import argparse
 import os
+import shutil
 import tempfile
 
 from repro import SMOKE
@@ -58,8 +59,14 @@ def main() -> None:
     scenario = get_scenario("snr-sweep", fidelity=SMOKE, dataset_id="D1")
     print(f"scenario {scenario.name!r}: {scenario.n_points} points")
 
-    cache = ResultCache(tempfile.mkdtemp(prefix="repro-scenario-cache-"))
+    root = tempfile.mkdtemp(prefix="repro-scenario-cache-")
+    try:
+        demo(args, scenario, ResultCache(root))
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
 
+
+def demo(args, scenario, cache: ResultCache) -> None:
     def engine(trace_leg: str):
         trace = os.path.join(args.trace, trace_leg) if args.trace else False
         # workers: $REPRO_RUNTIME_WORKERS

@@ -16,6 +16,7 @@ Run:  python examples/zoo_training.py
 """
 
 import argparse
+import shutil
 import tempfile
 
 from repro import fidelity as fidelity_preset
@@ -53,7 +54,14 @@ def main() -> None:
         parse_compression(k) for k in args.compressions.split(",")
     )
 
-    store = CheckpointStore(tempfile.mkdtemp(prefix="repro-zoo-ckpt-"))
+    root = tempfile.mkdtemp(prefix="repro-zoo-ckpt-")
+    try:
+        demo(fidelity, compressions, CheckpointStore(root))
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def demo(fidelity, compressions, store: CheckpointStore) -> None:
     print(
         f"Building the 'compression-ladder' grid on D1 "
         f"({len(compressions)} models, fidelity={fidelity.name}) ..."

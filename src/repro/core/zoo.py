@@ -19,12 +19,19 @@ import json
 import os
 import re
 from dataclasses import asdict, dataclass
+from functools import partial
 
 from repro.errors import ConfigurationError, DatasetError
 from repro.core.costs import splitbeam_feedback_bits, splitbeam_head_flops
 from repro.core.model import SplitBeamNet
 from repro.core.training import TrainedSplitBeam
-from repro.nn.serialize import load_state, save_state, state_dict, state_digest
+from repro.nn.serialize import (
+    model_from_state,
+    read_state,
+    save_state,
+    state_dict,
+    state_digest,
+)
 from repro.phy.ofdm import band_plan
 
 __all__ = ["NetworkConfiguration", "ZooEntry", "ModelZoo"]
@@ -339,8 +346,19 @@ class ModelZoo:
         zoo = cls()
         for item in manifest["entries"]:
             config = NetworkConfiguration(**item["config"])
-            model = SplitBeamNet(item["widths"], activation=item["activation"])
-            load_state(model, os.path.join(directory, item["weights"]))
+            # Built around the archive's arrays, so no init draw for them
+            # to overwrite; the widths follow from the arrays' shapes.
+            model = model_from_state(
+                partial(
+                    SplitBeamNet.from_parameters, activation=item["activation"]
+                ),
+                read_state(os.path.join(directory, item["weights"])),
+            )
+            if model.widths != list(item["widths"]):
+                raise DatasetError(
+                    f"{item['weights']} holds widths {model.widths}, but the "
+                    f"manifest lists {item['widths']}"
+                )
             zoo.register(
                 ZooEntry(
                     config=config,

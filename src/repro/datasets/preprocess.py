@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import DatasetError
 from repro.channels.sampler import CsiBatch
@@ -23,6 +24,10 @@ __all__ = [
     "moving_median",
     "preprocess_csi",
 ]
+
+#: Most values one sorted block of moving-median windows holds (2 MiB of
+#: float64), whatever the stream's length and width.
+_SORT_BLOCK_ELEMENTS = 1 << 18
 
 
 def align_users(batches: "list[CsiBatch]") -> np.ndarray:
@@ -68,21 +73,65 @@ def moving_median(csi: np.ndarray, window: int = 10) -> np.ndarray:
     Real and imaginary parts are filtered separately; the window is
     trailing (causal) and truncated at the start of the stream, so the
     output has the same length as the input.
+
+    Each part's full windows are sorted by one ``np.sort`` over a
+    ``sliding_window_view`` along time, in blocks of at most
+    ``_SORT_BLOCK_ELEMENTS`` values.  The median is ``np.mean`` of the
+    middle one or two sorted entries, the averaging ``np.median``
+    applies, and a window whose last sorted entry is NaN gives NaN.  The
+    first ``window - 1`` (truncated) rows keep one ``np.median`` each.
+
+    The result is exact: bit-identical to the per-step ``np.median``
+    loop frozen as :func:`repro.perf.reference.reference_moving_median`.
+    A sort and a partition pick the same middle values, and ``np.mean``
+    sums from ``+0.0``, so neither the order of tied values nor the sign
+    of a zero shows in the bits.  Caveat: where the input holds NaN, the
+    NaNs land where the loop puts them, but their sign and payload are
+    not pinned.
     """
     if window < 1:
         raise DatasetError("window must be >= 1")
     csi = np.asarray(csi, dtype=np.complex128)
     if window == 1 or csi.shape[0] == 1:
         return csi.copy()
-    n = csi.shape[0]
     out = np.empty_like(csi)
-    # Sliding windows over a modest n: direct median per step is fine and
-    # keeps memory bounded.
-    for t in range(n):
-        start = max(0, t - window + 1)
-        block = csi[start : t + 1]
-        out[t] = np.median(block.real, axis=0) + 1j * np.median(block.imag, axis=0)
+    _moving_median_part(csi.real, window, out.real)
+    _moving_median_part(csi.imag, window, out.imag)
+    # The loop formed re + 1j * im: an infinite imaginary median made the
+    # real part 0 * inf, NaN.
+    out.real[np.isinf(out.imag)] = np.nan
     return out
+
+
+def _moving_median_part(part: np.ndarray, window: int, out: np.ndarray) -> None:
+    """Write the moving median of one real part into ``out``."""
+    n = part.shape[0]
+    for t in range(min(window - 1, n)):
+        out[t] = np.median(part[: t + 1], axis=0)
+    if n < window:
+        return
+    windows = sliding_window_view(part, window, axis=0)
+    full = out[window - 1 :]  # row i ends the window windows[i]
+    rows = max(1, _SORT_BLOCK_ELEMENTS // (window * max(1, part[0].size)))
+    for start in range(0, len(windows), rows):
+        full[start : start + rows] = _sorted_window_median(
+            windows[start : start + rows]
+        )
+
+
+def _sorted_window_median(windows: np.ndarray) -> np.ndarray:
+    """Median over the last axis of ``windows`` through one sort.
+
+    A function of its own so that each sorted block is freed before the
+    next one is copied.
+    """
+    block = windows.copy()  # C order: each window contiguous for the sort
+    block.sort(axis=-1)
+    size = block.shape[-1]
+    median = np.mean(block[..., (size - 1) // 2 : size // 2 + 1], axis=-1)
+    last = block[..., -1]
+    np.copyto(median, last, where=np.isnan(last))
+    return median
 
 
 def preprocess_csi(

@@ -22,6 +22,7 @@ __all__ = [
     "model_from_state",
     "save_state",
     "load_state",
+    "read_state",
     "state_digest",
 ]
 
@@ -118,7 +119,12 @@ def save_state(model: Module, path: str) -> None:
     np.savez(path, **state_dict(model))
 
 
+def read_state(path: str) -> dict[str, np.ndarray]:
+    """The state dict :func:`save_state` wrote to ``path``."""
+    with np.load(path) as data:
+        return {key: data[key] for key in data.files}
+
+
 def load_state(model: Module, path: str) -> None:
     """Load parameters saved by :func:`save_state` into ``model``."""
-    with np.load(path) as data:
-        load_state_dict(model, {key: data[key] for key in data.files})
+    load_state_dict(model, read_state(path))

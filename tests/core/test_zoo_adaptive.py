@@ -138,6 +138,46 @@ class TestModelZoo:
             restored.model.forward(x), original.model.forward(x)
         )
 
+    def test_load_builds_models_without_an_init_draw(self, tmp_path, monkeypatch):
+        from repro.nn import init
+
+        zoo = ModelZoo()
+        zoo.register(make_entry(1 / 8, 0.013, seed=1))
+        zoo.register(make_entry(1 / 4, 0.007, seed=2))
+        zoo.save(str(tmp_path))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("ModelZoo.load drew initial weights")
+
+        monkeypatch.setattr(init, "glorot_uniform", no_draw)
+        # Linear looks its initializer up in this table, not the module.
+        for name in list(init._INITIALIZERS):
+            monkeypatch.setitem(init._INITIALIZERS, name, no_draw)
+        loaded = ModelZoo.load(str(tmp_path))
+        x = np.random.default_rng(0).standard_normal((3, CONFIG.input_dim))
+        for original, restored in zip(
+            zoo.candidates(CONFIG), loaded.candidates(CONFIG)
+        ):
+            assert restored.model.widths == original.model.widths
+            assert (
+                restored.model.forward(x).tobytes()
+                == original.model.forward(x).tobytes()
+            )
+
+    def test_load_rejects_widths_the_archive_does_not_hold(self, tmp_path):
+        import json
+
+        zoo = ModelZoo()
+        zoo.register(make_entry(1 / 8, 0.013, seed=1))
+        zoo.save(str(tmp_path))
+        manifest_path = tmp_path / "zoo_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        widths = manifest["entries"][0]["widths"]
+        manifest["entries"][0]["widths"] = [widths[0], widths[1] + 1, *widths[2:]]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match="widths"):
+            ModelZoo.load(str(tmp_path))
+
     def test_save_removes_unreferenced_npz(self, tmp_path):
         # Saving a shrunk/re-keyed zoo over an old directory must not
         # leave orphaned weight files behind the new manifest.
