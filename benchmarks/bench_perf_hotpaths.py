@@ -623,7 +623,7 @@ def build_report() -> PerfReport:
 
     # -- zoo training: cold/warm checkpoint store and 1-vs-N workers -----------
     from repro.core.zoo_builder import train_zoo
-    from repro.perf import profile_summary, reset_profiles
+    from repro.obs import metrics
     from repro.runtime import CheckpointStore, TrainingGrid, zoo_entry
     from repro.runtime.spec import fidelity_to_dict
 
@@ -686,14 +686,14 @@ def build_report() -> PerfReport:
 
         def warm_build():
             clear_memos()
-            reset_profiles()
+            base = metrics.snapshot()
             build = train_zoo(zoo_grid, store=warm_store, n_workers=1)
             # A warm rebuild loads every model from the checkpoint
             # store: zero trainings, zero epochs, zero link simulations.
             assert build.n_trained == 0
-            profiled = {entry.name for entry in profile_summary()}
-            assert "trainer.fit" not in profiled
-            assert "trainer.epoch" not in profiled
+            timers = metrics.since(base)["timers"]
+            assert "trainer.fit" not in timers
+            assert "trainer.epoch" not in timers
             return build
 
         zoo_warm = bench.run(

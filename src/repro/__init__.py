@@ -23,12 +23,14 @@ Sub-packages
 - ``repro.sounding`` -- channel-sounding protocol and delay model;
 - ``repro.fpga`` -- FPGA latency model (Table III);
 - ``repro.analysis`` -- experiment reporting helpers;
-- ``repro.perf`` -- wall-clock benchmarks and profiling hooks;
+- ``repro.perf`` -- wall-clock benchmarks and the frozen reference
+  implementations they compare against;
 - ``repro.runtime`` -- scenario registry, worker-pool experiment
   engine, and content-addressed result caching (``docs/runtime.md``);
 - ``repro.lint`` -- determinism and concurrency linter
   (``docs/static-analysis.md``);
-- ``repro.obs`` -- run tracing and its report (``docs/observability.md``).
+- ``repro.obs`` -- the counter/timer registry, run tracing and the
+  trace report (``docs/observability.md``).
 
 Every name in ``__all__`` is importable from ``repro`` directly and is
 loaded on first use, so a job imports only the sub-packages it touches.

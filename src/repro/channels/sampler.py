@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.channels.doppler import ShadowingProcess
-from repro.perf.profile import profiled
+from repro.obs.metrics import profiled
 from repro.channels.environment import Environment
 from repro.channels.tgac import TgacChannel
 from repro.phy.noise import awgn

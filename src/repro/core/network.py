@@ -66,12 +66,11 @@ from repro.core.zoo_builder import train_zoo
 from repro.datasets import dataset_spec
 from repro.errors import ConfigurationError
 from repro.obs import trace as trace_mod
-from repro.obs.export import write_trace
 from repro.phy.link import LinkConfig
 from repro.phy.mcs import data_rate_bps, select_mcs
-from repro.runtime import faults as faults_mod
 from repro.runtime.cache import ResultCache
 from repro.runtime.checkpoints import CheckpointStore
+from repro.runtime.engine import run_scoped
 from repro.runtime.executor import (
     RetryPolicy,
     RunHealth,
@@ -541,55 +540,11 @@ class NetworkCampaign:
 
     def run(self) -> NetworkCampaignResult:
         """Build ladders, run every STA's rounds, aggregate the network."""
-        # Installed for the campaign's duration so cache/checkpoint
-        # writes see the same chaos schedule as the round tasks — and,
-        # when traced, so the embedded zoo build and every store access
-        # land in the campaign's own timeline.
-        plan = faults_mod.active_plan(self.faults)
-        previous = faults_mod.install(plan)
-        tracer, owned = trace_mod.tracer_for_run(
-            self.trace, f"campaign:{self.spec.name}"
+        # The embedded zoo build joins the campaign's fault plan and,
+        # when traced, its timeline.
+        return run_scoped(
+            f"campaign:{self.spec.name}", self.trace, self.faults, self._run
         )
-        prev_tracer = trace_mod.install_tracer(tracer) if tracer else None
-        try:
-            if tracer is None:
-                return self._run(plan)
-            with tracer.span(f"campaign:{self.spec.name}", "engine"):
-                result = self._run(plan)
-            self._finalize_trace(result, tracer, owned)
-            return result
-        finally:
-            if tracer is not None:
-                trace_mod.install_tracer(prev_tracer)
-            faults_mod.install(previous)
-
-    def _finalize_trace(
-        self, result: NetworkCampaignResult, tracer, owned: bool
-    ) -> None:
-        """Fold campaign health into the metrics; export when owned."""
-        metrics = tracer.metrics
-        metrics.ratio_gauge(
-            "cache.hit_ratio", result.n_cached_rounds, result.n_round_tasks
-        )
-        interned = metrics.counter("payloads.interned")
-        if interned:
-            metrics.ratio_gauge(
-                "payloads.dedupe_ratio",
-                interned - metrics.counter("payloads.unique"),
-                interned,
-            )
-        for family, counters in (result.health or {}).items():
-            if not isinstance(counters, dict):
-                continue
-            for key, value in counters.items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    metrics.set_gauge(f"health.{family}.{key}", value)
-        if owned:
-            result.trace_dir = write_trace(tracer)
-        else:
-            result.trace_dir = tracer.out_dir
 
     def _run(self, plan) -> NetworkCampaignResult:
         start = time.perf_counter()

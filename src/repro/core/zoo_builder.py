@@ -52,9 +52,8 @@ from repro.datasets.catalog import dataset_spec
 from repro.errors import ConfigurationError
 from repro.nn.serialize import model_from_state
 from repro.obs import trace as trace_mod
-from repro.obs.export import write_trace
-from repro.runtime import faults as faults_mod
 from repro.runtime.checkpoints import CHECKPOINT_KIND, CheckpointStore
+from repro.runtime.engine import run_scoped
 from repro.runtime.executor import (
     RetryPolicy,
     RunHealth,
@@ -322,51 +321,12 @@ class ZooBuilder:
 
     def build(self, grid: TrainingGrid) -> ZooBuildResult:
         """Train (or checkpoint-load) every entry of ``grid``."""
-        # Installed for the build's duration so checkpoint writes see
-        # the same chaos schedule (and trace timeline) as the tasks.
-        plan = faults_mod.active_plan(self.faults)
-        previous = faults_mod.install(plan)
-        tracer, owned = trace_mod.tracer_for_run(
-            self.trace, f"zoo:{grid.name}"
+        return run_scoped(
+            f"zoo:{grid.name}",
+            self.trace,
+            self.faults,
+            lambda plan: self._build(grid, plan),
         )
-        prev_tracer = trace_mod.install_tracer(tracer) if tracer else None
-        try:
-            if tracer is None:
-                return self._build(grid, plan)
-            with tracer.span(f"zoo:{grid.name}", "engine"):
-                result = self._build(grid, plan)
-            self._finalize_trace(result, tracer, owned)
-            return result
-        finally:
-            if tracer is not None:
-                trace_mod.install_tracer(prev_tracer)
-            faults_mod.install(previous)
-
-    def _finalize_trace(self, result, tracer, owned: bool) -> None:
-        metrics = tracer.metrics
-        metrics.ratio_gauge(
-            "checkpoint.hit_ratio", result.n_cached, result.n_entries
-        )
-        interned = metrics.counter("payloads.interned")
-        if interned:
-            # Dedupe ratio: interns served from an existing entry.
-            metrics.ratio_gauge(
-                "payloads.dedupe_ratio",
-                interned - metrics.counter("payloads.unique"),
-                interned,
-            )
-        for family, counters in result.health.items():
-            if not isinstance(counters, dict):
-                continue
-            for key, value in counters.items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    metrics.set_gauge(f"health.{family}.{key}", value)
-        if owned:
-            result.trace_dir = write_trace(tracer)
-        else:
-            result.trace_dir = tracer.out_dir
 
     def _build(self, grid: TrainingGrid, plan) -> ZooBuildResult:
         start = time.perf_counter()

@@ -145,7 +145,6 @@ class LintConfig:
     #: not declare a lock (REP-UNLOCKED-GLOBAL treats these as
     #: thread-exposed).
     concurrent_modules: tuple[str, ...] = (
-        "repro.perf.profile",
         "repro.obs.metrics",
         "repro.obs.trace",
         "repro.runtime.cache",

@@ -1,8 +1,8 @@
 """REP-UNLOCKED-GLOBAL: unguarded mutation of module-level shared state.
 
 The executor's callback threads and worker-delta merges touch several
-process-wide registries (``perf/profile.py``'s ``_REGISTRY``,
-``obs/metrics.py`` counters).  A module that declares a lock — or is
+process-wide registries (``obs/metrics.py``'s ``_COUNTERS`` and
+``_TIMERS``, the payload and dataset memos).  A module that declares a lock — or is
 configured as thread-exposed — is promising those registries are shared
 across threads, so every mutation of module-level mutable state
 (container mutation, or rebinding through ``global``) must happen under

@@ -21,7 +21,7 @@ from repro.nn.module import Module
 from repro.nn.optim import Adam, Optimizer, SGD
 from repro.nn.schedulers import LRScheduler, MultiStepLR
 from repro.nn.serialize import load_state_dict, state_dict
-from repro.perf import profiled
+from repro.obs.metrics import profiled
 from repro.utils.rng import as_generator
 
 __all__ = ["TrainingConfig", "TrainingHistory", "Trainer"]

@@ -1,6 +1,7 @@
 """Observability for the runtime engine: tracing, metrics, reports.
 
 See :mod:`repro.obs.trace` for the span/determinism model,
+:mod:`repro.obs.metrics` for the always-on counter/timer registry,
 :mod:`repro.obs.export` for the artifact formats, and
 ``python -m repro.obs report <trace>`` for the CLI.
 """
@@ -15,7 +16,6 @@ from repro.obs.export import (
     validate_events,
     write_trace,
 )
-from repro.obs.metrics import Metrics
 from repro.obs.report import critical_path, load_trace, render_report
 from repro.obs.trace import (
     TRACE_ENV,
@@ -30,7 +30,6 @@ from repro.obs.trace import (
 __all__ = [
     "CHROME_NAME",
     "JSONL_NAME",
-    "Metrics",
     "SUMMARY_NAME",
     "Span",
     "TRACE_ENV",

@@ -6,7 +6,9 @@ One traced run exports three artifacts into its trace directory:
     The source of truth: one JSON object per line.  The first line is
     a ``meta`` record (schema version, run name, coordinator pid), the
     following lines are ``span`` records (see
-    :meth:`repro.obs.trace.Span.to_dict`) and one ``metrics`` record.
+    :meth:`repro.obs.trace.Span.to_dict`) and one ``metrics`` record:
+    the ``counters`` and ``timers`` the registry of
+    :mod:`repro.obs.metrics` gained while the tracer existed.
     :func:`validate_events` checks every line against
     :data:`EVENT_SCHEMA`; the CI smoke step runs it on a fresh trace.
 
@@ -44,7 +46,7 @@ __all__ = [
 ]
 
 #: Bump when the trace event layout changes incompatibly.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 JSONL_NAME = "trace.jsonl"
 CHROME_NAME = "chrome_trace.json"
@@ -71,8 +73,7 @@ EVENT_SCHEMA: "dict[str, dict[str, type | tuple]]" = {
     },
     "metrics": {
         "counters": dict,
-        "gauges": dict,
-        "histograms": dict,
+        "timers": dict,
     },
 }
 
@@ -90,7 +91,7 @@ def trace_events(tracer) -> "list[dict]":
     """All JSONL records for one tracer: meta, spans, metrics."""
     events = [meta_record(tracer)]
     events.extend(tracer.export_spans())
-    events.append({"type": "metrics", **tracer.metrics.to_dict()})
+    events.append({"type": "metrics", **tracer.metrics()})
     return events
 
 

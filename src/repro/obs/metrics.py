@@ -1,95 +1,146 @@
-"""Run-wide metrics: counters, gauges, and summary histograms.
+"""The process-local telemetry registry: counters and timers.
 
-A :class:`Metrics` registry rides on each :class:`~repro.obs.trace.
-Tracer` and captures the run's scalar telemetry — cache hit ratios,
-retries, quarantines, queue depths, IPC message/byte counts, payload
-dedupe ratios — as one coherent surface next to the span timeline.
-The engines fold their :class:`~repro.runtime.executor.RunHealth` and
-per-store :class:`~repro.runtime.store.StoreHealth` counters in at run
-end, so everything PR 6 counts is queryable from the trace too.
+Every run-telemetry number the runtime produces lives here, once:
 
-All three families are plain dicts of floats with deterministic
-(sorted) export order; histograms keep summary statistics (count,
-total, min, max) rather than samples, so a trace's metric *structure*
-is as reproducible as its span tree — only the measured values vary.
-Updates are lock-guarded: worker chunks merge their telemetry from the
-coordinator thread while engine code may still be recording.
+- **counters** — :func:`count` adds to a named total (``cache.hits``,
+  ``executor.retries``, ``store.quarantined``, ``payloads.spilled``);
+- **timers** — :func:`profiled` wraps a function so each call adds one
+  call and its wall time to a named timer (``link.measure_ber``,
+  ``trainer.fit``, ``sampler.collect_session``).
+
+Both are always on, traced or not, and each event is counted where it
+happens, once.  A pool worker empties its registry with :func:`drain`
+after every chunk and ships that delta back with the chunk's results;
+the coordinator folds it in once with :func:`merge`, so a process's
+registry covers the work its workers did for it.  A
+:class:`~repro.obs.trace.Tracer` takes a :func:`snapshot` when it is
+created and exports what the registry gained :func:`since` then as its
+``metrics`` record.
+
+Counters and timers are plain sums, so deltas subtract and merge
+exactly.  Nothing here ever feeds a result byte.  Standard library
+only: ``repro.obs`` and ``repro.lint`` load without NumPy.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
+import time
 
-__all__ = ["Metrics"]
+__all__ = ["count", "drain", "merge", "profiled", "since", "snapshot"]
+
+#: One lock for both tables: executor callback threads, worker-delta
+#: merges and profiled user code update them concurrently.
+_LOCK = threading.Lock()
+_COUNTERS: "dict[str, int]" = {}
+#: Timer name -> ``[calls, total_s]``.
+_TIMERS: "dict[str, list]" = {}
 
 
-class Metrics:
-    """Counter / gauge / histogram registry (see module docstring)."""
+def count(name: str, n: int = 1) -> None:
+    """Add ``n`` to counter ``name`` (created at zero)."""
+    with _LOCK:
+        _COUNTERS[name] = _COUNTERS.get(name, 0) + n
 
-    def __init__(self) -> None:
-        self.counters: "dict[str, float]" = {}
-        self.gauges: "dict[str, float]" = {}
-        self.histograms: "dict[str, dict]" = {}
-        self._lock = threading.Lock()
 
-    def inc(self, name: str, value: float = 1.0) -> None:
-        """Add ``value`` to counter ``name`` (created at zero)."""
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0.0) + value
+def _time(name: str, elapsed_s: float) -> None:
+    with _LOCK:
+        # Telemetry only: timers never feed task result bytes, so
+        # cross-call registry state cannot violate bit-identity.
+        # repro: allow[REP-PURE-TASK]
+        entry = _TIMERS.get(name)
+        if entry is None:
+            _TIMERS[name] = [1, elapsed_s]
+        else:
+            entry[0] += 1
+            entry[1] += elapsed_s
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Record the latest value of gauge ``name``."""
-        with self._lock:
-            self.gauges[name] = float(value)
 
-    def observe(self, name: str, value: float) -> None:
-        """Fold one sample into histogram ``name``'s summary statistics."""
-        value = float(value)
-        with self._lock:
-            entry = self.histograms.get(name)
-            if entry is None:
-                entry = {"count": 0, "total": 0.0, "min": value, "max": value}
-                self.histograms[name] = entry
-            entry["count"] += 1
-            entry["total"] += value
-            entry["min"] = min(entry["min"], value)
-            entry["max"] = max(entry["max"], value)
+def profiled(name: str):
+    """Decorator: time each call of the wrapped function as timer ``name``.
 
-    def counter(self, name: str) -> float:
-        """Current value of counter ``name`` (0.0 when never touched)."""
-        with self._lock:
-            return self.counters.get(name, 0.0)
+    A call that raises is timed too: the time a failure burned is what a
+    post-mortem needs.
+    """
 
-    def merge_counters(self, counters: "dict[str, float]") -> None:
-        """Fold a mapping of counter deltas in (worker telemetry)."""
-        with self._lock:
-            for name, value in counters.items():
-                self.counters[name] = self.counters.get(name, 0.0) + value
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                _time(name, time.perf_counter() - start)
 
-    def ratio_gauge(self, name: str, numerator: float, denominator: float) -> None:
-        """Record ``numerator/denominator`` (0.0 when empty) as a gauge."""
-        self.set_gauge(
-            name, numerator / denominator if denominator else 0.0
-        )
+        return wrapper
 
-    def to_dict(self) -> dict:
-        """Deterministically ordered JSON-able snapshot."""
-        with self._lock:
-            return {
-                "counters": dict(sorted(self.counters.items())),
-                "gauges": dict(sorted(self.gauges.items())),
-                "histograms": {
-                    name: {
-                        "count": entry["count"],
-                        "total": entry["total"],
-                        "mean": (
-                            entry["total"] / entry["count"]
-                            if entry["count"]
-                            else 0.0
-                        ),
-                        "min": entry["min"],
-                        "max": entry["max"],
-                    }
-                    for name, entry in sorted(self.histograms.items())
-                },
+    return decorate
+
+
+def _export() -> dict:
+    return {
+        "counters": dict(sorted(_COUNTERS.items())),
+        "timers": {
+            name: {"calls": calls, "total_s": total_s}
+            for name, (calls, total_s) in sorted(_TIMERS.items())
+        },
+    }
+
+
+def snapshot() -> dict:
+    """The registry, names sorted.
+
+    ``{"counters": {name: total}, "timers": {name: {"calls": n,
+    "total_s": seconds}}}``.
+    """
+    with _LOCK:
+        return _export()
+
+
+def since(base: dict) -> dict:
+    """What the registry gained after ``base`` (a :func:`snapshot`).
+
+    Same layout as :func:`snapshot`; names that did not move are left
+    out, so a delta lists only what happened in between.
+    """
+    now = snapshot()
+    counters = {}
+    for name, value in now["counters"].items():
+        gained = value - base["counters"].get(name, 0)
+        if gained:
+            counters[name] = gained
+    timers = {}
+    for name, entry in now["timers"].items():
+        held = base["timers"].get(name, {"calls": 0, "total_s": 0.0})
+        if entry["calls"] != held["calls"]:
+            timers[name] = {
+                "calls": entry["calls"] - held["calls"],
+                "total_s": entry["total_s"] - held["total_s"],
             }
+    return {"counters": counters, "timers": timers}
+
+
+def drain() -> dict:
+    """:func:`snapshot` the registry and clear it, in one step.
+
+    A pool worker drains once when it starts (dropping what the fork
+    copied from the coordinator) and after every chunk, so each chunk
+    ships exactly what the worker counted for it.
+    """
+    with _LOCK:
+        out = _export()
+        _COUNTERS.clear()
+        _TIMERS.clear()
+    return out
+
+
+def merge(delta: dict) -> None:
+    """Fold a :func:`drain` or :func:`since` delta into this registry."""
+    with _LOCK:
+        for name, n in delta["counters"].items():
+            _COUNTERS[name] = _COUNTERS.get(name, 0) + n
+        for name, entry in delta["timers"].items():
+            held = _TIMERS.setdefault(name, [0, 0.0])
+            held[0] += entry["calls"]
+            held[1] += entry["total_s"]

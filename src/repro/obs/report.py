@@ -4,8 +4,9 @@
 containing ``trace.jsonl``, or the JSONL file itself) and prints the
 text summary this module renders: the run's wall time, a per-category
 time rollup, the **critical path** — the lower bound on wall time no
-worker count can beat — the top-k slowest tasks, and the cache/retry
-counters.
+worker count can beat — the top-k slowest tasks, the cache/retry
+counters with the hit and dedupe ratios derived from them, and the
+``@profiled`` timers.
 
 The executor runs independent tasks in one wave (sequential work such
 as a SplitBeam feedback chain runs inside one task), so the critical
@@ -64,7 +65,7 @@ def _metrics(events) -> dict:
     for event in events:
         if event.get("type") == "metrics":
             return event
-    return {"counters": {}, "gauges": {}, "histograms": {}}
+    return {"counters": {}, "timers": {}}
 
 
 def _duration(span: dict) -> float:
@@ -116,7 +117,7 @@ def render_report(events, top_k: int = 10) -> str:
     spans = _spans(events)
     metrics = _metrics(events)
     counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
+    timers = metrics.get("timers", {})
 
     title = f"trace report: {meta.get('name', '<unnamed>')}"
     lines = [title, "=" * len(title)]
@@ -176,8 +177,15 @@ def render_report(events, top_k: int = 10) -> str:
         ("checkpoint.hits", "checkpoint hits"),
         ("checkpoint.misses", "checkpoint misses"),
         ("store.quarantined", "store quarantines"),
+        ("store.recovered", "store recoveries"),
+        ("store.truncated", "torn tails dropped"),
+        ("executor.task_errors", "task errors"),
+        ("executor.injected_faults", "injected faults"),
         ("executor.retries", "retries"),
+        ("executor.timeouts", "timeouts"),
         ("executor.worker_crashes", "worker crashes"),
+        ("executor.pool_rebuilds", "pool rebuilds"),
+        ("executor.serial_fallbacks", "serial fallbacks"),
         ("executor.messages", "IPC messages"),
         ("executor.message_bytes", "IPC bytes"),
         ("payloads.interned", "payload interns"),
@@ -186,11 +194,30 @@ def render_report(events, top_k: int = 10) -> str:
     stat_lines = []
     for key, label in cache_keys:
         if key in counters:
-            stat_lines.append(f"  {label:<18} {counters[key]:g}")
-    for key in sorted(gauges):
-        stat_lines.append(f"  {key:<18} {gauges[key]:.3f}")
+            stat_lines.append(f"  {label:<20} {counters[key]:g}")
+    for store in ("cache", "checkpoint"):
+        hits = counters.get(f"{store}.hits", 0)
+        looked_up = hits + counters.get(f"{store}.misses", 0)
+        if looked_up:
+            stat_lines.append(f"  {store + ' hit ratio':<20} {hits / looked_up:.3f}")
+    interned = counters.get("payloads.interned", 0)
+    if interned:
+        # Interns served from an entry an earlier intern created.
+        dedupe = (interned - counters.get("payloads.unique", 0)) / interned
+        stat_lines.append(f"  {'payload dedupe':<20} {dedupe:.3f}")
     if stat_lines:
         lines.append("")
         lines.append("cache / runtime statistics:")
         lines.extend(stat_lines)
+
+    if timers:
+        lines.append("")
+        lines.append("timers (calls, wall time summed over processes):")
+        for name, entry in sorted(
+            timers.items(), key=lambda item: (-item[1]["total_s"], item[0])
+        ):
+            lines.append(
+                f"  {name:<24} {entry['calls']:>6}  "
+                f"{_format_s(entry['total_s']):>10}"
+            )
     return "\n".join(lines)

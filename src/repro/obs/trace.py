@@ -16,10 +16,11 @@ timestamps (and the pid *attributes* used to lay out worker lanes)
 vary.  Telemetry lives entirely outside the result artifacts:
 manifests are byte-identical with tracing on or off.
 
-Cost contract: the disabled path is a near-zero no-op.  Library
+Cost contract: spans cost next to nothing when disabled.  Library
 instrumentation points call :func:`current_tracer` — one module-global
-read and a ``None`` check — and skip everything else when no tracer is
-installed.
+read and a ``None`` check — and record no span when no tracer is
+installed.  Counters and timers are not spans: they go to the
+always-on registry of :mod:`repro.obs.metrics`.
 
 Activation (mirrors :mod:`repro.runtime.faults`):
 
@@ -45,7 +46,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import Metrics
+from repro.obs.metrics import since, snapshot
 
 __all__ = [
     "TRACE_ENV",
@@ -111,7 +112,12 @@ class Span:
 
 
 class Tracer:
-    """Collects one run's spans and metrics (see module docstring).
+    """Collects one run's spans (see module docstring).
+
+    Counters and timers are not the tracer's: they live in the process
+    registry of :mod:`repro.obs.metrics` and count whether or not a
+    tracer is installed.  The tracer remembers the registry's state when
+    it is created, and :meth:`metrics` reports what it gained since.
 
     Parameters
     ----------
@@ -137,7 +143,7 @@ class Tracer:
         self.epoch = time.perf_counter() if epoch is None else epoch
         self.pid = os.getpid()
         self.spans: "list[Span]" = []
-        self.metrics = Metrics()
+        self._registry_base = snapshot()
         self._stack: "list[str]" = []
         self._counts: "dict[tuple[str, str], int]" = {}
         self._lock = threading.RLock()
@@ -237,6 +243,10 @@ class Tracer:
         """The recorded spans as JSON-able dicts (IPC and exporters)."""
         with self._lock:
             return [span.to_dict() for span in self.spans]
+
+    def metrics(self) -> dict:
+        """What the registry counted and timed since this tracer was made."""
+        return since(self._registry_base)
 
 
 #: The process-wide tracer instrumentation points consult.  ``None``

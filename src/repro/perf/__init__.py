@@ -1,26 +1,20 @@
 """Performance measurement subsystem.
 
-Three pieces:
+Two pieces:
 
 - :mod:`repro.perf.timer` — the :class:`Benchmark` runner producing
   median/mean/min wall times and samples-per-second throughput;
-- :mod:`repro.perf.profile` — ``@profiled`` hooks and the ``record``
-  context manager for coarse where-did-the-time-go accounting;
 - :mod:`repro.perf.report` — :class:`PerfReport`, the JSON emitter
   behind ``benchmarks/results/BENCH_hotpaths.json``.
+
+Where a run's time went is the job of the always-on ``@profiled``
+timers in :mod:`repro.obs.metrics`.
 
 :mod:`repro.perf.reference` holds the frozen pre-vectorization hot-path
 implementations used for equivalence tests and before/after speedup
 tracking.  See ``docs/perf.md`` for how to run and read the benchmarks.
 """
 
-from repro.perf.profile import (
-    ProfileEntry,
-    profile_summary,
-    profiled,
-    record,
-    reset_profiles,
-)
 from repro.perf.report import PerfReport
 from repro.perf.timer import Benchmark, BenchmarkResult, speedup
 
@@ -28,10 +22,5 @@ __all__ = [
     "Benchmark",
     "BenchmarkResult",
     "PerfReport",
-    "ProfileEntry",
-    "profile_summary",
-    "profiled",
-    "record",
-    "reset_profiles",
     "speedup",
 ]

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.perf.profile import profiled
+from repro.obs.metrics import profiled
 from repro.phy.coding import bcc_rate_half
 from repro.phy.interleaver import BlockInterleaver
 from repro.phy.metrics import LinkMetrics, batch_link_metrics

@@ -34,6 +34,7 @@ import threading
 from pathlib import Path
 
 from repro.errors import ConfigurationError
+from repro.obs.metrics import count
 from repro.obs.trace import current_tracer
 from repro.runtime import knobs
 from repro.runtime.store import SegmentStore, StoreHealth
@@ -208,13 +209,13 @@ class ResultCache:
         """
         tracer = current_tracer()
         if tracer is None:
-            return self._get(key)
-        with tracer.span("cache.get", "store", key=key) as span:
             result = self._get(key)
-            hit = result is not None
-            span.attrs["hit"] = hit
-            tracer.metrics.inc("cache.hits" if hit else "cache.misses")
-            return result
+        else:
+            with tracer.span("cache.get", "store", key=key) as span:
+                result = self._get(key)
+                span.attrs["hit"] = result is not None
+        count("cache.hits" if result is not None else "cache.misses")
+        return result
 
     def _get(self, key: str):
         raw = self._store.get(key)
@@ -229,11 +230,11 @@ class ResultCache:
 
     def put(self, key: str, spec, result) -> Path:
         """Store one completed point (atomic append; last writer wins)."""
+        count("cache.puts")
         tracer = current_tracer()
         if tracer is None:
             return self._put(key, spec, result)
         with tracer.span("cache.put", "store", key=key):
-            tracer.metrics.inc("cache.puts")
             return self._put(key, spec, result)
 
     def _put(self, key: str, spec, result) -> Path:

@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.metrics import count
 from repro.obs.trace import current_tracer
 from repro.runtime import knobs
 from repro.runtime.cache import sweep_stale_tmp, sweep_stale_tmp_once
@@ -217,15 +218,13 @@ class CheckpointStore:
     def get(self, key: str) -> "Checkpoint | None":
         tracer = current_tracer()
         if tracer is None:
-            return self._get(key)
-        with tracer.span("checkpoint.get", "store", key=key) as span:
             checkpoint = self._get(key)
-            hit = checkpoint is not None
-            span.attrs["hit"] = hit
-            tracer.metrics.inc(
-                "checkpoint.hits" if hit else "checkpoint.misses"
-            )
-            return checkpoint
+        else:
+            with tracer.span("checkpoint.get", "store", key=key) as span:
+                checkpoint = self._get(key)
+                span.attrs["hit"] = checkpoint is not None
+        count("checkpoint.hits" if checkpoint is not None else "checkpoint.misses")
+        return checkpoint
 
     def _get(self, key: str) -> "Checkpoint | None":
         """The checkpoint for ``key``, or ``None`` on miss.
@@ -261,11 +260,11 @@ class CheckpointStore:
         readable-but-wrong checkpoint.  ``state_sha256`` lets a caller
         that already digested ``state`` skip the re-hash.
         """
+        count("checkpoint.puts")
         tracer = current_tracer()
         if tracer is None:
             return self._put(key, spec, state, meta, state_sha256)
         with tracer.span("checkpoint.put", "store", key=key):
-            tracer.metrics.inc("checkpoint.puts")
             return self._put(key, spec, state, meta, state_sha256)
 
     def _put(

@@ -38,10 +38,42 @@ from repro.runtime.planner import plan_scenario
 from repro.runtime.spec import Scenario
 from repro.utils.artifacts import write_json_artifact
 
-__all__ = ["EngineRun", "ExperimentEngine"]
+__all__ = ["EngineRun", "ExperimentEngine", "run_scoped"]
 
 #: Bump when the result-artifact layout changes incompatibly.
 RESULT_SCHEMA_VERSION = 1
+
+
+def run_scoped(name: str, trace, faults, body):
+    """Run ``body(plan)`` with the run's fault plan and tracer installed.
+
+    The scaffold of every top-level run (``ExperimentEngine.run``,
+    ``ZooBuilder.build``, ``NetworkCampaign.run``).  The active fault
+    plan (``faults``, else the installed plan or
+    ``$REPRO_RUNTIME_FAULTS``) and the tracer that
+    :func:`~repro.obs.trace.tracer_for_run` resolves from ``trace`` are
+    installed for the run's duration, so store reads and writes — which
+    happen far from any executor kwarg — see the same chaos schedule
+    and land in the same timeline; both are restored afterwards.
+    Traced, the run is one root span called ``name``, and the result's
+    ``trace_dir`` says where its trace lands: the run that created the
+    tracer writes the trace there when it ends.
+    """
+    plan = faults_mod.active_plan(faults)
+    previous = faults_mod.install(plan)
+    tracer, owned = trace_mod.tracer_for_run(trace, name)
+    prev_tracer = trace_mod.install_tracer(tracer) if tracer else None
+    try:
+        if tracer is None:
+            return body(plan)
+        with tracer.span(name, "engine"):
+            result = body(plan)
+        result.trace_dir = write_trace(tracer) if owned else tracer.out_dir
+        return result
+    finally:
+        if tracer is not None:
+            trace_mod.install_tracer(prev_tracer)
+        faults_mod.install(previous)
 
 
 @dataclass
@@ -142,43 +174,12 @@ class ExperimentEngine:
 
     def run(self, scenario: Scenario) -> EngineRun:
         """Execute every point of ``scenario`` (reusing cached ones)."""
-        # Install the active plan (and tracer) for the run's duration so
-        # store reads/writes — which happen far from any executor kwarg
-        # — see the same chaos schedule and land in the same timeline.
-        plan = faults_mod.active_plan(self.faults)
-        previous = faults_mod.install(plan)
-        tracer, owned = trace_mod.tracer_for_run(
-            self.trace, f"engine:{scenario.name}"
+        return run_scoped(
+            f"engine:{scenario.name}",
+            self.trace,
+            self.faults,
+            lambda plan: self._run(scenario, plan),
         )
-        prev_tracer = trace_mod.install_tracer(tracer) if tracer else None
-        try:
-            if tracer is None:
-                return self._run(scenario, plan)
-            with tracer.span(f"engine:{scenario.name}", "engine"):
-                run = self._run(scenario, plan)
-            self._finalize_trace(run, tracer, owned)
-            return run
-        finally:
-            if tracer is not None:
-                trace_mod.install_tracer(prev_tracer)
-            faults_mod.install(previous)
-
-    def _finalize_trace(self, run: EngineRun, tracer, owned: bool) -> None:
-        """Fold run health into the metrics; export when we own the tracer."""
-        metrics = tracer.metrics
-        metrics.ratio_gauge("cache.hit_ratio", run.n_cached, run.n_tasks)
-        for family, counters in run.health.items():
-            if not isinstance(counters, dict):
-                continue
-            for key, value in counters.items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    metrics.set_gauge(f"health.{family}.{key}", value)
-        if owned:
-            run.trace_dir = write_trace(tracer)
-        else:
-            run.trace_dir = tracer.out_dir
 
     def _run(self, scenario: Scenario, plan) -> EngineRun:
         start = time.perf_counter()

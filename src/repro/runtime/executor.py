@@ -44,7 +44,8 @@ Fault tolerance (see :mod:`repro.runtime.faults` for injection):
   failures the run degrades to the deterministic in-process executor
   for its remainder;
 - everything is tallied in a :class:`RunHealth` object the engines
-  thread into their run statistics.
+  thread into their run statistics, and counted in the telemetry
+  registry (:mod:`repro.obs.metrics`) as ``executor.<field>``.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, ReproError
+from repro.obs import metrics
 from repro.obs.trace import current_tracer, span_id
-from repro.perf.profile import merge_profiles, profile_snapshot
 from repro.runtime import knobs
 from repro.runtime.faults import FaultPlan, InjectedFaultError, active_plan
 from repro.runtime.payloads import PayloadStore, collect_refs, load_payload, resolve_refs
@@ -170,7 +171,8 @@ class RunHealth:
     crash or timeout in a dispatch round that scheduled a crash or
     delay.
     ``failed`` lists tasks that exhausted their retries (collect-error
-    mode).
+    mode).  Every counter moves through :meth:`bump`, which counts the
+    same amount in the telemetry registry.
     """
 
     retries: int = 0
@@ -183,16 +185,10 @@ class RunHealth:
     fallback_reason: "str | None" = None
     failed: "list[dict]" = field(default_factory=list)
 
-    @property
-    def faulted(self) -> bool:
-        """Whether anything at all went wrong (or was injected)."""
-        return bool(
-            self.task_errors
-            or self.timeouts
-            or self.worker_crashes
-            or self.serial_fallbacks
-            or self.failed
-        )
+    def bump(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to counter ``name`` and to registry ``executor.<name>``."""
+        setattr(self, name, getattr(self, name) + n)
+        metrics.count(f"executor.{name}", n)
 
     def to_dict(self) -> dict:
         """JSON-able summary (failure lists sorted for stable output)."""
@@ -263,26 +259,6 @@ def _error_summary(exc: BaseException) -> str:
     return traceback.format_exception_only(type(exc), exc)[-1].strip()
 
 
-#: Worker-process baseline of the ``@profiled`` registry.  Forked
-#: workers inherit the coordinator's registry contents; the first chunk
-#: snapshots them so only worker-observed time ships back, and each
-#: later chunk ships the delta since the previous one.
-_WORKER_PROFILE_BASE: "dict[str, tuple[int, float, float]] | None" = None
-
-
-def _worker_profile_delta() -> "dict[str, tuple[int, float, float]]":
-    global _WORKER_PROFILE_BASE
-    snapshot = profile_snapshot()
-    base = _WORKER_PROFILE_BASE or {}
-    delta = {}
-    for name, (calls, total_s, max_s) in snapshot.items():
-        prev_calls, prev_total, _ = base.get(name, (0, 0.0, 0.0))
-        if calls != prev_calls or total_s != prev_total:
-            delta[name] = (calls - prev_calls, total_s - prev_total, max_s)
-    _WORKER_PROFILE_BASE = snapshot
-    return delta
-
-
 def _run_chunk(message):
     """Worker entry point: run one packed chunk serially, in plan order.
 
@@ -298,10 +274,10 @@ def _run_chunk(message):
     exception cannot take down its chunk-mates, and the original
     traceback travels as a plain string that survives pickling.
 
-    The return value is ``(outcomes, profile_delta, spans)``:
-    ``profile_delta`` is this worker's ``@profiled`` registry delta
-    since its previous chunk (always shipped — without it, worker-side
-    profiling is silently lost when the pool exits), and ``spans`` are
+    The return value is ``(outcomes, telemetry, spans)``: ``telemetry``
+    is this worker's registry delta for the chunk (:func:`~repro.obs.
+    metrics.drain`; always shipped — without it, worker-side counters
+    and timers are lost when the pool exits), and ``spans`` are
     per-task execute spans recorded when ``trace_ctx = (epoch,
     execute_parent_id)`` is set.  Span ids derive from the
     coordinator-supplied logical parent via :func:`~repro.obs.trace.
@@ -309,10 +285,7 @@ def _run_chunk(message):
     timestamps use the coordinator's ``perf_counter`` epoch, which
     forked workers share.
     """
-    global _WORKER_PROFILE_BASE
     spool_root, plan, trace_ctx, items = message
-    if _WORKER_PROFILE_BASE is None:
-        _WORKER_PROFILE_BASE = profile_snapshot()
     out = []
     spans = []
     pid = os.getpid()
@@ -352,7 +325,7 @@ def _run_chunk(message):
                     "attrs": {"task": task_id, "attempt": attempt},
                 }
             )
-    return out, _worker_profile_delta(), spans
+    return out, metrics.drain(), spans
 
 
 def _check_ids(tasks: Sequence[Task]) -> None:
@@ -367,7 +340,11 @@ def _check_ids(tasks: Sequence[Task]) -> None:
 def _make_pool(n_workers: int) -> ProcessPoolExecutor:
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     context = multiprocessing.get_context(method)
-    return ProcessPoolExecutor(max_workers=n_workers, mp_context=context)
+    # Each worker drains once at start: a forked worker's registry holds
+    # the coordinator's counts, which must not ship back a second time.
+    return ProcessPoolExecutor(
+        max_workers=n_workers, mp_context=context, initializer=metrics.drain
+    )
 
 
 #: Messages per worker a packed wave may use.  1 would minimize IPC but
@@ -491,16 +468,13 @@ class _Execution:
 
     def _record_error(self, task_id: str, injected: bool) -> bool:
         """Count one failed attempt; True when the task may retry."""
-        self.health.task_errors += 1
+        self.health.bump("task_errors")
         if injected:
-            self.health.injected_faults += 1
-        if self.tracer is not None:
-            self.tracer.metrics.inc("executor.task_errors")
+            self.health.bump("injected_faults")
         self.failures[task_id] = self.failures.get(task_id, 0) + 1
         if self.failures[task_id] <= self.policy.retries:
-            self.health.retries += 1
+            self.health.bump("retries")
             if self.tracer is not None:
-                self.tracer.metrics.inc("executor.retries")
                 self.tracer.event("retry", "executor", task=task_id)
             return True
         return False
@@ -538,8 +512,9 @@ class _Execution:
             attempt = self._dispatch_attempt(task.task_id)
             # An in-process delay always sleeps; a crash downgrades to an
             # error, counted when it is recorded.
-            self.health.injected_faults += len(
-                self._scheduled(task.task_id, attempt, ("delay",))
+            self.health.bump(
+                "injected_faults",
+                len(self._scheduled(task.task_id, attempt, ("delay",))),
             )
             try:
                 with self._task_span(task, attempt):
@@ -592,7 +567,7 @@ class _Execution:
                 "deterministic in-process executor"
             )
             warnings.warn(reason, RuntimeWarning, stacklevel=4)
-            self.health.serial_fallbacks += 1
+            self.health.bump("serial_fallbacks")
             if self.health.fallback_reason is None:
                 self.health.fallback_reason = reason
             self.serial_only = True
@@ -620,14 +595,13 @@ class _Execution:
     def _consume_chunk(self, chunk_result, remaining: dict) -> None:
         """Fold one worker chunk's outcomes + telemetry into the run.
 
-        Profile deltas merge unconditionally — that wall time genuinely
-        elapsed even if the chunk is a salvaged replay.  Worker spans
+        Registry deltas merge unconditionally — that work genuinely
+        happened even if the chunk is a salvaged replay.  Worker spans
         are absorbed only for tasks still outstanding, so a replayed
         chunk cannot duplicate a task's timeline row.
         """
-        outcomes, profile_delta, spans = chunk_result
-        if profile_delta:
-            merge_profiles(profile_delta)
+        outcomes, telemetry, spans = chunk_result
+        metrics.merge(telemetry)
         if self.tracer is not None and spans:
             self.tracer.absorb(
                 [s for s in spans if s["attrs"]["task"] in remaining]
@@ -640,9 +614,10 @@ class _Execution:
             if task_id not in remaining:
                 continue  # a salvaged duplicate from a replayed chunk
             # A returned outcome shows that the task's delays ran.
-            self.health.injected_faults += self.round_faults.pop(
-                task_id, []
-            ).count("delay")
+            self.health.bump(
+                "injected_faults",
+                self.round_faults.pop(task_id, []).count("delay"),
+            )
             if outcome[0] == "ok":
                 del remaining[task_id]
                 self._complete(task_id, outcome[2])
@@ -666,26 +641,18 @@ class _Execution:
 
     def _on_pool_failure(self, kind: str, detail: str, remaining) -> None:
         """Count, rebuild (or degrade to serial), and let the wave replay."""
-        if kind == "timeout":
-            self.health.timeouts += 1
-        else:
-            self.health.worker_crashes += 1
+        self.health.bump("timeouts" if kind == "timeout" else "worker_crashes")
         # The failure is the observed effect of one injected fault when
         # the round scheduled one that no returned outcome accounts for:
         # the first crash breaks the pool, and the round's other
         # scheduled crashes replay at the next attempt, never firing.
         cause = "delay" if kind == "timeout" else "crash"
         if any(cause in kinds for kinds in self.round_faults.values()):
-            self.health.injected_faults += 1
-        if self.tracer is not None:
-            self.tracer.metrics.inc(
-                "executor.timeouts" if kind == "timeout"
-                else "executor.worker_crashes"
-            )
+            self.health.bump("injected_faults")
         self._kill_pool()
         self.pool_failures += 1
         if self.pool_failures >= self.policy.max_pool_failures:
-            self.health.serial_fallbacks += 1
+            self.health.bump("serial_fallbacks")
             if self.health.fallback_reason is None:
                 self.health.fallback_reason = (
                     f"{self.pool_failures} pool failure(s), last: {detail}; "
@@ -696,14 +663,12 @@ class _Execution:
             )
             self.serial_only = True
             if self.tracer is not None:
-                self.tracer.metrics.inc("executor.serial_fallbacks")
                 self.tracer.event(
                     "serial_fallback", "executor", kind=kind, detail=detail
                 )
         else:
-            self.health.pool_rebuilds += 1
+            self.health.bump("pool_rebuilds")
             if self.tracer is not None:
-                self.tracer.metrics.inc("executor.pool_rebuilds")
                 self.tracer.event(
                     "pool_rebuild", "executor", kind=kind, detail=detail
                 )
@@ -746,13 +711,10 @@ class _Execution:
                 self.n_workers,
                 attempts=attempts,
             )
+            metrics.count("executor.messages", len(messages))
             trace_ctx = None
             if self.tracer is not None:
                 trace_ctx = (self.tracer.epoch, self._task_parent)
-                self.tracer.metrics.inc("executor.messages", len(messages))
-                self.tracer.metrics.observe(
-                    "executor.queue_depth", len(remaining)
-                )
             with self._maybe_span(
                 "dispatch",
                 messages=len(messages),
@@ -763,7 +725,8 @@ class _Execution:
                     for message in messages
                 ]
                 if self.tracer is not None:
-                    self.tracer.metrics.inc(
+                    # Traced only: sizing pickles every message again.
+                    metrics.count(
                         "executor.message_bytes",
                         sum(len(pickle.dumps(m)) for m in payloads_msgs),
                     )

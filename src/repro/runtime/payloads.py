@@ -45,6 +45,7 @@ import tempfile
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.obs.metrics import count
 from repro.obs.trace import current_tracer
 from repro.runtime import knobs
 
@@ -86,7 +87,8 @@ class PayloadStore:
         self._root = root
         self._spool: "str | None" = None
         self._closed = False
-        #: Spool files re-created after vanishing mid-run (see spill).
+        #: Spool files re-created after vanishing mid-run (see spill);
+        #: each also counts as registry ``payloads.rehydrated``.
         self.rehydrated = 0
 
     # -- coordinator side -------------------------------------------------------
@@ -100,9 +102,7 @@ class PayloadStore:
         """
         if self._closed:
             raise ConfigurationError("payload store is closed")
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.inc("payloads.interned")
+        count("payloads.interned")
         memo = self._by_id.get(id(obj))
         if memo is not None and memo[1] is obj:
             return PayloadRef(memo[0])
@@ -111,9 +111,8 @@ class PayloadStore:
         if digest not in self._objects:
             self._objects[digest] = obj
             self._bytes[digest] = data
-            if tracer is not None:
-                tracer.metrics.inc("payloads.unique")
-                tracer.metrics.inc("payloads.unique_bytes", len(data))
+            count("payloads.unique")
+            count("payloads.unique_bytes", len(data))
         self._by_id[id(obj)] = (digest, obj)
         return PayloadRef(digest)
 
@@ -165,20 +164,18 @@ class PayloadStore:
                     continue  # unknown digest, or already spilled and intact
                 data = pickle.dumps(self._objects[digest], protocol=_PROTOCOL)
                 self.rehydrated += 1
-                if span is not None:
-                    current_tracer().metrics.inc("payloads.rehydrated")
+                count("payloads.rehydrated")
             tmp = f"{path}.tmp.{os.getpid()}"
             with open(tmp, "wb") as handle:
                 handle.write(data)
             os.replace(tmp, path)
             written += 1
             written_bytes += len(data)
+        count("payloads.spilled", written)
+        count("payloads.spilled_bytes", written_bytes)
         if span is not None:
             span.attrs["spilled"] = written
             span.attrs["spilled_bytes"] = written_bytes
-            tracer = current_tracer()
-            tracer.metrics.inc("payloads.spilled", written)
-            tracer.metrics.inc("payloads.spilled_bytes", written_bytes)
         return self._spool
 
     def close(self) -> None:

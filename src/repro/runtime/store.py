@@ -85,6 +85,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback (no flock)
     fcntl = None
 
 from repro.errors import ConfigurationError
+from repro.obs.metrics import count
 from repro.obs.trace import current_tracer
 from repro.runtime.faults import active_plan
 
@@ -129,13 +130,20 @@ class StoreHealth:
     dropped by compaction (each cost one recompute); ``recovered``
     counts committed records re-indexed from segment tails or a full
     rebuild scan; ``truncated`` counts torn segment tails dropped by
-    recovery; ``compactions`` counts compaction runs.
+    recovery; ``compactions`` counts compaction runs.  Every counter
+    moves through :meth:`bump`, which counts the same amount in the
+    telemetry registry.
     """
 
     quarantined: int = 0
     recovered: int = 0
     truncated: int = 0
     compactions: int = 0
+
+    def bump(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to counter ``name`` and to registry ``store.<name>``."""
+        setattr(self, name, getattr(self, name) + n)
+        count(f"store.{name}", n)
 
     def to_dict(self) -> dict:
         return {
@@ -404,7 +412,8 @@ class SegmentStore:
         if rebuilt and on_disk:
             # Index was rebuilt by a full scan; records it re-indexed
             # are "recovered" only in the bookkeeping sense — surface
-            # the rebuild itself to the tracer.
+            # the rebuild itself to the registry and the tracer.
+            count("store.index_rebuild")
             self._trace_event(
                 "index_rebuild",
                 recovered=self.health.recovered - recovered_before,
@@ -539,10 +548,10 @@ class SegmentStore:
             # writer's) never land after garbage.
             with open(path, "r+b") as handle:
                 handle.truncate(good_end)
-            self.health.truncated += 1
+            self.health.bump("truncated")
             self._trace_event("torn_tail", segment=name, dropped=size - good_end)
         self._segments[name] = good_end
-        self.health.recovered += recovered
+        self.health.bump("recovered", recovered)
 
     def _catch_up(self) -> None:
         """Absorb records other writers appended since our last look."""
@@ -567,7 +576,6 @@ class SegmentStore:
         tracer = current_tracer()
         if tracer is not None:
             tracer.event(name, "store", store=self.label, **attrs)
-            tracer.metrics.inc(f"store.{name}")
 
     # -- write path ------------------------------------------------------------
 
@@ -684,11 +692,8 @@ class SegmentStore:
 
     def _count_quarantine(self, key: str) -> None:
         """Tick health and the trace for one corrupt entry taken out."""
-        self.health.quarantined += 1
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.inc("store.quarantined")
-            tracer.event("quarantine", "store", store=self.label, key=key)
+        self.health.bump("quarantined")
+        self._trace_event("quarantine", key=key)
 
     def delete(self, key: str) -> bool:
         """Tombstone ``key`` (no health tick); ``True`` if it was live."""
@@ -881,9 +886,7 @@ class SegmentStore:
         )
         with span if span is not None else nullcontext():
             dropped = self._compact(live)
-        self.health.compactions += 1
-        if tracer is not None:
-            tracer.metrics.inc("store.compactions")
+        self.health.bump("compactions")
         return dropped
 
     def _compact(self, live: "set | None") -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import ConfigurationError, FeedbackError, ShapeError
-from repro.perf.profile import profiled
+from repro.obs.metrics import profiled
 from repro.phy.ofdm import band_plan
 from repro.standard.givens import (
     GivensAngles,

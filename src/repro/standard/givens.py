@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.perf.profile import profiled
+from repro.obs.metrics import profiled
 
 __all__ = ["GivensAngles", "givens_decompose", "givens_reconstruct", "angle_counts"]
 

@@ -16,7 +16,7 @@ from repro.core.network import (
 )
 from repro.datasets import build_dataset, dataset_spec
 from repro.errors import ConfigurationError
-from repro.perf import profile_summary, reset_profiles
+from repro.obs import metrics
 from repro.runtime import (
     CheckpointStore,
     NetworkCampaignSpec,
@@ -105,11 +105,11 @@ def campaign_runs(tmp_path_factory):
         spec, cache=cache_pool, store=store, n_workers=4
     ).run()
     clear_memos()
-    reset_profiles()
+    base = metrics.snapshot()
     warm = NetworkCampaign(
         spec, cache=cache_serial, store=store, n_workers=1
     ).run()
-    warm_profiles = {entry.name for entry in profile_summary()}
+    warm_profiles = set(metrics.since(base)["timers"])
     return {
         "spec": spec,
         "store": store,
@@ -142,7 +142,7 @@ class TestDeterminism:
         assert warm.n_executed_rounds == 0
         assert warm.n_cached_rounds == N_STAS * N_ROUNDS
         assert warm.zoo_trained == 0
-        # The @profiled registry confirms no link simulator ran — and no
+        # The @profiled timers confirm no link simulator ran — and no
         # CSI dataset was even sampled (rounds replay from the store;
         # datasets build lazily only for rounds that execute).
         assert "link.measure_ber" not in campaign_runs["warm_profiles"]
@@ -159,13 +159,10 @@ class TestDeterminism:
         assert campaign_runs["cold_pool"].zoo_cached == 3
 
 
-def collect_session_calls() -> int:
-    """Channel-sampling calls in the @profiled registry (workers merged)."""
-    return sum(
-        entry.calls
-        for entry in profile_summary()
-        if entry.name == "sampler.collect_session"
-    )
+def collect_session_calls(base: dict) -> int:
+    """Channel-sampling calls timed since ``base`` (workers merged)."""
+    timer = metrics.since(base)["timers"].get("sampler.collect_session")
+    return timer["calls"] if timer else 0
 
 
 class TestDatasetBuilds:
@@ -223,7 +220,7 @@ class TestDatasetBuilds:
             for sta in self._spec().stas
         }
         clear_memos()
-        reset_profiles()
+        base = metrics.snapshot()
         for recipe in recipes.values():
             build_dataset(
                 dataset_spec(recipe["id"]),
@@ -231,7 +228,7 @@ class TestDatasetBuilds:
                 reset_interval=recipe["reset_interval"],
                 seed=recipe["seed"],
             )
-        return collect_session_calls()
+        return collect_session_calls(base)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_cold_campaign_builds_each_recipe_once(
@@ -240,7 +237,7 @@ class TestDatasetBuilds:
         # A fresh checkpoint store: at 2 workers the zoo trains in the
         # pool, whose workers would otherwise build their own datasets.
         clear_memos()
-        reset_profiles()
+        base = metrics.snapshot()
         result = NetworkCampaign(
             self._spec(),
             cache=ResultCache(tmp_path / "cache"),
@@ -249,7 +246,7 @@ class TestDatasetBuilds:
         ).run()
         assert result.zoo_trained == 2
         assert result.n_executed_rounds == 8
-        assert collect_session_calls() == one_build_each
+        assert collect_session_calls(base) == one_build_each
 
 
 class TestHeterogeneity:

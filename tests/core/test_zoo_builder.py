@@ -4,7 +4,7 @@ The PR's acceptance properties live here at smoke scale: a training
 grid executes through ``repro.runtime`` with bit-identical
 manifests/weights for any worker count, and a warm checkpoint store
 rebuilds the zoo with zero training epochs executed (asserted through
-both builder statistics and the ``@profiled`` trainer registry).
+both builder statistics and the ``@profiled`` trainer timers).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.core.zoo_builder import (
 )
 from repro.errors import ConfigurationError
 from repro.nn.serialize import state_dict, state_digest
-from repro.perf import profile_summary, reset_profiles
+from repro.obs import metrics
 from repro.runtime import (
     CheckpointStore,
     TrainingGrid,
@@ -170,15 +170,15 @@ class TestZooBuild:
         store = CheckpointStore(tmp_path / "ckpt")
         cold = train_zoo(grid, store=store, n_workers=1)
         assert cold.n_trained == 2 and len(store) == 2
-        reset_profiles()
+        base = metrics.snapshot()
         warm = train_zoo(grid, store=store, n_workers=1)
         assert warm.n_trained == 0 and warm.n_cached == 2
         assert all(row["cached"] for row in warm.entries)
         # Zero training epochs (and zero fits) ran: the profiled
-        # trainer registry saw nothing.
-        profiled_names = {entry.name for entry in profile_summary()}
-        assert "trainer.fit" not in profiled_names
-        assert "trainer.epoch" not in profiled_names
+        # trainer timers did not move.
+        timers = metrics.since(base)["timers"]
+        assert "trainer.fit" not in timers
+        assert "trainer.epoch" not in timers
         # The manifest (keys, weights digests, measured BERs) is
         # byte-identical to the cold build's.
         assert json.dumps(warm.to_dict(), sort_keys=True) == json.dumps(

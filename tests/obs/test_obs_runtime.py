@@ -12,7 +12,9 @@ The issue's acceptance criteria live here at smoke scale:
   across worker counts);
 - ``$REPRO_RUNTIME_TRACE`` activates tracing and writes all three
   artifacts;
-- worker ``@profiled`` registries merge into the coordinator's.
+- worker counters and ``@profiled`` timers merge into the coordinator's
+  registry exactly once, and a trace's ``metrics`` record counts a
+  nested zoo build's work once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -31,20 +34,23 @@ from repro.obs import (
     SUMMARY_NAME,
     critical_path,
     load_trace,
+    metrics,
     render_report,
     validate_events,
 )
 from repro.obs.report import task_rows
-from repro.perf import profile_summary, reset_profiles
 from repro.runtime import (
     CheckpointStore,
     ExperimentEngine,
     NetworkCampaignSpec,
     ResultCache,
+    RetryPolicy,
     Scenario,
     dot11,
     fidelity_to_dict,
+    get_campaign,
     ideal,
+    parse_plan,
     point,
     splitbeam,
     sta_profile,
@@ -136,16 +142,16 @@ def engine_runs(tmp_path_factory):
         ).run(scenario)
 
     untraced = run("untraced", N_WORKERS, False)
-    reset_profiles()
+    base = metrics.snapshot()
     pooled = run("pooled", N_WORKERS, str(root / "trace-pooled"))
-    pooled_profiles = {entry.name: entry for entry in profile_summary()}
+    pooled_timers = metrics.since(base)["timers"]
     serial = run("serial", 1, str(root / "trace-serial"))
     repeat = run("repeat", N_WORKERS, str(root / "trace-repeat"))
     return {
         "scenario": scenario,
         "untraced": untraced,
         "pooled": pooled,
-        "pooled_profiles": pooled_profiles,
+        "pooled_timers": pooled_timers,
         "serial": serial,
         "repeat": repeat,
     }
@@ -239,24 +245,28 @@ class TestEngineAcceptance:
         # even serial vs 4-worker runs agree on every task span id.
         assert tree("pooled", "task") == tree("serial", "task")
 
-    def test_worker_profiles_merge_into_coordinator(self, engine_runs):
-        profiles = engine_runs["pooled_profiles"]
+    def test_worker_timers_merge_into_coordinator(self, engine_runs):
+        timers = engine_runs["pooled_timers"]
         # The link simulator only ever ran inside pool workers, yet the
-        # coordinator registry sees it (satellite 1: shipped deltas).
-        assert "link.measure_ber" in profiles
-        assert profiles["link.measure_ber"].calls >= 2  # baseline points
+        # coordinator registry sees it: workers ship their deltas.
+        assert timers["link.measure_ber"]["calls"] >= 2  # baseline points
 
     def test_metrics_record_cache_and_ipc_counters(self, engine_runs):
         events = load_trace(engine_runs["pooled"].trace_dir)
-        metrics = next(e for e in events if e.get("type") == "metrics")
-        counters = metrics["counters"]
+        record = next(e for e in events if e.get("type") == "metrics")
+        counters = record["counters"]
         run = engine_runs["pooled"]
         assert counters["cache.misses"] == run.n_tasks
         assert counters["cache.puts"] == run.n_executed
+        assert "cache.hits" not in counters
         assert counters["executor.messages"] >= 1
         assert counters["executor.message_bytes"] > 0
-        assert metrics["gauges"]["cache.hit_ratio"] == 0.0
-        assert metrics["gauges"]["health.executor.task_errors"] == 0.0
+        assert "executor.task_errors" not in counters
+        # The trace carries the worker-side @profiled time too.
+        calls = {name: t["calls"] for name, t in record["timers"].items()}
+        assert calls == {
+            name: t["calls"] for name, t in engine_runs["pooled_timers"].items()
+        }
 
 
 @pytest.fixture(scope="module")
@@ -345,14 +355,14 @@ class TestCampaignAcceptance:
 
     def test_campaign_metrics_fold_health_and_dedupe(self, campaign_runs):
         events = load_trace(campaign_runs["traced"].trace_dir)
-        metrics = next(e for e in events if e.get("type") == "metrics")
-        counters = metrics["counters"]
-        gauges = metrics["gauges"]
+        record = next(e for e in events if e.get("type") == "metrics")
+        counters = record["counters"]
         traced = campaign_runs["traced"]
         assert counters["cache.puts"] == traced.n_executed_rounds
         assert counters["payloads.interned"] >= counters["payloads.unique"]
-        assert gauges["payloads.dedupe_ratio"] >= 0.0
-        assert gauges["health.executor.worker_crashes"] == 0.0
+        assert "payload dedupe" in render_report(events)
+        assert "executor.worker_crashes" not in counters
+        assert record["timers"]["link.measure_ber"]["calls"] >= 1
 
 
 class TestEnvActivation:
@@ -382,3 +392,105 @@ class TestEnvActivation:
         ).run(_scenario())
         assert run.trace_dir is None
         assert not (tmp_path / "never").exists()
+
+
+def _smoke_campaign(n_rounds: int):
+    """The smoke ``network-scale`` campaign: 6 STAs, ladders selectable."""
+    return get_campaign(
+        "network-scale",
+        fidelity=SMOKE,
+        n_stas=6,
+        n_rounds=n_rounds,
+        gamma_scale=10,
+    )
+
+
+class TestNestedRunTelemetry:
+    def test_trace_counts_the_nested_zoo_build_once(self, tmp_path):
+        # One injected error on each zoo training task (ids "0000:...");
+        # the campaign's own tasks are named after their STAs.
+        clear_memos()
+        result = NetworkCampaign(
+            _smoke_campaign(n_rounds=2),
+            cache=ResultCache(tmp_path / "cache"),
+            store=CheckpointStore(tmp_path / "store"),
+            n_workers=1,
+            policy=RetryPolicy(backoff_s=0.0),
+            faults=parse_plan("error,0*,count=1"),
+            trace=str(tmp_path / "trace"),
+        ).run()
+        health = result.health
+        events = load_trace(result.trace_dir)
+        record = next(e for e in events if e.get("type") == "metrics")
+        for name in ("retries", "task_errors", "injected_faults"):
+            both = health["zoo"]["executor"][name] + health["executor"][name]
+            assert both == 6, name
+            assert record["counters"][f"executor.{name}"] == both, name
+        # Health is counted, never copied into the trace as gauges.
+        jsonl = Path(result.trace_dir, JSONL_NAME).read_text()
+        assert '"health.' not in jsonl
+        for timer in ("link.measure_ber", "trainer.fit", "sampler.collect_session"):
+            assert record["timers"][timer]["calls"] >= 1, timer
+
+
+#: perfbench ledger layer -> how the registry counts the same calls.
+_LEDGER_LAYERS = {
+    "channels.collect": ("timer", ("sampler.collect_session",)),
+    "phy.link": ("timer", ("link.measure_ber",)),
+    "nn.fit": ("timer", ("trainer.fit",)),
+    "runtime.store_get": (
+        "counter",
+        ("cache.hits", "cache.misses", "checkpoint.hits", "checkpoint.misses"),
+    ),
+    "runtime.store_put": ("counter", ("cache.puts", "checkpoint.puts")),
+}
+
+
+def _registry_calls(delta: dict) -> "dict[str, int]":
+    out = {}
+    for layer, (kind, names) in _LEDGER_LAYERS.items():
+        if kind == "timer":
+            out[layer] = sum(
+                delta["timers"].get(name, {"calls": 0})["calls"] for name in names
+            )
+        else:
+            out[layer] = sum(delta["counters"].get(name, 0) for name in names)
+    return out
+
+
+class TestRegistryMatchesLedger:
+    """perfbench's ledger wraps the public entry points from outside.
+
+    It reads no registry, so where both see the same calls their counts
+    must agree; an untraced run counts as fully as a traced one.
+    """
+
+    @staticmethod
+    def _cold_run(root: Path, n_workers: int) -> dict:
+        clear_memos()
+        base = metrics.snapshot()
+        NetworkCampaign(
+            _smoke_campaign(n_rounds=3),
+            cache=ResultCache(root / "cache"),
+            store=CheckpointStore(root / "store"),
+            n_workers=n_workers,
+            trace=False,
+        ).run()
+        return _registry_calls(metrics.since(base))
+
+    def test_registry_counts_equal_the_ledger(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[2]))
+        from perfbench import ledger
+
+        recorder = ledger.Recorder()
+        installation = ledger.install(recorder)
+        try:
+            serial = self._cold_run(tmp_path / "serial", n_workers=1)
+        finally:
+            installation.uninstall()
+        assert installation.missing == []
+        assert all(serial.values()), serial
+        assert {layer: recorder.calls.get(layer, 0) for layer in serial} == serial
+        # Pool workers ship their deltas and the coordinator merges each
+        # once: two workers count exactly what one does.
+        assert self._cold_run(tmp_path / "pooled", n_workers=2) == serial

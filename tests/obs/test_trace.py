@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import (
-    Metrics,
     Tracer,
     chrome_trace_payload,
     critical_path,
@@ -20,6 +19,7 @@ from repro.obs import (
     validate_events,
     write_trace,
 )
+from repro.obs.metrics import count, profiled
 from repro.obs.trace import TRACE_ENV
 
 
@@ -80,30 +80,6 @@ class TestSpanIds:
         assert absorbed.duration_s == pytest.approx(0.2)
 
 
-class TestMetrics:
-    def test_counters_gauges_histograms(self):
-        metrics = Metrics()
-        metrics.inc("hits")
-        metrics.inc("hits", 2)
-        metrics.set_gauge("ratio", 0.5)
-        metrics.observe("depth", 3)
-        metrics.observe("depth", 5)
-        payload = metrics.to_dict()
-        assert payload["counters"]["hits"] == 3
-        assert payload["gauges"]["ratio"] == 0.5
-        depth = payload["histograms"]["depth"]
-        assert depth["count"] == 2
-        assert depth["min"] == 3 and depth["max"] == 5
-        assert depth["mean"] == pytest.approx(4.0)
-
-    def test_ratio_gauge_guards_zero_denominator(self):
-        metrics = Metrics()
-        metrics.ratio_gauge("r", 1, 0)
-        assert metrics.to_dict()["gauges"]["r"] == 0.0
-        metrics.ratio_gauge("r", 1, 4)
-        assert metrics.to_dict()["gauges"]["r"] == 0.25
-
-
 class TestTracerForRun:
     def test_false_disables_even_under_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv(TRACE_ENV, str(tmp_path))
@@ -153,7 +129,8 @@ def _sample_tracer() -> Tracer:
                     pass
                 span.start_s = index * 1.0
                 span.end_s = index * 1.0 + cost
-    tracer.metrics.inc("cache.misses", 3)
+    count("cache.misses", 3)
+    count("cache.hits", 1)
     return tracer
 
 
@@ -243,6 +220,23 @@ class TestExportAndReport:
         assert "trace report: engine:test" in text
         assert "critical path (1 task(s), 300.0 ms):\n  -> b\n" in text
         assert "cache misses" in text
+        # Ratios are derived from the counters: 1 hit in 4 lookups.
+        assert "cache hit ratio      0.250" in text
+        assert "checkpoint hit ratio" not in text  # no lookups, no ratio
+
+    def test_metrics_record_is_the_registry_delta(self):
+        count("unit.before_tracer")
+        tracer = Tracer(name="t")
+
+        @profiled("unit.traced")
+        def work():
+            count("unit.during_tracer", 2)
+
+        work()
+        record = trace_events(tracer)[-1]
+        assert record["type"] == "metrics"
+        assert record["counters"] == {"unit.during_tracer": 2}
+        assert record["timers"]["unit.traced"]["calls"] == 1
 
 
 class TestCli:

@@ -3,22 +3,11 @@
 from __future__ import annotations
 
 import json
-import time
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.perf import (
-    Benchmark,
-    BenchmarkResult,
-    PerfReport,
-    profile_summary,
-    profiled,
-    record,
-    reset_profiles,
-    speedup,
-)
+from repro.perf import Benchmark, BenchmarkResult, PerfReport, speedup
 
 
 class TestBenchmark:
@@ -58,194 +47,6 @@ class TestBenchmark:
         assert payload["name"] == "s"
         assert payload["n_items"] == 3
         assert payload["meta"] == {"k": "v"}
-
-
-class TestProfiling:
-    def test_profiled_decorator_records(self):
-        reset_profiles()
-
-        @profiled("unit.work")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert work(2) == 3
-        entries = {e.name: e for e in profile_summary()}
-        assert entries["unit.work"].calls == 2
-        assert entries["unit.work"].total_s >= 0.0
-        reset_profiles()
-        assert profile_summary() == []
-
-    def test_record_context_manager(self):
-        reset_profiles()
-        with record("unit.block"):
-            np.arange(10).sum()
-        entries = {e.name: e for e in profile_summary()}
-        assert entries["unit.block"].calls == 1
-        reset_profiles()
-
-    def test_registry_aggregates_and_sorts_by_total_time(self):
-        reset_profiles()
-
-        @profiled("unit.slow")
-        def slow():
-            time.sleep(0.002)
-
-        @profiled("unit.fast")
-        def fast():
-            return None
-
-        for _ in range(3):
-            fast()
-        slow()
-        entries = profile_summary()
-        assert [e.name for e in entries] == ["unit.slow", "unit.fast"]
-        fast_entry = entries[1]
-        assert fast_entry.calls == 3
-        assert fast_entry.mean_s == pytest.approx(fast_entry.total_s / 3)
-        assert fast_entry.max_s <= fast_entry.total_s
-        payload = fast_entry.as_dict()
-        assert payload["name"] == "unit.fast"
-        assert payload["calls"] == 3
-        reset_profiles()
-
-    def test_default_profiled_name_is_module_qualname(self):
-        reset_profiles()
-
-        @profiled()
-        def some_unit_fn():
-            return 1
-
-        some_unit_fn()
-        (entry,) = profile_summary()
-        assert entry.name.endswith("some_unit_fn")
-        assert entry.name == some_unit_fn.__profiled_name__
-        assert __name__ in entry.name
-        reset_profiles()
-
-    def test_library_entry_points_are_instrumented(self, smoke_dataset_2x2):
-        # The permanent @profiled hooks on the hot-path entry points are
-        # what makes post-hoc "where did the time go" queries possible.
-        from repro.phy.link import LinkConfig, LinkSimulator
-
-        reset_profiles()
-        indices = smoke_dataset_2x2.splits.test[:2]
-        LinkSimulator(LinkConfig()).measure_ber(
-            smoke_dataset_2x2.link_channels(indices),
-            smoke_dataset_2x2.link_bf(indices),
-        )
-        entries = {e.name: e for e in profile_summary()}
-        assert entries["link.measure_ber"].calls == 1
-        reset_profiles()
-
-    def test_profiled_preserves_exceptions_and_name(self):
-        reset_profiles()
-
-        @profiled()
-        def broken():
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError):
-            broken()
-        assert broken.__name__ == "broken"
-        (entry,) = profile_summary()
-        assert entry.calls == 1
-        reset_profiles()
-
-    def test_record_block_records_on_exception(self):
-        # The time a failing block burned is exactly the time a
-        # post-mortem needs — record() must observe it on the way out.
-        reset_profiles()
-        with pytest.raises(RuntimeError):
-            with record("unit.failing"):
-                raise RuntimeError("boom")
-        entries = {e.name: e for e in profile_summary()}
-        assert entries["unit.failing"].calls == 1
-        assert entries["unit.failing"].total_s >= 0.0
-        reset_profiles()
-
-    def test_nested_record_blocks_attribute_both_levels(self):
-        reset_profiles()
-        with record("unit.outer"):
-            with record("unit.inner"):
-                time.sleep(0.001)
-        entries = {e.name: e for e in profile_summary()}
-        assert entries["unit.outer"].calls == 1
-        assert entries["unit.inner"].calls == 1
-        # Wall time is attributed to every enclosing block: the outer
-        # span covers the inner one.
-        assert entries["unit.outer"].total_s >= entries["unit.inner"].total_s
-        reset_profiles()
-
-    def test_reset_between_stages_isolates_registries(self):
-        reset_profiles()
-        with record("stage.one"):
-            pass
-        assert [e.name for e in profile_summary()] == ["stage.one"]
-        reset_profiles()
-        with record("stage.two"):
-            pass
-        names = [e.name for e in profile_summary()]
-        assert names == ["stage.two"], "stage one leaked through reset"
-        reset_profiles()
-
-    def test_summary_ordering_is_deterministic_on_ties(self):
-        # Equal totals (here: zero, via merge of synthetic snapshots)
-        # must sort by name so repeated summaries diff clean.
-        from repro.perf.profile import merge_profiles
-
-        reset_profiles()
-        merge_profiles(
-            {
-                "unit.bbb": (1, 0.5, 0.5),
-                "unit.aaa": (1, 0.5, 0.5),
-                "unit.ccc": (2, 0.25, 0.125),
-            }
-        )
-        names = [e.name for e in profile_summary()]
-        assert names == ["unit.aaa", "unit.bbb", "unit.ccc"]
-        reset_profiles()
-
-    def test_snapshot_merge_round_trip(self):
-        # The worker-telemetry path: a worker snapshots its registry,
-        # ships it, and the coordinator merges it into its own.
-        from repro.perf.profile import merge_profiles, profile_snapshot
-
-        reset_profiles()
-        with record("unit.shared"):
-            pass
-        snapshot = profile_snapshot()
-        assert snapshot["unit.shared"][0] == 1
-        merge_profiles(snapshot)  # coordinator already has one call
-        (entry,) = profile_summary()
-        assert entry.calls == 2
-        assert entry.total_s == pytest.approx(2 * snapshot["unit.shared"][1])
-        assert entry.max_s == pytest.approx(snapshot["unit.shared"][2])
-        reset_profiles()
-
-    def test_observe_is_thread_safe(self):
-        import threading
-
-        reset_profiles()
-
-        @profiled("unit.threaded")
-        def bump():
-            return None
-
-        n_threads, n_calls = 8, 200
-
-        def hammer():
-            for _ in range(n_calls):
-                bump()
-
-        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        (entry,) = profile_summary()
-        assert entry.calls == n_threads * n_calls
-        reset_profiles()
 
 
 class TestPerfReport:

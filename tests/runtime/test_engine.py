@@ -4,7 +4,7 @@ The acceptance properties of the subsystem live here at smoke scale:
 worker counts never change a byte of the result artifact, and a warm
 cache serves every point without executing a single task (verified both
 through engine statistics and the ``@profiled`` link-simulator
-registry).
+timer).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from repro.config import SMOKE
 from repro.errors import ConfigurationError
-from repro.perf import profile_summary, reset_profiles
+from repro.obs import metrics
 from repro.runtime import (
     ExperimentEngine,
     ResultCache,
@@ -114,13 +114,11 @@ class TestEngineRun:
         cache = ResultCache(tmp_path / "cache")
         cold = ExperimentEngine(cache=cache, n_workers=1).run(scenario)
         assert cold.n_executed == 3
-        reset_profiles()
+        base = metrics.snapshot()
         warm = ExperimentEngine(cache=cache, n_workers=1).run(scenario)
         assert warm.n_executed == 0 and warm.n_cached == 3
-        # Zero link simulations ran: the profiled registry saw nothing.
-        assert not any(
-            entry.name == "link.measure_ber" for entry in profile_summary()
-        )
+        # Zero link simulations ran: the profiled timer did not move.
+        assert "link.measure_ber" not in metrics.since(base)["timers"]
         assert warm.to_dict() == cold.to_dict()
 
     def test_interrupted_run_keeps_completed_points(self, scenario, tmp_path):

@@ -164,7 +164,6 @@ class TestExecutorRetries:
         assert health.task_errors == 2
         assert health.injected_faults == 2
         assert health.retries == 2
-        assert health.faulted
 
     def test_exhausted_retries_raise_with_remote_traceback(self):
         plan = FaultPlan([FaultRule(kind="error", match="t0", count=99)])
@@ -215,7 +214,6 @@ class TestExecutorRetries:
         assert results == {"b": 4, "c": 9, "d": 16}
         assert [row["task"] for row in health.failed] == ["a"]
         assert "InjectedFaultError" in health.failed[0]["summary"]
-        assert health.faulted
 
 
 class TestPoolRecovery:

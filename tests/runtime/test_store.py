@@ -323,7 +323,7 @@ class TestCompaction:
         finally:
             install_tracer(previous)
         assert cache.health.quarantined == 1
-        assert tracer.metrics.counter("store.quarantined") == 1
+        assert tracer.metrics()["counters"]["store.quarantined"] == 1
         events = [span for span in tracer.spans if span.name == "quarantine"]
         assert [span.attrs for span in events] == [
             {"store": "cache", "key": "k1"}
