@@ -1,9 +1,10 @@
-"""Ablations on SplitBeam design choices called out in DESIGN.md.
+"""Ablations on three SplitBeam design choices.
 
-1. **Phase-gauge fixing** (DESIGN.md Sec. 3.3): training against raw
-   SVD targets (random per-column phases) versus the standard's
-   gauge-fixed representative.  Expectation: without the gauge the
-   regression target is not a function of the input and BER collapses.
+1. **Phase-gauge fixing** (docs/conventions.md, § Phase gauge):
+   training against raw SVD targets (random per-column phases) versus
+   the standard's gauge-fixed representative.  Expectation: without
+   the gauge the regression target is not a function of the input and
+   BER collapses.
 2. **Bottleneck quantization width**: over-the-air bits per bottleneck
    element versus BER and feedback size.  Expectation: 8+ bits are
    indistinguishable from float; feedback shrinks linearly.

@@ -3,7 +3,8 @@
 Regenerates the Fig. 7 bars — BM size ratio for 4x4 and 8x8 systems,
 K in {1/32 .. 1/4}, 20/40/80 MHz — from the airtime models of
 Sec. IV-E2, and checks the quoted 91%/93% reductions (K = 1/32 under
-the Eq. (9) 16-bit convention; see DESIGN.md Sec. 3.5).
+the Eq. (9) 16-bit convention; see docs/conventions.md, § The Eq. (9)
+16-bit convention).
 """
 
 from repro.analysis.report import ExperimentReport

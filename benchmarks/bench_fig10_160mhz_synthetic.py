@@ -14,10 +14,11 @@ geometry has Nr = 1 per STA.  At S = 484 that quadratic term makes the
 pipeline; the crossover lands at 4x4, where SplitBeam wins as the paper
 reports.  We therefore assert the monotone ratio trend and the 4x4 win
 rather than a uniform SplitBeam < 802.11 ordering, and record all
-measured values for EXPERIMENTS.md.
+measured values in the report.
 
 160 MHz models are the most expensive to train; this bench uses a
-reduced sample budget (documented in EXPERIMENTS.md).
+reduced sample budget (``FIG10_FIDELITY`` in ``repro.runtime.registry``;
+see docs/conventions.md, § Fidelity presets).
 
 The grid executes through ``repro.runtime``: the ``synthetic-160mhz``
 scenario preset expands to 9 (config x scheme) tasks — trainings

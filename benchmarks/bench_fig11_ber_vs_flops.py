@@ -15,7 +15,7 @@ the 802.11 closed-form FLOPs — the same bandwidth trend the paper's own
 Fig. 6 shows (the ratio grows toward 50% at 80 MHz already for Nr = Nt).
 The FLOP-reduction assertion is therefore enforced for K <= 1/8, and
 K = 1/4 is only required to stay within 2x of the 802.11 point; the
-measured values are recorded for EXPERIMENTS.md either way.
+report records the measured values either way.
 """
 
 from repro.analysis.report import ExperimentReport

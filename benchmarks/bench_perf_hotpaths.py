@@ -31,10 +31,6 @@ Stages:
 - ``train_step_wide``    the same on the Table II wide 5-layer model
                          (3.6M parameters, many optimizer blocks);
                          recorded by ``--train-smoke`` only
-- ``dispatch``           executor worker-pool dispatch of one wave of
-                         small independent tasks sharing one large
-                         payload: inline per-task shipping vs the
-                         content-addressed payload store
 - ``engine/*``           the ``repro.runtime`` orchestration engine on a
                          6-point scenario: cold vs warm (content-
                          addressed) cache, and 1 vs 4 worker processes;
@@ -247,64 +243,6 @@ def _train_step_stage(
         lambda: fit(Trainer),
         n_items=n_items,
         meta=meta,
-    )
-    report.add(baseline)
-    report.add(optimized)
-    return baseline, optimized
-
-
-def _dispatch_stage(bench, report, n_tasks=24, n_workers=2):
-    """Pool dispatch of one wave of tasks sharing one large payload.
-
-    The shape of a campaign's wave: independent tasks that all carry
-    the same large object (a SplitBeam ladder).  The executor packs a
-    wave into up to four messages per worker, and pickling a message
-    dedups a shared object only within that message, so the reference
-    (the payload inline in every task) ships it once per message; the
-    optimized side interns it in a :class:`PayloadStore`, so it crosses
-    the process boundary once per worker, through the spool.  Both
-    sides must return identical digests.
-    """
-    from repro.runtime import PayloadStore, Task, run_tasks
-
-    # Model-sized payload: ~4 MB, the order of a SplitBeam state dict.
-    blob = np.random.default_rng(5).standard_normal((512, 1024))
-    meta = {
-        "n_tasks": n_tasks,
-        "n_workers": n_workers,
-        "payload_mb": round(blob.nbytes / 1e6, 2),
-        "waves": 1,
-    }
-
-    def tasks_for(payload):
-        return [
-            Task(
-                task_id=f"probe-{index:03d}",
-                fn="repro.runtime.tasks:payload_probe",
-                params={"blob": payload, "row": index},
-            )
-            for index in range(n_tasks)
-        ]
-
-    def run_inline():
-        return run_tasks(tasks_for(blob), n_workers=n_workers)
-
-    def run_interned():
-        with PayloadStore() as store:
-            return run_tasks(
-                tasks_for(store.intern(blob)),
-                n_workers=n_workers,
-                payloads=store,
-            )
-
-    assert run_inline() == run_interned()
-    baseline = bench.run(
-        "dispatch/reference", run_inline, n_items=n_tasks, repeats=3,
-        warmup=0, meta=meta,
-    )
-    optimized = bench.run(
-        "dispatch/interned", run_interned, n_items=n_tasks, repeats=3,
-        warmup=0, meta=meta,
     )
     report.add(baseline)
     report.add(optimized)
@@ -535,10 +473,6 @@ def build_report() -> PerfReport:
     # -- train_step: the fused trainer vs the frozen loop trainer --------------
     train_stage = _train_step_stage(bench, report, ENGINE_FIDELITY)
     report.add_comparison("train_step", *train_stage)
-
-    # -- dispatch: inline payload shipping vs the interned store ---------------
-    dispatch_stage = _dispatch_stage(bench, report)
-    report.add_comparison("dispatch", *dispatch_stage)
 
     # -- runtime engine: cold/warm cache and 1-vs-N workers --------------------
     import itertools
@@ -851,7 +785,6 @@ def test_perf_hotpaths():
     assert comparisons["conv_bwd"]["speedup"] >= 1.2
     assert comparisons["csinet_fwd"]["speedup"] >= 1.1
     assert comparisons["csinet_bwd"]["speedup"] >= 1.05
-    assert comparisons["dispatch"]["speedup"] >= 1.5
     assert comparisons["train_step"]["speedup"] >= 0.9
     # A warm content-addressed cache must beat recomputation outright
     # (it reads six JSON files instead of training four DNNs).

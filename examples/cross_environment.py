@@ -8,7 +8,8 @@ models trained in the *richer* environment (E2) generalize better.
 Uses the TRANSFER fidelity preset: generalizing across campaigns needs
 the model to learn the channel-to-beamforming map itself, which takes
 more independent channel realizations than the single-environment
-protocol (see DESIGN.md Sec. 7).  Expect a few minutes of runtime.
+protocol (see docs/conventions.md, § Fidelity presets).  Expect a few
+minutes of runtime.
 
 Run:  python examples/cross_environment.py
 """

@@ -2,7 +2,7 @@
 
 Benches accumulate :class:`ExperimentRecord` rows into an
 :class:`ExperimentReport`, which renders the ASCII tables printed on
-stdout and the markdown fragments collected into EXPERIMENTS.md.
+stdout and markdown table fragments.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class ExperimentReport:
         return render_table(headers, rows, title=self.title, precision=precision)
 
     def markdown(self, precision: int = 4) -> str:
-        """Markdown table fragment for EXPERIMENTS.md."""
+        """The records as a markdown table fragment."""
         lines = [f"### {self.title}", ""]
         lines.append("| setting | metric | measured | paper | note |")
         lines.append("|---|---|---|---|---|")

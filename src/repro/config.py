@@ -1,13 +1,11 @@
-"""Fidelity presets scaling experiment cost (DESIGN.md Sec. 7).
+"""Fidelity presets scaling experiment cost.
 
 The paper's settings (10,000 samples per dataset, 40 training epochs)
 are hours of laptop compute across all experiments; ``FAST`` keeps every
 pipeline identical but shrinks sample counts so the benchmark suite
-finishes in minutes.  EXPERIMENTS.md records which preset produced each
-reported number.
+finishes in minutes.
 
-Two regimes matter (see DESIGN.md Sec. 3.3 and the cross-environment
-notes in EXPERIMENTS.md):
+Two regimes matter (see ``docs/conventions.md``, § Fidelity presets):
 
 - **single-environment** (``FAST``/``PAPER``): the paper's own protocol —
   train and test splits come from the same collection campaign, whose

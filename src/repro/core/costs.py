@@ -1,6 +1,7 @@
 """Cost models for the BOP (Sec. IV-B) and the Sec. IV-E analysis.
 
-Two accounting levels coexist (DESIGN.md Sec. 3.4):
+Two accounting levels coexist (``docs/conventions.md``, § FLOP
+accounting):
 
 1. **Exact model costs** — MAC counts of actual :class:`SplitBeamNet`
    instances, used in the Fig. 10/11/12 comparisons where our trained

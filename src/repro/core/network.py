@@ -79,7 +79,6 @@ from repro.runtime.executor import (
     run_tasks,
 )
 from repro.runtime.hashing import code_version, task_key
-from repro.runtime.payloads import PayloadStore
 from repro.runtime.spec import NetworkCampaignSpec, TrainingGrid, zoo_entry
 from repro.runtime.tasks import campaign_round_indices, get_dataset
 from repro.sounding.aging import stale_sinr_db
@@ -307,11 +306,7 @@ class _StaState:
         )
 
     def round_params(self, round_index: int, interval_s, episodes) -> dict:
-        """Task parameters for one 802.11 round (slices, no dataset).
-
-        The slices are unique per round, so they travel inline rather
-        than through the payload store.
-        """
+        """Task parameters for one 802.11 round (slices, no dataset)."""
         dataset = get_dataset(self.profile["dataset"], self.fidelity)
         indices = campaign_round_indices(dataset, self.profile, round_index)
         return {
@@ -321,20 +316,20 @@ class _StaState:
         }
 
     def chain_params(
-        self, first: int, n_rounds: int, interval_s, episodes, payloads
+        self, first: int, n_rounds: int, interval_s, episodes
     ) -> dict:
         """Task parameters for a chain over rounds ``first..n_rounds-1``.
 
-        The ladder is interned (every pending round of every STA
-        deploying it shares one copy per worker) and the controller
-        travels as its post-prefix :meth:`~repro.core.adaptive.
-        AdaptiveCompressionController.state`; the worker builds each
-        round's slices itself.
+        The ladder travels inline: a worker cannot rebuild it from the
+        other parameters, so the task stays a pure function of them.
+        The controller travels as its post-prefix
+        :meth:`~repro.core.adaptive.AdaptiveCompressionController.state`;
+        the worker builds each round's slices itself.
         """
         return {
             "profile": self.profile,
             "fidelity": self.fidelity,
-            "ladder": payloads.intern(self.controller.ladder),
+            "ladder": self.controller.ladder,
             "state": self.controller.state(),
             "first_round": first,
             "links": [
@@ -416,11 +411,10 @@ class NetworkCampaignResult:
         """Deterministic manifest payload (no timestamps, no wall time).
 
         ``include_health=True`` appends fault-tolerance statistics
-        (executor retries/crashes, store quarantines, payload
-        rehydrations).  The default omits them so the manifest stays
-        byte-identical across worker counts, cold/warm caches, and
-        fault schedules — a chaos run that fully recovers diffs clean
-        against the fault-free run.
+        (executor retries/crashes, store quarantines).  The default
+        omits them so the manifest stays byte-identical across worker
+        counts, cold/warm caches, and fault schedules — a chaos run that
+        fully recovers diffs clean against the fault-free run.
         """
         payload = {
             "schema_version": CAMPAIGN_SCHEMA_VERSION,
@@ -610,11 +604,10 @@ class NetworkCampaign:
             states.append(state)
 
         tracer = trace_mod.current_tracer()
-        payloads = PayloadStore()
         with tracer.span(
             "plan_rounds", "engine", stas=len(states)
         ) if tracer else _null():
-            tasks, by_task_id, n_cached = self._plan_rounds(states, payloads)
+            tasks, by_task_id, n_cached = self._plan_rounds(states)
 
         def record(task_id: str, result) -> None:
             # Store each round the moment its task completes, so an
@@ -633,20 +626,17 @@ class NetworkCampaign:
                     )
                 state.observe(round_index, measured)
 
-        with payloads:
-            # collect_errors: a task that exhausts its retries fails only
-            # its own STA (graceful degradation), never the other N-1.
-            executed = run_tasks(
-                tasks,
-                n_workers=self.n_workers,
-                on_result=record,
-                payloads=payloads,
-                policy=self.policy,
-                faults=plan,
-                health=health,
-                collect_errors=True,
-            )
-            rehydrated = payloads.rehydrated
+        # collect_errors: a task that exhausts its retries fails only
+        # its own STA (graceful degradation), never the other N-1.
+        executed = run_tasks(
+            tasks,
+            n_workers=self.n_workers,
+            on_result=record,
+            policy=self.policy,
+            faults=plan,
+            health=health,
+            collect_errors=True,
+        )
         for row in health.failed:
             # A failed task's first round carries the error; the rest of
             # a failed chain never reported, so it counts as skipped.
@@ -674,12 +664,11 @@ class NetworkCampaign:
                         if self.cache is not None
                         else None
                     ),
-                    "payloads": {"rehydrated": rehydrated},
                     "zoo": None if build is None else build.health,
                 },
             )
 
-    def _plan_rounds(self, states: "list[_StaState]", payloads):
+    def _plan_rounds(self, states: "list[_StaState]"):
         """Cache-walk every STA and build one wave of tasks for the rest.
 
         A SplitBeam STA is a feedback chain: its cached *prefix* is
@@ -734,7 +723,6 @@ class NetworkCampaign:
                             spec.n_rounds,
                             spec.interval_s,
                             spec.episodes,
-                            payloads,
                         ),
                     )
                 )

@@ -54,10 +54,7 @@ def dot11_round_scheme(dataset: CsiDataset, indices: np.ndarray) -> dict:
     """The 802.11 payload for one ``session_round``/``network_round`` task.
 
     Ships the ground-truth beamforming slice the standard quantizer
-    reconstructs from — never the dataset itself.  The slice is unique
-    per round, so it travels inline: interning it would pin every
-    round's arrays in the payload store for the whole run for zero
-    dedup benefit.
+    reconstructs from — never the dataset itself.
     """
     spec = dataset.spec
     bits = bmr_bits(

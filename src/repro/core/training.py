@@ -81,7 +81,7 @@ def splitbeam_training_config(fidelity: Fidelity, seed: int) -> TrainingConfig:
     # or badly under-trains (with it) on the wide 160 MHz models, while
     # Adam reproduces the paper's BER band everywhere — e.g. coded BER
     # 0.018 vs 802.11's 0.020 on D15.  We therefore use Adam for all
-    # datasets; see EXPERIMENTS.md.
+    # datasets; see docs/conventions.md, § Optimizer.
     optimizer = "adam"
     milestones = (
         max(1, fidelity.epochs // 2),

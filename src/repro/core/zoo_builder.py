@@ -61,7 +61,6 @@ from repro.runtime.executor import (
     resolve_worker_count,
     run_tasks,
 )
-from repro.runtime.payloads import PayloadStore
 from repro.runtime.hashing import code_version, state_digest, task_key
 from repro.runtime.planner import shard_labels
 from repro.runtime.spec import TrainingGrid, fidelity_from_dict
@@ -157,29 +156,16 @@ def plan_training_grid(
     grid: TrainingGrid,
     version: "str | None" = None,
     n_workers: int = 1,
-    payloads: "PayloadStore | None" = None,
 ) -> "list[PlannedTraining]":
     """Expand a training grid into keyed, shard-labelled executor tasks.
 
-    With a payload store, the spec sub-mappings every entry repeats
-    (the grid fidelity, the shared link settings, each dataset recipe)
-    are interned once and referenced from the task parameters; keys and
-    the recorded :attr:`PlannedTraining.spec` always use the raw spec.
+    Each task's parameters are its resolved spec, inline.
     """
     specs = [_resolve_entry(spec) for spec in grid.task_specs()]
     shards = shard_labels(specs, n_workers)
     planned = []
     for index, (spec, shard) in enumerate(zip(specs, shards)):
         key = task_key(checkpoint_spec(spec), version, kind=CHECKPOINT_KIND)
-        params = spec
-        if payloads is not None:
-            params = {
-                **spec,
-                "dataset": payloads.intern(spec["dataset"]),
-                "fidelity": payloads.intern(spec["fidelity"]),
-            }
-            if "link" in spec:
-                params["link"] = payloads.intern(spec["link"])
         planned.append(
             PlannedTraining(
                 index=index,
@@ -189,7 +175,7 @@ def plan_training_grid(
                 task=Task(
                     task_id=f"{index:04d}:{spec['label']}",
                     fn=TRAIN_FN,
-                    params=params,
+                    params=spec,
                     shard=shard,
                 ),
             )
@@ -333,17 +319,14 @@ class ZooBuilder:
         tracer = trace_mod.current_tracer()
         version = code_version()
         health = RunHealth()
-        payloads = PayloadStore()
         if tracer is None:
             planned = plan_training_grid(
-                grid, version=version, n_workers=self.n_workers,
-                payloads=payloads,
+                grid, version=version, n_workers=self.n_workers
             )
         else:
             with tracer.span("plan", "engine", entries=len(grid.task_specs())):
                 planned = plan_training_grid(
-                    grid, version=version, n_workers=self.n_workers,
-                    payloads=payloads,
+                    grid, version=version, n_workers=self.n_workers
                 )
         results: "dict[int, dict]" = {}
         to_run: "list[PlannedTraining]" = []
@@ -395,17 +378,14 @@ class ZooBuilder:
                     state_sha256=result["state_sha256"],
                 )
 
-        with payloads:
-            executed = run_tasks(
-                [entry.task for entry in to_run],
-                n_workers=self.n_workers,
-                on_result=persist,
-                payloads=payloads,
-                policy=self.policy,
-                faults=plan,
-                health=health,
-            )
-            rehydrated = payloads.rehydrated
+        executed = run_tasks(
+            [entry.task for entry in to_run],
+            n_workers=self.n_workers,
+            on_result=persist,
+            policy=self.policy,
+            faults=plan,
+            health=health,
+        )
         if self.store is not None:
             # Publish the packed index so the next open recovers from a
             # snapshot instead of rescanning every segment tail.
@@ -426,7 +406,6 @@ class ZooBuilder:
                         if self.store is not None
                         else None
                     ),
-                    "payloads": {"rehydrated": rehydrated},
                 },
             )
 

@@ -109,7 +109,7 @@ class LintConfig:
     #: The only modules allowed to touch ``os.environ`` (REP-ENV-READ).
     sanctioned_env_modules: tuple[str, ...] = ("repro.runtime.knobs",)
 
-    #: Base classes whose subclasses ship through ``PayloadStore``/IPC
+    #: Base classes whose subclasses cross IPC inline, by pickle
     #: (REP-GETSTATE-CACHE walks project subclasses of these).
     shipped_bases: tuple[str, ...] = (
         "repro.nn.module.Module",
@@ -149,7 +149,6 @@ class LintConfig:
         "repro.obs.trace",
         "repro.runtime.cache",
         "repro.runtime.checkpoints",
-        "repro.runtime.payloads",
         "repro.runtime.executor",
         "repro.runtime.faults",
     )

@@ -1,11 +1,12 @@
 """REP-GETSTATE-CACHE: shipped classes must strip transient caches.
 
-Models and quantizers travel through ``PayloadStore``/IPC and are
-content-addressed by their pickled bytes.  A layer that stashes forward
-activations in ``self._cached_*`` (or ``_cache``/``_scratch``/``_mask``)
-and fails to drop them in ``__getstate__`` serializes differently
-before and after a forward pass — same weights, different bytes,
-different content address, broken payload dedupe.
+Models and quantizers cross IPC inline, by pickle: a SplitBeam chain
+task carries its STA's whole ladder in its parameters.  A layer that
+stashes forward activations in ``self._cached_*`` (or
+``_cache``/``_scratch``/``_mask``) and fails to drop them in
+``__getstate__`` pickles them too, so a leaked activation cache bloats
+every chain message, and the same weights pickle to different bytes
+before and after a forward pass.
 
 Detection is by convention plus registry: every project subclass of a
 registered shipped base (``repro.nn.module.Module``) — and every class
@@ -149,7 +150,8 @@ class GetstateCacheRule(Rule):
                         f"transient attribute {name!r} on shipped class "
                         f"{cls.name} survives pickling ({reason}); pickled "
                         "bytes will differ before vs after a forward pass, "
-                        "breaking content-addressed payload dedupe",
+                        "and every message that ships the model carries "
+                        "the cache",
                     )
                 )
         return findings

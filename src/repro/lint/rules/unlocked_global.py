@@ -2,7 +2,7 @@
 
 The executor's callback threads and worker-delta merges touch several
 process-wide registries (``obs/metrics.py``'s ``_COUNTERS`` and
-``_TIMERS``, the payload and dataset memos).  A module that declares a lock — or is
+``_TIMERS``, the dataset memos).  A module that declares a lock — or is
 configured as thread-exposed — is promising those registries are shared
 across threads, so every mutation of module-level mutable state
 (container mutation, or rebinding through ``global``) must happen under

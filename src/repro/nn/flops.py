@@ -1,7 +1,8 @@
 """Exact MAC/FLOP counting for models built from this package.
 
 Costs are per single input sample.  The accounting convention, used
-consistently by the SplitBeam cost models (DESIGN.md Sec. 3.4):
+consistently by the SplitBeam cost models (``docs/conventions.md``,
+§ FLOP accounting):
 
 - one multiply-accumulate (MAC) = 2 FLOPs;
 - element-wise activations cost one FLOP per element (ignored in MAC

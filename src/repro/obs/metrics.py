@@ -3,7 +3,7 @@
 Every run-telemetry number the runtime produces lives here, once:
 
 - **counters** — :func:`count` adds to a named total (``cache.hits``,
-  ``executor.retries``, ``store.quarantined``, ``payloads.spilled``);
+  ``executor.retries``, ``store.quarantined``, ``executor.messages``);
 - **timers** — :func:`profiled` wraps a function so each call adds one
   call and its wall time to a named timer (``link.measure_ber``,
   ``trainer.fit``, ``sampler.collect_session``).

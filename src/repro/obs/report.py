@@ -5,7 +5,7 @@ containing ``trace.jsonl``, or the JSONL file itself) and prints the
 text summary this module renders: the run's wall time, a per-category
 time rollup, the **critical path** — the lower bound on wall time no
 worker count can beat — the top-k slowest tasks, the cache/retry
-counters with the hit and dedupe ratios derived from them, and the
+counters with the hit ratios derived from them, and the
 ``@profiled`` timers.
 
 The executor runs independent tasks in one wave (sequential work such
@@ -188,8 +188,6 @@ def render_report(events, top_k: int = 10) -> str:
         ("executor.serial_fallbacks", "serial fallbacks"),
         ("executor.messages", "IPC messages"),
         ("executor.message_bytes", "IPC bytes"),
-        ("payloads.interned", "payload interns"),
-        ("payloads.unique", "unique payloads"),
     ]
     stat_lines = []
     for key, label in cache_keys:
@@ -200,11 +198,6 @@ def render_report(events, top_k: int = 10) -> str:
         looked_up = hits + counters.get(f"{store}.misses", 0)
         if looked_up:
             stat_lines.append(f"  {store + ' hit ratio':<20} {hits / looked_up:.3f}")
-    interned = counters.get("payloads.interned", 0)
-    if interned:
-        # Interns served from an entry an earlier intern created.
-        dedupe = (interned - counters.get("payloads.unique", 0)) / interned
-        stat_lines.append(f"  {'payload dedupe':<20} {dedupe:.3f}")
     if stat_lines:
         lines.append("")
         lines.append("cache / runtime statistics:")

@@ -3,10 +3,10 @@
 A :class:`Tracer` records **spans** — named, nested intervals measured
 with monotonic timestamps — for one engine run: engine run → plan →
 execute → dispatch → per-task execute, plus store get/put, retries,
-backoff, pool rebuilds, and payload spills.  Workers record their own
-task-execute spans locally and ship them back piggybacked on the
-executor's outcome tuples, so coordinator and worker telemetry merge
-into a single timeline.
+backoff, and pool rebuilds.  Workers record their own task-execute
+spans locally and ship them back piggybacked on the executor's outcome
+tuples, so coordinator and worker telemetry merge into a single
+timeline.
 
 Determinism contract: the span *tree* is content-derived.  A span's id
 is a short hash of ``(parent_id, name, occurrence_index)`` — never a

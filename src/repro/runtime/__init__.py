@@ -14,10 +14,7 @@ into explicit plans and executes them with reuse:
 - :mod:`repro.runtime.executor` — runs a wave of independent tasks on
   a worker pool (with a deterministic in-process fallback); results are
   bit-identical to serial execution because every task is a pure
-  function of its parameters;
-- :mod:`repro.runtime.payloads` — per-run content-addressed interning
-  of large task payloads (models, ladders), so each worker
-  deserializes a shared payload once instead of once per task;
+  function of its parameters, which travel inline with it;
 - :mod:`repro.runtime.cache` — content-addressed result store keyed by
   (task spec, code version) so re-runs and overlapping scenarios skip
   completed points;
@@ -64,7 +61,6 @@ from repro.runtime.hashing import (
     state_digest,
     task_key,
 )
-from repro.runtime.payloads import PayloadRef, PayloadStore
 from repro.runtime.planner import PlannedTask, plan_scenario
 from repro.runtime.store import SegmentStore, StoreHealth
 from repro.runtime.registry import (
@@ -135,8 +131,6 @@ __all__ = [
     "active_plan",
     "StoreHealth",
     "SegmentStore",
-    "PayloadRef",
-    "PayloadStore",
     "ResultCache",
     "default_cache_root",
     "Checkpoint",

@@ -22,11 +22,12 @@ building one dataset that several tasks reuse) stays effective.
 Dispatch economics: shard chunks are *packed* into a small bounded
 number of messages (at most 4 per worker, keeping the pool's dynamic
 balancing effective), so a hundred small independent tasks cost a
-handful of IPC round-trips instead of a hundred — and with a
-:class:`~repro.runtime.payloads.PayloadStore` attached, large repeated
-payloads (models, ladders) travel as content-addressed references that
-each worker materializes once per run.  Both are pure transport
-optimizations: results are byte-identical for any worker count.
+handful of IPC round-trips instead of a hundred.  Packing is a pure
+transport decision: results are byte-identical for any worker count.
+A task's parameters travel inline, whatever their size — pickled into
+its message by the pool, or passed as they are in process — so they
+reach the task function through one path at every worker count, and
+the task stays a pure function of them.
 
 Fault tolerance (see :mod:`repro.runtime.faults` for injection):
 
@@ -69,7 +70,6 @@ from repro.obs import metrics
 from repro.obs.trace import current_tracer, span_id
 from repro.runtime import knobs
 from repro.runtime.faults import FaultPlan, InjectedFaultError, active_plan
-from repro.runtime.payloads import PayloadStore, collect_refs, load_payload, resolve_refs
 
 __all__ = [
     "Task",
@@ -130,8 +130,10 @@ class RetryPolicy:
         the pool path can preempt a stuck task — the in-process
         executor cannot interrupt itself and ignores this knob.
     backoff_s:
-        Base of the deterministic exponential backoff between retry
-        rounds (``backoff_s * 2**round``, capped at 2^6); no jitter,
+        Base of the deterministic exponential backoff before a retry:
+        ``backoff_s * 2**(failures - 1)``, capped at 2^6, where
+        ``failures`` counts the task's own failed attempts (in the pool,
+        the most any task of the dispatch round has failed); no jitter,
         so runs with identical failures sleep identically.
     max_pool_failures:
         Consecutive pool crashes/timeouts tolerated before the run
@@ -262,11 +264,8 @@ def _error_summary(exc: BaseException) -> str:
 def _run_chunk(message):
     """Worker entry point: run one packed chunk serially, in plan order.
 
-    ``message`` is ``(spool_root, fault_plan, trace_ctx, [(task_id, fn,
-    params, attempt), ...])``; parameters may contain
-    :class:`PayloadRef` markers, resolved here against the spool
-    (memoized per worker process, so a payload shared by many tasks is
-    unpickled once).
+    ``message`` is ``(fault_plan, trace_ctx, [(task_id, fn, params,
+    attempt), ...])``.
 
     Failures never raise across the process boundary: each task yields
     an outcome tuple — ``("ok", task_id, result)`` or ``("error",
@@ -285,7 +284,7 @@ def _run_chunk(message):
     timestamps use the coordinator's ``perf_counter`` epoch, which
     forked workers share.
     """
-    spool_root, plan, trace_ctx, items = message
+    plan, trace_ctx, items = message
     out = []
     spans = []
     pid = os.getpid()
@@ -294,10 +293,6 @@ def _run_chunk(message):
         try:
             if plan is not None:
                 plan.apply_task_faults(task_id, attempt, in_worker=True)
-            if spool_root is not None:
-                params = resolve_refs(
-                    params, lambda ref: load_payload(spool_root, ref.digest)
-                )
             out.append(("ok", task_id, _call(fn, params)))
         except Exception as exc:
             out.append(
@@ -395,7 +390,6 @@ class _Execution:
         self,
         n_workers: int,
         on_result,
-        payloads: "PayloadStore | None",
         policy: RetryPolicy,
         health: RunHealth,
         plan: "FaultPlan | None",
@@ -403,7 +397,6 @@ class _Execution:
     ) -> None:
         self.n_workers = n_workers
         self.on_result = on_result
-        self.payloads = payloads
         self.policy = policy
         self.health = health
         self.plan = plan
@@ -414,7 +407,6 @@ class _Execution:
         #: Crash/delay rule kinds the current pool round scheduled, by
         #: task, until an outcome or a pool failure shows their effect.
         self.round_faults: "dict[str, list[str]]" = {}
-        self.retry_round = 0
         self.pool_failures = 0
         self.serial_only = False
         self._pool: "ProcessPoolExecutor | None" = None
@@ -479,15 +471,16 @@ class _Execution:
             return True
         return False
 
-    def _backoff(self) -> None:
-        if self.policy.backoff_s > 0:
-            delay = self.policy.backoff_s * (2 ** min(self.retry_round, 6))
-            if self.tracer is not None:
-                with self.tracer.span("backoff", "executor", seconds=delay):
-                    time.sleep(delay)
-            else:
+    def _backoff(self, failures: int) -> None:
+        """Sleep before retrying after a task's ``failures``-th failure."""
+        if self.policy.backoff_s <= 0:
+            return
+        delay = self.policy.backoff_s * (2 ** min(failures - 1, 6))
+        if self.tracer is not None:
+            with self.tracer.span("backoff", "executor", seconds=delay):
                 time.sleep(delay)
-        self.retry_round += 1
+        else:
+            time.sleep(delay)
 
     def _dispatch_attempt(self, task_id: str) -> int:
         """The attempt index of the next dispatch; advances the counter."""
@@ -522,16 +515,13 @@ class _Execution:
                         self.plan.apply_task_faults(
                             task.task_id, attempt, in_worker=False
                         )
-                    resolved = params
-                    if self.payloads is not None:
-                        resolved = self.payloads.resolve(resolved)
-                    result = _call(task.fn, resolved)
+                    result = _call(task.fn, params)
             except (ConfigurationError, TaskExecutionError):
                 raise
             except Exception as exc:
                 injected = isinstance(exc, InjectedFaultError)
                 if self._record_error(task.task_id, injected):
-                    self._backoff()
+                    self._backoff(self.failures[task.task_id])
                     continue
                 remote = traceback.format_exc()
                 summary = _error_summary(exc)
@@ -684,15 +674,6 @@ class _Execution:
                     pending_tasks, {t: params[t] for t in remaining}
                 )
                 return
-            spool_root = None
-            if self.payloads is not None:
-                digests = collect_refs(
-                    [params[task_id] for task_id in remaining]
-                )
-                if digests:
-                    # spill() also rehydrates spool files that vanished
-                    # since the last dispatch round (see PayloadStore).
-                    spool_root = self.payloads.spill(digests)
             attempts = {
                 task_id: self._dispatch_attempt(task_id)
                 for task_id in remaining
@@ -720,19 +701,17 @@ class _Execution:
                 messages=len(messages),
                 tasks=len(remaining),
             ):
-                payloads_msgs = [
-                    (spool_root, self.plan, trace_ctx, message)
-                    for message in messages
+                chunks = [
+                    (self.plan, trace_ctx, message) for message in messages
                 ]
                 if self.tracer is not None:
                     # Traced only: sizing pickles every message again.
                     metrics.count(
                         "executor.message_bytes",
-                        sum(len(pickle.dumps(m)) for m in payloads_msgs),
+                        sum(len(pickle.dumps(c)) for c in chunks),
                     )
                 futures = [
-                    self._pool.submit(_run_chunk, payload)
-                    for payload in payloads_msgs
+                    self._pool.submit(_run_chunk, chunk) for chunk in chunks
                 ]
                 try:
                     for future, message in zip(futures, messages):
@@ -755,8 +734,10 @@ class _Execution:
                     )
                 else:
                     self.pool_failures = 0  # a clean round resets strikes
-                    if remaining:
-                        self._backoff()  # only retries left in the wave
+                    if remaining:  # only retries left in the wave
+                        self._backoff(
+                            max(self.failures[task_id] for task_id in remaining)
+                        )
 
     # -- the run ----------------------------------------------------------------
 
@@ -785,7 +766,6 @@ def run_tasks(
     tasks: Sequence[Task],
     n_workers: "int | None" = None,
     on_result: "Callable[[str, object], None] | None" = None,
-    payloads: "PayloadStore | None" = None,
     policy: "RetryPolicy | None" = None,
     faults: "FaultPlan | None" = None,
     health: "RunHealth | None" = None,
@@ -802,10 +782,6 @@ def run_tasks(
     task completes, before the run finishes — the engine persists cache
     entries through it, so an interrupted run keeps its completed
     points.
-
-    ``payloads`` (a :class:`~repro.runtime.payloads.PayloadStore`)
-    resolves interned parameter references: in memory for the serial
-    path, via the write-once spool for pool workers.
 
     ``policy`` (a :class:`RetryPolicy`; default: 2 retries, no
     timeout) bounds retries/timeouts; ``faults`` (a
@@ -828,7 +804,6 @@ def run_tasks(
     execution = _Execution(
         n_workers=n_workers,
         on_result=on_result,
-        payloads=payloads,
         policy=policy or DEFAULT_POLICY,
         health=health if health is not None else RunHealth(),
         plan=active_plan(faults),

@@ -20,7 +20,6 @@ import os
 __all__ = [
     "WORKERS_ENV",
     "FAULTS_ENV",
-    "PAYLOADS_ENV",
     "CACHE_ENV",
     "CHECKPOINTS_ENV",
     "TRACE_ENV",
@@ -33,8 +32,6 @@ __all__ = [
 WORKERS_ENV = "REPRO_RUNTIME_WORKERS"
 #: Fault-injection plan grammar (see ``runtime/faults.py``).
 FAULTS_ENV = "REPRO_RUNTIME_FAULTS"
-#: Directory the payload store spills interned payloads under.
-PAYLOADS_ENV = "REPRO_RUNTIME_PAYLOADS"
 #: Result-cache root override.
 CACHE_ENV = "REPRO_RUNTIME_CACHE"
 #: Checkpoint-store root override.
@@ -46,7 +43,6 @@ TRACE_ENV = "REPRO_RUNTIME_TRACE"
 KNOWN_KNOBS = (
     WORKERS_ENV,
     FAULTS_ENV,
-    PAYLOADS_ENV,
     CACHE_ENV,
     CHECKPOINTS_ENV,
     TRACE_ENV,

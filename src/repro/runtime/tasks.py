@@ -31,7 +31,6 @@ __all__ = [
     "step_chain",
     "campaign_round_indices",
     "train_zoo_entry",
-    "payload_probe",
     "clear_memos",
     "get_dataset",
 ]
@@ -41,14 +40,11 @@ _SCHEMES: dict = {}
 
 
 def clear_memos() -> None:
-    """Drop the per-process dataset/model/payload memos (benchmarks use this)."""
-    from repro.runtime.payloads import clear_payload_cache
-
+    """Drop the per-process dataset/model memos (benchmarks use this)."""
     # Read-through memos keyed purely on frozen specs: clearing them
     # only forces a bit-identical rebuild, never a different result.
     _DATASETS.clear()  # repro: allow[REP-PURE-TASK]
     _SCHEMES.clear()  # repro: allow[REP-PURE-TASK]
-    clear_payload_cache()
 
 
 def _fidelity(payload: Mapping) -> Fidelity:
@@ -209,35 +205,6 @@ def train_zoo_entry(params: Mapping) -> dict:
     }
 
 
-def payload_probe(params: Mapping) -> dict:
-    """Digest-and-shape probe over a (possibly interned) array payload.
-
-    Used by the dispatch benchmarks and the payload-store tests: the
-    result depends only on the array *contents*, so it proves workers
-    observed byte-identical data whether the payload travelled inline
-    or as a content-addressed reference.
-
-    ``params``: ``blob`` (an ndarray, or a resolved payload reference)
-    and an optional ``row`` selecting one row to summarize.  The probe
-    digests only the selected row (the whole blob when ``row`` is
-    omitted), so the task itself stays trivially cheap — dispatch
-    benchmarks measure transport, not hashing.
-    """
-    import hashlib
-
-    blob = np.ascontiguousarray(params["blob"])
-    row = params.get("row")
-    out: dict = {"shape": list(blob.shape)}
-    if row is None:
-        out["digest"] = hashlib.sha256(blob.tobytes()).hexdigest()
-    else:
-        selected = np.ascontiguousarray(blob[int(row) % blob.shape[0]])
-        out["row"] = int(row)
-        out["digest"] = hashlib.sha256(selected.tobytes()).hexdigest()
-        out["row_sum"] = float(np.sum(selected))
-    return out
-
-
 def link_ber_point(params: Mapping) -> dict:
     """One (config, seed) BER measurement for :func:`ber_sweep`.
 
@@ -353,16 +320,15 @@ def network_chain(params: Mapping) -> "list[dict]":
     """A SplitBeam STA's pending campaign rounds, stepped inside one task.
 
     ``params``: the STA ``profile``, the campaign ``fidelity``, the
-    controller's ``ladder`` (interned once per run), the controller
-    ``state`` after the STA's cached prefix (see
+    controller's ``ladder`` (its deployed models, inline), the
+    controller ``state`` after the STA's cached prefix (see
     :meth:`~repro.core.adaptive.AdaptiveCompressionController.state`),
     the ``first_round`` to run, and ``links``, one round-pinned
     :class:`LinkConfig` per pending round.  Each round's slices are
     built here from the :func:`get_dataset` memo, so no CSI array
-    crosses the process boundary, and a worker unpickles each distinct
-    ladder once per run.  Returns one
-    :func:`network_round` result per pending round, in round order —
-    the coordinator replays them through its own controller.
+    crosses the process boundary.  Returns one :func:`network_round`
+    result per pending round, in round order — the coordinator replays
+    them through its own controller.
     """
     from repro.core.adaptive import AdaptiveCompressionController
     from repro.core.session import entry_round_scheme

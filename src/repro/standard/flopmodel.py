@@ -8,8 +8,8 @@ Sec. IV-E1 of the paper cites (from Golub & Van Loan [8]):
 We convert complex operations to real FLOPs with a factor of 6 (one
 complex multiply-accumulate = 4 real multiplies + 2 real adds).  The
 paper's own constants are unpublished ("computed through a MATLAB
-program"); DESIGN.md Sec. 3.4 documents this convention and
-EXPERIMENTS.md records the resulting deltas.
+program"); ``docs/conventions.md`` (§ FLOP accounting) documents this
+convention.
 """
 
 from __future__ import annotations

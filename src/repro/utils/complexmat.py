@@ -5,7 +5,7 @@ matrix ``H`` and the beamforming matrix ``V`` and treats them as
 double-sized real vectors before feeding them to the DNN.  This module
 centralizes that packing so that the exact layout is defined in one
 place, together with the phase-gauge fix that makes the map ``H -> V``
-learnable (DESIGN.md Sec. 3.3).
+learnable (``docs/conventions.md``, § Phase gauge).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Pickled bytes must not change when a forward pass runs.
 
-Models travel through ``PayloadStore``/IPC content-addressed by their
-pickled bytes: if a forward pass mutates what ``pickle.dumps`` sees,
-the same weights hash to different payload digests before and after
-inference, silently breaking dedupe and cache hits.  ``REP-GETSTATE-CACHE``
-enforces this statically; these tests enforce it empirically for every
-layer type in ``repro.nn``.
+Models cross IPC inline, by pickle (a SplitBeam chain task carries its
+STA's whole ladder): if a forward pass leaves an activation cache where
+``pickle.dumps`` sees it, that cache bloats every chain message, and
+the same weights pickle to different bytes before and after inference.
+``REP-GETSTATE-CACHE`` enforces this statically; these tests enforce it
+empirically for every layer type in ``repro.nn``.
 
 Layers with *legitimate* forward-time state are pinned in eval mode:
 ``BatchNorm1d`` updates running moments during training and ``Dropout``

@@ -353,14 +353,12 @@ class TestCampaignAcceptance:
         assert "critical path (1 task(s), " in report
         assert f"-> {longest}\n" in report
 
-    def test_campaign_metrics_fold_health_and_dedupe(self, campaign_runs):
+    def test_campaign_metrics_fold_health(self, campaign_runs):
         events = load_trace(campaign_runs["traced"].trace_dir)
         record = next(e for e in events if e.get("type") == "metrics")
         counters = record["counters"]
         traced = campaign_runs["traced"]
         assert counters["cache.puts"] == traced.n_executed_rounds
-        assert counters["payloads.interned"] >= counters["payloads.unique"]
-        assert "payload dedupe" in render_report(events)
         assert "executor.worker_crashes" not in counters
         assert record["timers"]["link.measure_ber"]["calls"] >= 1
 

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 
+import numpy as np
 import pytest
 
+import repro.runtime.executor as executor_mod
 from repro.errors import ConfigurationError
 from repro.runtime.executor import (
+    RetryPolicy,
     Task,
     TaskExecutionError,
+    _pack_wave,
     resolve_worker_count,
     run_tasks,
 )
+from repro.runtime.faults import parse_plan
 
 
 def square(params):
@@ -25,6 +31,16 @@ def whoami(params):
 
 def boom(params):
     raise ValueError("intentional failure")
+
+
+def row_digest(params):
+    """Summarize one row of a (shared) array so results pin its bytes."""
+    row = np.ascontiguousarray(params["blob"][params["row"]])
+    return {
+        "row": params["row"],
+        "digest": hashlib.sha256(row.tobytes()).hexdigest(),
+        "total": float(np.sum(params["blob"])),
+    }
 
 
 class TestValidation:
@@ -57,6 +73,20 @@ class TestExecution:
         serial = run_tasks(tasks, n_workers=1)
         pooled = run_tasks(tasks, n_workers=3)
         assert serial == pooled == {f"t{i}": i * i for i in range(8)}
+
+    def test_shared_array_inline_identical_at_1_and_2_workers(self):
+        """Every task carries the same ndarray inline: the pool pickles
+        it into every message, the serial path passes the object itself."""
+        blob = np.random.default_rng(2).random((32, 8))
+        tasks = [
+            Task(f"row-{i:02d}", row_digest, {"blob": blob, "row": i})
+            for i in range(12)
+        ]
+        serial = run_tasks(tasks, n_workers=1)
+        assert run_tasks(tasks, n_workers=2) == serial
+        assert serial["row-03"]["digest"] == hashlib.sha256(
+            blob[3].tobytes()
+        ).hexdigest()
 
     def test_string_fn_reference(self):
         # The engine's task functions are addressed as "module:name".
@@ -119,9 +149,82 @@ class TestExecution:
             run_tasks(tasks, n_workers=2)
 
 
-def _tiny_channels():
-    import numpy as np
+class TestPackWave:
+    def test_pack_wave_respects_shards_and_cap(self):
+        tasks = [
+            Task(task_id=f"t{i}", fn=square, params={}, shard=f"s{i % 2}")
+            for i in range(6)
+        ]
+        params = {t.task_id: {} for t in tasks}
+        messages = _pack_wave(tasks, params, n_workers=4)
+        # Two shards -> two messages, each holding its shard in order.
+        assert len(messages) == 2
+        ids = [[item[0] for item in message] for message in messages]
+        assert ids == [["t0", "t2", "t4"], ["t1", "t3", "t5"]]
 
+    def test_pack_wave_bounds_messages_per_worker(self):
+        """Large waves pack to at most 4 messages per worker (not 1 per
+        task), leaving several chunks per worker for dynamic balancing."""
+        tasks = [
+            Task(task_id=f"t{i:02d}", fn=square, params={}) for i in range(50)
+        ]
+        params = {t.task_id: {} for t in tasks}
+        messages = _pack_wave(tasks, params, n_workers=3)
+        assert len(messages) == 12  # 4 * n_workers
+        all_ids = sorted(item[0] for message in messages for item in message)
+        assert all_ids == sorted(t.task_id for t in tasks)
+
+    def test_pack_wave_small_wave_one_task_per_message(self):
+        tasks = [Task(task_id=f"t{i}", fn=square, params={}) for i in range(5)]
+        params = {t.task_id: {} for t in tasks}
+        messages = _pack_wave(tasks, params, n_workers=2)
+        assert len(messages) == 5  # below the cap: one chunk per message
+
+
+class TestRetryBackoff:
+    """The delay before a retry follows the failure count that caused it."""
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        slept: "list[float]" = []
+        monkeypatch.setattr(executor_mod.time, "sleep", slept.append)
+        return slept
+
+    def test_serial_backoff_is_per_task(self, sleeps):
+        # Six tasks that each fail once: each retry waits the base delay,
+        # not a delay doubled by the other tasks' failures.
+        tasks = [Task(f"t{i}", square, {"x": i}) for i in range(6)]
+        results = run_tasks(
+            tasks,
+            n_workers=1,
+            policy=RetryPolicy(backoff_s=0.05),
+            faults=parse_plan("error,*,count=1"),
+        )
+        assert results == {f"t{i}": i * i for i in range(6)}
+        assert sleeps == pytest.approx([0.05] * 6)
+
+    def test_serial_backoff_doubles_on_repeat_failure(self, sleeps):
+        run_tasks(
+            [Task("t0", square, {"x": 3})],
+            n_workers=1,
+            policy=RetryPolicy(backoff_s=0.05),
+            faults=parse_plan("error,*,count=2"),
+        )
+        assert sleeps == pytest.approx([0.05, 0.1])
+
+    def test_pool_backs_off_once_per_dispatch_round(self, sleeps):
+        tasks = [Task(f"t{i}", square, {"x": i}) for i in range(4)]
+        results = run_tasks(
+            tasks,
+            n_workers=2,
+            policy=RetryPolicy(backoff_s=0.05),
+            faults=parse_plan("error,*,count=2"),
+        )
+        assert results == {f"t{i}": i * i for i in range(4)}
+        assert sleeps == pytest.approx([0.05, 0.1])
+
+
+def _tiny_channels():
     rng = np.random.default_rng(0)
     shape = (2, 2, 4, 1, 2)
     return (

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import pickle
 import struct
 
@@ -35,15 +34,10 @@ from repro.runtime.faults import (
     install,
     parse_plan,
 )
-from repro.runtime.payloads import PayloadStore, clear_payload_cache
 
 
 def square(params):
     return params["x"] ** 2
-
-
-def probe(params):
-    return {"row": params["row"], "total": float(np.sum(params["blob"]))}
 
 
 @pytest.fixture(autouse=True)
@@ -294,29 +288,6 @@ class TestPoolRecovery:
         assert health.serial_fallbacks == 1
         assert "no semaphores" in health.fallback_reason
 
-    def test_crash_with_payloads_still_byte_identical(self):
-        clear_payload_cache()
-        plan = FaultPlan([FaultRule(kind="crash", match="p2", count=1)])
-        blob = np.random.default_rng(7).random((16, 4))
-
-        def run(faults=None):
-            with PayloadStore() as store:
-                ref = store.intern(blob)
-                tasks = [
-                    Task(f"p{i}", probe, {"blob": ref, "row": i})
-                    for i in range(6)
-                ]
-                return run_tasks(
-                    tasks, n_workers=2, payloads=store, faults=faults
-                )
-
-        clean = run()
-        chaotic = run(faults=plan)
-        assert json.dumps(chaotic, sort_keys=True) == json.dumps(
-            clean, sort_keys=True
-        )
-        clear_payload_cache()
-
 
 class TestStoreQuarantine:
     def test_digest_mismatch_is_quarantined(self, tmp_path):
@@ -407,19 +378,6 @@ class TestStoreQuarantine:
         assert store.health.quarantined == 1
         assert store._store.get("k1") is None  # neither half is readable
         assert CheckpointStore(tmp_path).get("k1") is None
-
-    def test_vanished_spool_file_is_rehydrated(self, tmp_path):
-        clear_payload_cache()
-        store = PayloadStore(root=str(tmp_path))
-        ref = store.intern(np.arange(12.0))
-        root = store.spill({ref.digest})
-        path = os.path.join(root, f"{ref.digest}.pkl")
-        os.remove(path)  # scratch cleaner strikes mid-run
-        assert store.spill({ref.digest}) == root
-        assert os.path.exists(path)
-        assert store.rehydrated == 1
-        store.close()
-        clear_payload_cache()
 
 
 class TestEngineIntegration:
