@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pickle
+import tempfile
 from dataclasses import asdict, replace
 
 import pytest
@@ -546,6 +548,13 @@ class TestChaosCampaign:
             result.to_dict(include_health=True)["health"] == result.health
         )
 
+    def test_health_sections_are_executor_cache_and_zoo(self, chaos_run):
+        result = chaos_run["result"]
+        assert sorted(result.health) == ["cache", "executor", "zoo"]
+        assert set(result.to_dict(include_health=True)) == set(
+            result.to_dict()
+        ) | {"health"}
+
     def test_warm_rerun_quarantines_torn_entries_and_matches(
         self, campaign_runs, chaos_run
     ):
@@ -807,6 +816,57 @@ class TestChainDispatch:
         assert sorted(submitted) == sorted(expected)
         assert result.n_executed_rounds == N_STAS * N_ROUNDS
         assert result.to_dict() == campaign_runs["cold_serial"].to_dict()
+
+    def test_chain_tasks_carry_their_ladder_inline(
+        self, campaign_runs, monkeypatch, tmp_path
+    ):
+        submitted: "list" = []
+        run_tasks = network_mod.run_tasks
+
+        def spy(tasks, **kwargs):
+            submitted.extend(tasks)
+            return run_tasks(tasks, **kwargs)
+
+        monkeypatch.setattr(network_mod, "run_tasks", spy)
+        clear_memos()
+        result = NetworkCampaign(
+            campaign_runs["spec"],
+            cache=ResultCache(tmp_path / "cache"),
+            store=campaign_runs["store"],
+            n_workers=1,
+        ).run()
+        chains = [t for t in submitted if t.fn == network_mod.CHAIN_FN]
+        assert len(chains) == sum(
+            row["mode"] == "splitbeam" for row in result.stas
+        )
+        for task in chains:
+            row = result.sta(task.task_id.split("/")[0])
+            labels = [entry.model.label() for entry in task.params["ladder"]]
+            assert row["selection"]["selected"] in labels
+            # The models themselves, not a reference a worker resolves:
+            # they survive the pickling a pool message applies.
+            shipped = pickle.loads(pickle.dumps(task.params))
+            assert [e.model.label() for e in shipped["ladder"]] == labels
+
+    def test_pooled_campaign_leaves_the_temp_dir_empty(
+        self, campaign_runs, monkeypatch, tmp_path
+    ):
+        # Task parameters travel in the pool's messages, so a run writes
+        # nothing outside its cache and checkpoint store.
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        clear_memos()
+        result = NetworkCampaign(
+            campaign_runs["spec"],
+            cache=ResultCache(tmp_path / "cache"),
+            store=campaign_runs["store"],
+            n_workers=2,
+        ).run()
+        assert tempfile.gettempdir() == str(scratch)
+        assert result.to_dict() == campaign_runs["cold_serial"].to_dict()
+        assert list(scratch.iterdir()) == []
 
     def test_extended_campaign_resumes_each_chain(self, monkeypatch, tmp_path):
         # A blockage at round 0 steps STA "a" down from the selected 1/16

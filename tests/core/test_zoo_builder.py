@@ -123,6 +123,14 @@ class TestGridSpec:
         resolved = plan_training_grid(explicit, version="v0")[0]
         assert sugar.key == resolved.key
 
+    def test_tasks_carry_their_resolved_spec_inline(self, grid):
+        planned = plan_training_grid(grid, version="v0", n_workers=2)
+        for row in planned:
+            assert row.task.params is row.spec
+            # Plain data, whatever the worker count: the task function
+            # receives the spec itself, pickled or not.
+            assert json.loads(json.dumps(row.task.params)) == row.spec
+
     def test_checkpoint_spec_hashes_training_recipe(self, grid):
         spec = plan_training_grid(grid, version="v0")[0].spec
         hashable = checkpoint_spec(spec)
@@ -245,6 +253,12 @@ class TestZooBuild:
         assert len(store) == 1
         resumed = train_zoo(grid, store=store, n_workers=1)
         assert resumed.n_cached == 1 and resumed.n_trained == 1
+
+    def test_health_sections_are_executor_and_checkpoints(self, cold_result):
+        assert sorted(cold_result.health) == ["checkpoints", "executor"]
+        assert set(cold_result.to_dict(include_health=True)) == set(
+            cold_result.to_dict()
+        ) | {"health"}
 
     def test_entry_lookup(self, cold_result):
         entry = cold_result.entry("D1 K=1/8")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from repro.errors import ConfigurationError
 from repro.runtime.executor import (
     RetryPolicy,
     Task,
+    RunHealth,
     TaskExecutionError,
     _pack_wave,
+    _run_chunk,
     resolve_worker_count,
     run_tasks,
 )
+from repro.obs.trace import span_id
 from repro.runtime.faults import parse_plan
 
 
@@ -180,6 +184,68 @@ class TestPackWave:
         messages = _pack_wave(tasks, params, n_workers=2)
         assert len(messages) == 5  # below the cap: one chunk per message
 
+    def test_pack_wave_carries_params_and_attempts_inline(self):
+        # Each packed item is (task_id, fn, params, attempt): the params
+        # are the task's own mapping, not a reference to be resolved.
+        blob = np.arange(6.0)
+        tasks = [Task(f"t{i}", square, {"x": i, "blob": blob}) for i in range(3)]
+        params = {t.task_id: dict(t.params) for t in tasks}
+        messages = _pack_wave(tasks, params, n_workers=1, attempts={"t1": 2})
+        items = [item for message in messages for item in message]
+        assert [(i[0], i[1], i[3]) for i in items] == [
+            ("t0", square, 0),
+            ("t1", square, 2),
+            ("t2", square, 0),
+        ]
+        for task_id, _, packed, _ in items:
+            assert packed is params[task_id]
+            assert packed["blob"] is blob
+
+
+class TestRunChunk:
+    """The worker entry point: ``(fault_plan, trace_ctx, items)`` in,
+    ``(outcomes, telemetry, spans)`` out."""
+
+    def test_chunk_runs_items_in_plan_order(self):
+        outcomes, telemetry, spans = _run_chunk(
+            (None, None, [("a", square, {"x": 2}, 0), ("b", square, {"x": 3}, 0)])
+        )
+        assert outcomes == [("ok", "a", 4), ("ok", "b", 9)]
+        assert set(telemetry) >= {"counters", "timers"}
+        assert spans == []
+
+    def test_failing_item_does_not_stop_its_chunk_mates(self):
+        outcomes, _, _ = _run_chunk(
+            (None, None, [("bad", boom, {}, 0), ("good", square, {"x": 4}, 0)])
+        )
+        kind, task_id, remote, summary, injected = outcomes[0]
+        assert (kind, task_id, injected) == ("error", "bad", False)
+        assert summary == "ValueError: intentional failure"
+        assert "Traceback" in remote and "intentional failure" in remote
+        assert outcomes[1] == ("ok", "good", 16)
+
+    def test_injected_error_is_flagged(self):
+        plan = parse_plan("error,a,count=1")
+        outcomes, _, _ = _run_chunk(
+            (plan, None, [("a", square, {"x": 2}, 0), ("a2", square, {"x": 1}, 0)])
+        )
+        assert outcomes[0][0] == "error" and outcomes[0][4] is True
+        assert outcomes[1] == ("ok", "a2", 1)
+        # The plan counts occurrences by the packed attempt index.
+        retried, _, _ = _run_chunk((plan, None, [("a", square, {"x": 2}, 1)]))
+        assert retried == [("ok", "a", 4)]
+
+    def test_traced_chunk_derives_span_ids_from_the_parent(self):
+        epoch = time.perf_counter()
+        _, _, spans = _run_chunk(
+            (None, (epoch, "execute-1"), [("a", square, {"x": 1}, 3)])
+        )
+        (span,) = spans
+        assert span["id"] == span_id("execute-1", "task:a", 3)
+        assert span["parent"] == "execute-1"
+        assert span["attrs"] == {"task": "a", "attempt": 3}
+        assert 0.0 <= span["start_s"] <= span["end_s"]
+
 
 class TestRetryBackoff:
     """The delay before a retry follows the failure count that caused it."""
@@ -222,6 +288,64 @@ class TestRetryBackoff:
         )
         assert results == {f"t{i}": i * i for i in range(4)}
         assert sleeps == pytest.approx([0.05, 0.1])
+
+    def test_pool_sleeps_once_for_a_round_of_failures(self, sleeps):
+        # Four tasks fail in one dispatch round: one sleep, not four.
+        tasks = [Task(f"t{i}", square, {"x": i}) for i in range(4)]
+        results = run_tasks(
+            tasks,
+            n_workers=2,
+            policy=RetryPolicy(backoff_s=0.05),
+            faults=parse_plan("error,*,count=1"),
+        )
+        assert results == {f"t{i}": i * i for i in range(4)}
+        assert sleeps == pytest.approx([0.05])
+
+    def test_serial_backoff_restarts_for_each_task(self, sleeps):
+        run_tasks(
+            [Task("t0", square, {"x": 1}), Task("t1", square, {"x": 2})],
+            n_workers=1,
+            policy=RetryPolicy(backoff_s=0.05),
+            faults=parse_plan("error,*,count=2"),
+        )
+        assert sleeps == pytest.approx([0.05, 0.1, 0.05, 0.1])
+
+    def test_serial_backoff_is_capped_at_64_times_the_base(self, sleeps):
+        results = run_tasks(
+            [Task("t0", square, {"x": 5})],
+            n_workers=1,
+            policy=RetryPolicy(retries=8, backoff_s=0.05),
+            faults=parse_plan("error,*,count=8"),
+        )
+        assert results == {"t0": 25}
+        assert sleeps == pytest.approx(
+            [0.05 * 2 ** min(k, 6) for k in range(8)]
+        )
+
+    def test_zero_backoff_never_sleeps(self, sleeps):
+        results = run_tasks(
+            [Task(f"t{i}", square, {"x": i}) for i in range(3)],
+            n_workers=1,
+            policy=RetryPolicy(backoff_s=0.0),
+            faults=parse_plan("error,*,count=2"),
+        )
+        assert results == {f"t{i}": i * i for i in range(3)}
+        assert sleeps == []
+
+    def test_no_backoff_after_the_final_failure(self, sleeps):
+        # No retry follows the last failure, so nothing waits for one.
+        health = RunHealth()
+        results = run_tasks(
+            [Task("t0", square, {"x": 1}), Task("t1", square, {"x": 2})],
+            n_workers=1,
+            policy=RetryPolicy(retries=1, backoff_s=0.05),
+            faults=parse_plan("error,t0,count=5"),
+            health=health,
+            collect_errors=True,
+        )
+        assert results == {"t1": 4}
+        assert [row["task"] for row in health.failed] == ["t0"]
+        assert sleeps == pytest.approx([0.05])
 
 
 def _tiny_channels():
