@@ -14,7 +14,7 @@ stages:
   content-addressed stores — zero trainings, zero link simulations.
 
 The cost under test is orchestration (planning, per-round cache keys,
-the SplitBeam chain tasks, the pool), so the physics stays smoke-scale.  The
+the one task per STA, the pool), so the physics stays smoke-scale.  The
 determinism contract is asserted along the way: worker counts must not
 change a byte of the campaign manifest, and the warm run must execute
 nothing.

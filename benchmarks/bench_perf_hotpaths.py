@@ -20,6 +20,10 @@ Stages:
 - ``evaluate_scheme``    the full figure-benchmark entry point at a
                          Fig. 12-sized workload (3x3, 80 MHz, 50 BER
                          samples) — target >= 10x vs the seed path
+- ``dot11_rounds``       one 802.11 campaign STA's 40 rounds (4
+                         samples each, 40 MHz): the codec and a link
+                         pass per round vs the STA's one-pass task —
+                         result bytes asserted equal on every run
 - ``conv_fwd``/``conv_bwd``      one Conv1d layer, strided im2col vs
                          the frozen per-kernel-position loops
 - ``csinet_fwd``/``csinet_bwd``  conv-head DNN forward/backward vs a
@@ -54,8 +58,10 @@ and records ``train_step_wide`` into the JSON.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -67,6 +73,7 @@ from repro.channels.sampler import CsiSampler
 from repro.config import Fidelity
 from repro.core.model import SplitBeamNet, three_layer_widths
 from repro.core.pipeline import evaluate_scheme
+from repro.core.session import dot11_round_scheme
 from repro.datasets import build_dataset, dataset_spec, moving_median
 from repro.nn.conv import Conv1d
 from repro.nn.losses import NormalizedL1Loss
@@ -89,6 +96,13 @@ from repro.phy.link import LinkConfig, LinkSimulator
 from repro.phy.ofdm import band_plan
 from repro.phy.svd import beamforming_matrices
 from repro.runtime.registry import TABLE2_ARCHITECTURES
+from repro.runtime.spec import sta_profile
+from repro.runtime.tasks import (
+    campaign_round_indices,
+    get_dataset,
+    network_dot11,
+    network_round,
+)
 from repro.standard.cbf import MimoControl, decode_cbf, encode_cbf
 from repro.standard.givens import givens_decompose, givens_reconstruct
 
@@ -249,6 +263,70 @@ def _train_step_stage(
     return baseline, optimized
 
 
+#: The 802.11 STA-task workload: one campaign STA's rounds of 4 samples
+#: on D5 (2x2, 40 MHz), the network-scale preset's 802.11 shape.
+DOT11_DATASET = "D5"
+DOT11_ROUNDS = 40
+
+
+def _dot11_rounds_stage(bench, report):
+    """Time an 802.11 STA's campaign rounds one by one vs in one pass.
+
+    The per-round side is how a campaign measured them before an 802.11
+    STA became one task: per round, the codec and a ``network_round``
+    link pass on the round's own slices.  The one-pass side is the
+    STA's ``network_dot11`` task.  Both return the same bytes
+    (asserted).  Returns the (baseline, optimized) results.
+    """
+    fidelity = asdict(ENGINE_FIDELITY)
+    profile = sta_profile("dot11", DOT11_DATASET, scheme="dot11", seed=3)
+    rounds = list(range(DOT11_ROUNDS))
+    links = [
+        LinkConfig(snr_db=20.0 - 0.25 * r, seed=1000 + 7919 * r) for r in rounds
+    ]
+    dataset = get_dataset(profile["dataset"], fidelity)
+
+    def per_round():
+        results = []
+        for round_index, link in zip(rounds, links):
+            indices = campaign_round_indices(dataset, profile, round_index)
+            measured = network_round(
+                {
+                    "channels": dataset.link_channels(indices),
+                    "link_config": link,
+                    "scheme": dot11_round_scheme(dataset, indices),
+                }
+            )
+            results.append(measured)
+        return results
+
+    def one_pass():
+        return network_dot11(
+            {
+                "profile": profile,
+                "fidelity": fidelity,
+                "rounds": rounds,
+                "links": links,
+            }
+        )
+
+    assert json.dumps(per_round()) == json.dumps(one_pass())
+    meta = {
+        "dataset": DOT11_DATASET,
+        "rounds": DOT11_ROUNDS,
+        "samples_per_round": profile["samples_per_round"],
+    }
+    baseline = bench.run(
+        "dot11_rounds/per_round", per_round, n_items=DOT11_ROUNDS, meta=meta
+    )
+    optimized = bench.run(
+        "dot11_rounds/one_pass", one_pass, n_items=DOT11_ROUNDS, meta=meta
+    )
+    report.add(baseline)
+    report.add(optimized)
+    return baseline, optimized
+
+
 def _random_channels(rng, n, users, n_sc, n_rx, n_tx):
     shape = (n, users, n_sc, n_rx, n_tx)
     return (
@@ -387,6 +465,9 @@ def build_report() -> PerfReport:
     report.add(baseline)
     report.add(optimized)
     report.add_comparison("evaluate_scheme", baseline, optimized)
+
+    # -- one 802.11 campaign STA's rounds: per round vs one pass ---------------
+    report.add_comparison("dot11_rounds", *_dot11_rounds_stage(bench, report))
 
     # -- bare Conv1d: strided im2col vs the frozen per-position loops ----------
     conv_batch = 16
@@ -772,7 +853,8 @@ def test_perf_hotpaths():
     assert comparisons["evaluate_scheme"]["speedup"] >= 7.0
     # The vectorized codecs must never regress below the seed loops.
     for stage in (
-        "sampler", "median", "givens", "cbf_encode", "cbf_decode", "link_ber"
+        "sampler", "median", "givens", "cbf_encode", "cbf_decode", "link_ber",
+        "dot11_rounds",
     ):
         assert comparisons[stage]["speedup"] >= 1.0, stage
     # The vectorized training stack must never regress below the frozen

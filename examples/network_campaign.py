@@ -49,13 +49,14 @@ from repro.utils.tables import render_table
 
 #: The ``--chaos`` fault schedule: one-shot worker crashes on 40% of
 #: SplitBeam chain tasks (``<sta>/rounds-<first>-<last>``), errors on
-#: the first two attempts of 50% of chains and 802.11 round tasks
-#: (``<sta>/round-<r>``) alike — two, because a crash replays every
-#: in-flight task as a new attempt — and torn writes on half the cache
-#: entries, all recoverable within the default retry budget.
+#: the first two attempts of 50% of chains and of every 802.11 STA's
+#: task (``<sta>/dot11-<first>-<last>``) — two, because a crash replays
+#: every in-flight task as a new attempt — and torn writes on half the
+#: cache entries, all recoverable within the default retry budget.
 CHAOS_PLAN = (
     "crash,*/rounds-*,rate=0.4,count=1;"
-    "error,*/round*,rate=0.5,count=2;"
+    "error,*/rounds-*,rate=0.5,count=2;"
+    "error,*/dot11-*,count=2;"
     "torn,cache:*,rate=0.5"
 )
 

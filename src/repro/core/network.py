@@ -18,17 +18,18 @@ Execution reuses the whole ``repro.runtime`` stack:
 - each CSI dataset recipe builds once per process: before the ladders
   train, the coordinator builds, through the per-process memo
   :func:`~repro.runtime.tasks.get_dataset`, the dataset of every STA
-  with a round missing from the cache index.  Serial training and chain
-  tasks read the same memo, and the zoo and round pools' workers forked
-  afterwards inherit it, so no process rebuilds a recipe; a fully warm
-  replay builds none;
-- the rounds run as one wave of independent tasks.  A SplitBeam STA's
-  rounds form a feedback chain (round *r*'s rung depends on round
-  *r-1*'s BER), so its pending rounds are one
-  :func:`~repro.runtime.tasks.network_chain` task that steps the
-  controller locally; every 802.11 STA-round is its own pure seeded
-  :func:`~repro.runtime.tasks.network_round` task.  A chain is the
-  unit of dispatch, retry, fault injection and failure;
+  with a round missing from the cache index.  Serial training and the
+  STA tasks read the same memo, and the zoo and round pools' workers
+  forked afterwards inherit it, so no process rebuilds a recipe; a
+  fully warm replay builds none;
+- the rounds run as one wave of independent tasks, one per STA with
+  pending rounds.  A SplitBeam STA's rounds form a feedback chain
+  (round *r*'s rung depends on round *r-1*'s BER), so its pending
+  rounds are one :func:`~repro.runtime.tasks.network_chain` task that
+  steps the controller locally; an 802.11 STA's pending rounds are one
+  pure seeded :func:`~repro.runtime.tasks.network_dot11` task that
+  measures them in one codec pass and one link pass.  A STA's task is
+  the unit of dispatch, retry, fault injection and failure;
 - results flow, one entry per STA-round, through the
   content-addressed :class:`ResultCache` (keys exclude the cosmetic STA
   ``name`` and fidelity ``name``), so a warm re-run replays every round
@@ -60,7 +61,6 @@ from repro.core.adaptive import (
     select_model,
 )
 from repro.core.costs import StaCostModel
-from repro.core.session import dot11_round_scheme
 from repro.core.zoo import ModelZoo, NetworkConfiguration, ZooEntry
 from repro.core.zoo_builder import train_zoo
 from repro.datasets import dataset_spec
@@ -80,7 +80,7 @@ from repro.runtime.executor import (
 )
 from repro.runtime.hashing import code_version, task_key
 from repro.runtime.spec import NetworkCampaignSpec, TrainingGrid, zoo_entry
-from repro.runtime.tasks import campaign_round_indices, get_dataset
+from repro.runtime.tasks import get_dataset
 from repro.sounding.aging import stale_sinr_db
 from repro.sounding.campaign import SoundingCampaign, combine_reports
 from repro.standard.flopmodel import dot11_flops
@@ -101,9 +101,9 @@ CAMPAIGN_SCHEMA_VERSION = 1
 CAMPAIGN_ROUND_KIND = "network-round"
 
 #: The campaign's task entry points (importable in worker processes):
-#: one 802.11 STA-round, and one SplitBeam STA's chain of rounds.
-ROUND_FN = "repro.runtime.tasks:network_round"
+#: one SplitBeam STA's chain of rounds, and one 802.11 STA's rounds.
 CHAIN_FN = "repro.runtime.tasks:network_chain"
+DOT11_FN = "repro.runtime.tasks:network_dot11"
 
 #: Link-adaptation backoff applied when mapping a round's measured SINR
 #: to the MCS behind the goodput accounting (matches NetworkSession).
@@ -192,18 +192,19 @@ class _StaState:
     """Coordinator-side bookkeeping for one STA's rounds.
 
     Per-round facts live in dicts keyed by round index, because an
-    uncoupled (802.11) STA's rounds may complete in any order; a
-    chained STA's :meth:`observe` calls come in round order (cached
-    prefix first, then its chain task's results), which keeps its
-    controller trajectory exact.
+    802.11 STA's rounds arrive in two parts: its cached rounds, which
+    can sit anywhere, then its task's results for the rest.  A chained
+    STA's :meth:`observe` calls come in round order (cached prefix
+    first, then its chain task's results), which keeps its controller
+    trajectory exact.
 
-    The STA's CSI dataset comes from the per-process memo
-    (:func:`~repro.runtime.tasks.get_dataset`) that training tasks also
-    read; only rounds that actually execute touch CSI tensors, so a
-    fully warm replay never samples a channel.  Static facts (antenna
-    counts, bandwidth, subcarriers, group size) come from the Table I
-    catalog entry instead.  ``keys`` are the STA's round cache keys,
-    one per round.
+    The STA's task slices its CSI dataset in the worker, from the
+    per-process memo (:func:`~repro.runtime.tasks.get_dataset`) that
+    training tasks also read; the coordinator never touches a round's
+    CSI tensors, and a fully warm replay never samples a channel.
+    Static facts (antenna counts, bandwidth, subcarriers, group size)
+    come from the Table I catalog entry instead.  ``keys`` are the
+    STA's round cache keys, one per round.
     """
 
     def __init__(
@@ -305,38 +306,45 @@ class _StaState:
             % (2**31 - 1),
         )
 
-    def round_params(self, round_index: int, interval_s, episodes) -> dict:
-        """Task parameters for one 802.11 round (slices, no dataset)."""
-        dataset = get_dataset(self.profile["dataset"], self.fidelity)
-        indices = campaign_round_indices(dataset, self.profile, round_index)
-        return {
-            "channels": dataset.link_channels(indices),
-            "link_config": self.round_link(round_index, interval_s, episodes),
-            "scheme": dot11_round_scheme(dataset, indices),
-        }
+    def task(self, pending: "list[int]", interval_s, episodes) -> Task:
+        """The one task that runs this STA's ``pending`` rounds.
 
-    def chain_params(
-        self, first: int, n_rounds: int, interval_s, episodes
-    ) -> dict:
-        """Task parameters for a chain over rounds ``first..n_rounds-1``.
-
-        The ladder travels inline: a worker cannot rebuild it from the
-        other parameters, so the task stays a pure function of them.
-        The controller travels as its post-prefix
-        :meth:`~repro.core.adaptive.AdaptiveCompressionController.state`;
-        the worker builds each round's slices itself.
+        A chained STA's pending rounds are the contiguous tail after its
+        cached prefix: one :func:`~repro.runtime.tasks.network_chain`
+        task (id ``<sta>/rounds-<first>-<last>``) whose ladder travels
+        inline — a worker cannot rebuild it from the other parameters,
+        so the task stays a pure function of them — and whose
+        controller travels as its post-prefix
+        :meth:`~repro.core.adaptive.AdaptiveCompressionController.state`.
+        An 802.11 STA's pending rounds can have gaps, so they travel as
+        a list: one :func:`~repro.runtime.tasks.network_dot11` task (id
+        ``<sta>/dot11-<first>-<last>``).  Either way the worker builds
+        each round's slices itself.
         """
-        return {
+        first, last = pending[0], pending[-1]
+        params = {
             "profile": self.profile,
             "fidelity": self.fidelity,
-            "ladder": self.controller.ladder,
-            "state": self.controller.state(),
-            "first_round": first,
             "links": [
                 self.round_link(round_index, interval_s, episodes)
-                for round_index in range(first, n_rounds)
+                for round_index in pending
             ],
         }
+        if self.chained:
+            params["ladder"] = self.controller.ladder
+            params["state"] = self.controller.state()
+            params["first_round"] = first
+            return Task(
+                task_id=f"{self.name}/rounds-{first:04d}-{last:04d}",
+                fn=CHAIN_FN,
+                params=params,
+            )
+        params["rounds"] = list(pending)
+        return Task(
+            task_id=f"{self.name}/dot11-{first:04d}-{last:04d}",
+            fn=DOT11_FN,
+            params=params,
+        )
 
     def round_compute_s(self, round_index: int) -> float:
         """Feedback-computation time feeding the sounding schedule."""
@@ -453,9 +461,9 @@ class NetworkCampaign:
         = retrain on every run).
     n_workers:
         Worker processes; ``None`` reads ``$REPRO_RUNTIME_WORKERS``.
-        STA chains and 802.11 rounds parallelize across the pool; each
-        chain stays sequential inside its task.  Results never depend
-        on this.
+        STA tasks (one per STA with pending rounds) parallelize across
+        the pool; each STA's rounds stay inside its task.  Results
+        never depend on this.
     policy:
         A :class:`~repro.runtime.executor.RetryPolicy` bounding
         retries/timeouts (``None`` = the default).
@@ -466,15 +474,15 @@ class NetworkCampaign:
         Observability: a directory path (or a
         :class:`~repro.obs.trace.Tracer`) recording the campaign's
         span timeline and metrics — the embedded zoo build and every
-        chain and round task land in the same trace; ``None`` joins an installed
+        STA task land in the same trace; ``None`` joins an installed
         tracer or honours ``$REPRO_RUNTIME_TRACE``; ``False`` disables
         tracing.  Tracing never changes manifest bytes.
 
     Graceful degradation: the campaign runs its tasks in collect-errors
-    mode — a chain (or 802.11 round) that exhausts its retries marks
-    only *that* STA degraded (a chain's first pending round is recorded
-    as failed and the rest of the chain as skipped; the manifest's
-    per-STA ``degraded`` entry and the summary's
+    mode — a STA's task (a SplitBeam chain or an 802.11 STA's rounds)
+    that exhausts its retries marks only *that* STA degraded (its first
+    pending round is recorded as failed and the rest as skipped; the
+    manifest's per-STA ``degraded`` entry and the summary's
     ``degraded_stas``/``partial_coverage`` flags record the gap) while
     the other N-1 STAs complete normally.
     """
@@ -615,9 +623,7 @@ class NetworkCampaign:
             # replay it into the STA's state — a chain's rounds in order,
             # stepping the coordinator's controller as the worker's did.
             state, rounds = by_task_id[task_id]
-            for round_index, measured in zip(
-                rounds, result if state.chained else [result]
-            ):
+            for round_index, measured in zip(rounds, result):
                 if self.cache is not None:
                     self.cache.put(
                         state.keys[round_index],
@@ -639,7 +645,7 @@ class NetworkCampaign:
         )
         for row in health.failed:
             # A failed task's first round carries the error; the rest of
-            # a failed chain never reported, so it counts as skipped.
+            # its rounds never reported, so they count as skipped.
             state, rounds = by_task_id[row["task"]]
             state.errors[rounds[0]] = row["summary"]
             state.skipped.update(rounds[1:])
@@ -671,86 +677,50 @@ class NetworkCampaign:
     def _plan_rounds(self, states: "list[_StaState]"):
         """Cache-walk every STA and build one wave of tasks for the rest.
 
-        A SplitBeam STA is a feedback chain: its cached *prefix* is
-        replayed (observing each stored BER keeps the controller
-        trajectory exact) and its pending rounds become one chain task
-        that resumes from the controller's post-prefix state.  An
-        802.11 STA has no cross-round coupling: every cached round is a
-        hit wherever it falls, and each miss becomes its own round task.
-        Chains are listed first, so the executor's round-robin packing
-        spreads these long tasks over its messages.
+        Every STA with a pending round gets exactly one task (see
+        :meth:`_StaState.task`).  A SplitBeam STA is a feedback chain:
+        its cached *prefix* is replayed (observing each stored BER keeps
+        the controller trajectory exact) and every round from its first
+        miss on is pending.  An 802.11 STA has no cross-round coupling:
+        every cached round is a hit wherever it falls, and only the
+        misses are pending.  Chains are listed first, so the executor's
+        round-robin packing spreads these longest tasks over its
+        messages.
 
         Returns the tasks, ``{task_id: (state, rounds)}``, and the
         number of cached rounds.
         """
         spec = self.spec
         chains: "list[Task]" = []
-        rounds: "list[Task]" = []
+        passes: "list[Task]" = []
         by_task_id: dict = {}
         n_cached = 0
         for state in states:
-            if state.chained:
-                # Only the contiguous prefix is usable for a chain, so
-                # stop reading the store at the first miss — entries
-                # past a gap would be discarded (and re-written with
-                # identical content) anyway.
-                prefix = 0
-                while prefix < spec.n_rounds:
-                    # `is not None`, not truthiness: an *empty* cache
-                    # is falsy (__len__ == 0), which silently skipped
-                    # gets — and miss telemetry — on cold campaigns.
-                    result = (
-                        self.cache.get(state.keys[prefix])
-                        if self.cache is not None
-                        else None
-                    )
-                    if result is None:
-                        break
-                    state.observe(prefix, result)
-                    n_cached += 1
-                    prefix += 1
-                if prefix == spec.n_rounds:
-                    continue
-                task_id = (
-                    f"{state.name}/rounds-{prefix:04d}-{spec.n_rounds - 1:04d}"
-                )
-                chains.append(
-                    Task(
-                        task_id=task_id,
-                        fn=CHAIN_FN,
-                        params=state.chain_params(
-                            prefix,
-                            spec.n_rounds,
-                            spec.interval_s,
-                            spec.episodes,
-                        ),
-                    )
-                )
-                by_task_id[task_id] = (state, range(prefix, spec.n_rounds))
-                continue
+            pending: "list[int]" = []
             for round_index, key in enumerate(state.keys):
+                if state.chained and pending:
+                    # Only a chain's contiguous prefix is usable, so stop
+                    # reading the store at its first miss — entries past
+                    # a gap would be discarded (and re-written with
+                    # identical content) anyway.
+                    pending.append(round_index)
+                    continue
+                # `is not None`, not truthiness: an *empty* cache is
+                # falsy (__len__ == 0), which silently skipped gets —
+                # and miss telemetry — on cold campaigns.
                 result = (
                     self.cache.get(key) if self.cache is not None else None
                 )
-                if result is not None:
-                    state.observe(round_index, result)
-                    n_cached += 1
+                if result is None:
+                    pending.append(round_index)
                     continue
-                task_id = f"{state.name}/round-{round_index:04d}"
-                rounds.append(
-                    Task(
-                        task_id=task_id,
-                        fn=ROUND_FN,
-                        params=state.round_params(
-                            round_index, spec.interval_s, spec.episodes
-                        ),
-                    )
-                )
-                by_task_id[task_id] = (
-                    state,
-                    range(round_index, round_index + 1),
-                )
-        return chains + rounds, by_task_id, n_cached
+                state.observe(round_index, result)
+                n_cached += 1
+            if pending:
+                task = state.task(pending, spec.interval_s, spec.episodes)
+                (chains if state.chained else passes).append(task)
+                by_task_id[task.task_id] = (state, pending)
+        return chains + passes, by_task_id, n_cached
 
     # -- aggregation ------------------------------------------------------------
 

@@ -51,10 +51,12 @@ __all__ = [
 
 
 def dot11_round_scheme(dataset: CsiDataset, indices: np.ndarray) -> dict:
-    """The 802.11 payload for one ``session_round``/``network_round`` task.
+    """The 802.11 payload for the samples at ``indices``.
 
-    Ships the ground-truth beamforming slice the standard quantizer
-    reconstructs from — never the dataset itself.
+    The feedback size and the ground-truth beamforming slice the
+    standard quantizer reconstructs from — never the dataset itself: a
+    ``session_round`` task's parameters, or, built in the worker, every
+    pending round of an 802.11 campaign STA's ``network_dot11`` task.
     """
     spec = dataset.spec
     bits = bmr_bits(

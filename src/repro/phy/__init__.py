@@ -27,6 +27,7 @@ from repro.phy.metrics import (
     evm_rms,
     compute_link_metrics,
     batch_link_metrics,
+    batch_mean_sinr_db,
 )
 from repro.phy.scrambler import Scrambler, scramble, descramble
 from repro.phy.interleaver import BlockInterleaver
@@ -72,6 +73,7 @@ __all__ = [
     "evm_rms",
     "compute_link_metrics",
     "batch_link_metrics",
+    "batch_mean_sinr_db",
     "Scrambler",
     "scramble",
     "descramble",

@@ -31,7 +31,8 @@ speedup tracking in ``benchmarks/bench_perf_hotpaths.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -149,7 +150,8 @@ class LinkSimulator:
         channels: np.ndarray,
         bf_estimates: np.ndarray,
         rng: "int | np.random.Generator | None" = None,
-    ) -> BerResult:
+        links: "Sequence[LinkConfig] | None" = None,
+    ) -> "BerResult | list[BerResult]":
         """Measure BER for DNN/codebook-estimated beamforming vectors.
 
         Parameters
@@ -161,24 +163,66 @@ class LinkSimulator:
             shape ``(n_samples, n_users, S, Nt)``.
         rng:
             Seed/Generator; defaults to ``LinkConfig.seed``.
+        links:
+            Measure several rounds in one pass: the batch is
+            ``len(links)`` rounds of equally many consecutive samples,
+            and round ``k`` is measured exactly as
+            ``LinkSimulator(links[k]).measure_ber`` would measure its
+            samples alone — its own ``links[k].seed`` generator, noise
+            calibration and precoder at ``links[k].snr_db``.  The links
+            may differ from this simulator's configuration in ``snr_db``
+            and ``seed`` only, and ``rng`` must be ``None``.  Returns one
+            :class:`BerResult` per round.
 
-        The result also carries the batch's effective ``gains`` and
+        Each result also carries its samples' effective ``gains`` and
         ``noise_power``, the inputs of the SINR metrics.
         """
         channels = np.asarray(channels, dtype=np.complex128)
         bf_estimates = np.asarray(bf_estimates, dtype=np.complex128)
         self._check_shapes(channels, bf_estimates)
-        rng = as_generator(self.config.seed if rng is None else rng)
-
         n_samples, n_users = channels.shape[:2]
+        if links is None:
+            snr_db = [self.config.snr_db]
+            rngs = [as_generator(self.config.seed if rng is None else rng)]
+        else:
+            self._check_links(links, rng, n_samples)
+            snr_db = [link.snr_db for link in links]
+            rngs = [as_generator(link.seed) for link in links]
+        size = n_samples // len(rngs)
         if n_samples == 0:
-            return BerResult(0, 0, np.zeros(n_users))
-        gains, noise_power = self._batched_sample_gains(channels, bf_estimates)
-        errors, totals = self._transmit_and_count(gains, noise_power, rng)
-        result = self._aggregate(errors, totals)
-        result.gains = gains
-        result.noise_power = noise_power
-        return result
+            results = [BerResult(0, 0, np.zeros(n_users)) for _ in rngs]
+        else:
+            gains, noise_power = self._batched_sample_gains(
+                channels, bf_estimates, snr_db
+            )
+            errors, totals = self._transmit_and_count(gains, noise_power, rngs)
+            results = []
+            for k in range(len(rngs)):
+                part = slice(k * size, (k + 1) * size)
+                result = self._aggregate(errors[part], totals[part])
+                result.gains = gains[part]
+                result.noise_power = noise_power[part]
+                results.append(result)
+        return results[0] if links is None else results
+
+    def _check_links(self, links, rng, n_samples: int) -> None:
+        """Validate :meth:`measure_ber`'s per-round ``links``."""
+        if rng is not None:
+            raise ConfigurationError(
+                "per-round links carry their own seeds; pass no rng"
+            )
+        if not links or n_samples % len(links):
+            raise ShapeError(
+                f"{n_samples} samples do not split into {len(links)} "
+                "equal rounds"
+            )
+        config = self.config
+        for link in links:
+            if replace(link, snr_db=config.snr_db, seed=config.seed) != config:
+                raise ConfigurationError(
+                    "a round's link may differ from the simulator's "
+                    f"configuration in snr_db and seed only: {link}"
+                )
 
     def measure_ber_reference(
         self,
@@ -326,14 +370,19 @@ class LinkSimulator:
         return errors, totals
 
     def _batched_sample_gains(
-        self, channels: np.ndarray, bf_estimates: np.ndarray
+        self,
+        channels: np.ndarray,
+        bf_estimates: np.ndarray,
+        snr_db: "Sequence[float] | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Effective gains for a whole batch in one pass.
 
         ``channels`` is ``(n, users, S, Nr, Nt)`` and ``bf_estimates``
         ``(n, users, S, Nt)``; returns ``gains`` of shape ``(n, S,
         users, users)`` and the per-sample calibrated noise power
-        ``(n,)``.  Two identities make this cheap relative to the
+        ``(n,)``.  ``snr_db`` holds one operating SNR per round of
+        equally many consecutive samples (default: the configured SNR,
+        one round).  Two identities make this cheap relative to the
         reference path's two LAPACK SVD passes and two ZF solves:
 
         - the combined row is ``u1† H = sigma_1 v1†`` exactly, so one
@@ -345,17 +394,34 @@ class LinkSimulator:
 
         BER and calibration are invariant to the singular vectors'
         phase gauge, so the two paths agree to machine precision.
+
+        Everything but the calibration is elementwise per sample, or
+        sums over an axis of a few antennas or users, so a sample's
+        values do not depend on the batch around it.  The calibration
+        averages each sample's whole (subcarrier, user) grid, and how
+        numpy splits that sum depends on the size of the array it
+        reduces, so each round calibrates on its own slice: a round
+        measured inside a multi-round pass keeps the bits it has alone.
         """
+        if snr_db is None:
+            snr_db = [self.config.snr_db]
+        n_samples, n_users = channels.shape[:2]
+        size = n_samples // len(snr_db)
         ideal_bf, sigma = dominant_right_singular_pair(channels)
         rows = sigma[..., None] * np.conj(ideal_bf)  # (n, u, S, Nt)
         gram = np.moveaxis(ideal_bf, 1, 3)  # (n, S, Nt, u)
         gram = np.einsum("...tu,...tv->...uv", gram.conj(), gram)
         inv_diag = hermitian_inverse_diagonal(gram)  # (n, S, u)
-        diag = np.moveaxis(sigma, 1, 2) ** 2 / np.maximum(inv_diag, 1e-300)
-        signal_power = diag.mean(axis=(1, 2))  # (n,)
-        if np.any(signal_power <= 0):
-            raise ShapeError("degenerate channel: zero beamforming gain")
-        noise_power = signal_power / snr_db_to_linear(self.config.snr_db)
+        noise_power = np.empty(n_samples)
+        for k, snr in enumerate(snr_db):
+            part = slice(k * size, (k + 1) * size)
+            diag = np.moveaxis(sigma[part], 1, 2) ** 2 / np.maximum(
+                inv_diag[part], 1e-300
+            )
+            signal_power = diag.mean(axis=(1, 2))
+            if np.any(signal_power <= 0):
+                raise ShapeError("degenerate channel: zero beamforming gain")
+            noise_power[part] = signal_power / snr_db_to_linear(snr)
         h_est = np.moveaxis(bf_estimates, 1, 3)  # (n, S, Nt, u)
         if self.config.precoder == "zf":
             # Fused ZF: gains = (rows Hest) G^-1 D with G = Hest† Hest
@@ -373,7 +439,13 @@ class LinkSimulator:
             )
             gains = raw_gains / col_norms[..., None, :]
         else:
-            precoder = self._batched_precoder(h_est, noise_power)
+            # Each sample regularizes at its own round's SNR.
+            ridge = np.repeat(
+                [self._ridge(n_users, snr) for snr in snr_db], size
+            )
+            precoder = self._batched_zero_forcing(
+                h_est, ridge=ridge[:, None, None, None]
+            )
             gains = np.einsum("nist,nstj->nsij", rows, precoder)
         return gains, noise_power
 
@@ -381,15 +453,18 @@ class LinkSimulator:
         self,
         gains: np.ndarray,
         noise_power: np.ndarray,
-        rng: np.random.Generator,
+        rngs: "Sequence[np.random.Generator]",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Run payloads through the gains; count errors per (sample, user).
 
-        Randomness is drawn per sample in the reference implementation's
-        order (per-user payload bits, then the noise grid), so results
-        are bit-identical to the per-sample loop.
+        ``rngs`` holds one generator per round of equally many
+        consecutive samples.  Randomness is drawn per sample in the
+        reference implementation's order (per-user payload bits, then
+        the noise grid) from the sample's round generator, so results
+        are bit-identical to the per-sample loop over each round.
         """
         n_samples, n_sc, n_users = gains.shape[0], gains.shape[1], gains.shape[2]
+        size = n_samples // len(rngs)
         n_symbols = self.config.n_ofdm_symbols
         coded_bits = n_sc * n_symbols * self.modem.bits_per_symbol
         info_bits = self._info_bits(coded_bits)
@@ -404,6 +479,7 @@ class LinkSimulator:
             # exactly like the reference's sequential calls (per-user
             # payloads, then the real and imaginary noise grids), so the
             # streams stay bit-identical.
+            rng = rngs[j // size]
             payloads[j] = rng.integers(0, 2, size=(n_users, info_bits))
             scale = np.sqrt(noise_power[j] / 2.0)
             gaussians = rng.standard_normal((2,) + grid_shape)
@@ -539,8 +615,9 @@ class LinkSimulator:
         if signal_power <= 0:
             raise ShapeError("degenerate channel: zero beamforming gain")
         noise_power = signal_power / snr_db_to_linear(self.config.snr_db)
-        precoder = self._batched_precoder(
-            np.transpose(bf_estimates, (1, 2, 0)), noise_power
+        precoder = self._batched_zero_forcing(
+            np.transpose(bf_estimates, (1, 2, 0)),
+            ridge=self._ridge(channels.shape[0], self.config.snr_db),
         )
         gains = np.einsum("ist,stj->sij", rows, precoder)
         return gains, noise_power
@@ -564,22 +641,18 @@ class LinkSimulator:
             *self._batched_sample_gains(channels, bf_estimates)
         )
 
-    def _batched_precoder(
-        self, h_eq: np.ndarray, noise_power: "float | np.ndarray"
-    ) -> np.ndarray:
-        """ZF or RZF precoders per the configuration.
+    def _ridge(self, n_users: int, snr_db: float) -> "float | None":
+        """The precoder's Gram regularizer at one operating SNR.
 
-        The effective channel's columns are unit-norm beamforming
-        vectors (the physical channel gain sits outside, in the
-        combining step), so the correctly scaled MMSE regularizer is
-        ``n_users / SNR`` — independent of the absolute noise power.
+        ``None`` for ZF.  For RZF, the effective channel's columns are
+        unit-norm beamforming vectors (the physical channel gain sits
+        outside, in the combining step), so the correctly scaled MMSE
+        regularizer is ``n_users / SNR`` — independent of the absolute
+        noise power.
         """
-        del noise_power
-        if self.config.precoder == "rzf":
-            n_users = h_eq.shape[-1]
-            ridge = n_users / snr_db_to_linear(self.config.snr_db)
-            return self._batched_zero_forcing(h_eq, ridge=ridge)
-        return self._batched_zero_forcing(h_eq)
+        if self.config.precoder != "rzf":
+            return None
+        return n_users / snr_db_to_linear(snr_db)
 
     @staticmethod
     def _reference_zero_forcing(h_eq: np.ndarray, ridge: float = 0.0) -> np.ndarray:
@@ -601,15 +674,16 @@ class LinkSimulator:
         return raw / np.maximum(norms, 1e-30)
 
     def _batched_zero_forcing(
-        self, h_eq: np.ndarray, ridge: float = 0.0
+        self, h_eq: np.ndarray, ridge: "float | np.ndarray | None" = None
     ) -> np.ndarray:
-        """Column-normalized ZF precoders for a batch ``(..., Nt, users)``.
+        """Column-normalized (R)ZF precoders for a batch ``(..., Nt, users)``.
 
         Leading axes (subcarriers, or samples x subcarriers) are all
-        batched through one gram/inverse/apply pass.
+        batched through one gram/inverse/apply pass.  ``ridge`` (RZF) is
+        a scalar or an array that broadcasts against the leading axes.
         """
         gram = np.einsum("...tu,...tv->...uv", h_eq.conj(), h_eq)
-        if ridge:
+        if ridge is not None:
             gram = gram + ridge * np.eye(gram.shape[-1])
         raw = np.einsum("...tu,...uv->...tv", h_eq, batched_small_inverse(gram))
         norms = np.linalg.norm(raw, axis=-2, keepdims=True)

@@ -30,6 +30,7 @@ __all__ = [
     "evm_rms",
     "compute_link_metrics",
     "batch_link_metrics",
+    "batch_mean_sinr_db",
 ]
 
 
@@ -129,6 +130,54 @@ def compute_link_metrics(gains: np.ndarray, noise_power: float) -> LinkMetrics:
     )
 
 
+def _batch_sinr(gains: np.ndarray, noise_power: np.ndarray):
+    """The elementwise SINR step of :func:`sinr_per_user`, over a batch.
+
+    Validates ``gains`` ``(n, S, n_users, n_users)`` against
+    ``noise_power`` ``(n,)`` and returns ``(power, signal, sinr,
+    sinr_db)``: the per-entry gain powers, their diagonals, and the
+    linear and dB SINR per (sample, subcarrier, user).  Only the sums
+    over each row's users run here, so every value equals the
+    per-sample computation bit for bit.
+    """
+    gains = np.asarray(gains, dtype=np.complex128)
+    noise_power = np.asarray(noise_power, dtype=np.float64)
+    if gains.ndim != 4 or gains.shape[2] != gains.shape[3]:
+        raise ShapeError(
+            f"gains must be (n, S, n_users, n_users), got {gains.shape}"
+        )
+    if noise_power.shape != gains.shape[:1]:
+        raise ShapeError(
+            f"noise_power shape {noise_power.shape} does not match "
+            f"{gains.shape[0]} samples"
+        )
+    if gains.shape[0] == 0:
+        raise ShapeError("a link metric needs at least one sample")
+    if np.any(noise_power < 0):
+        raise ShapeError("noise_power must be non-negative")
+    power = np.abs(gains) ** 2  # (n, S, i, j)
+    signal = np.diagonal(power, axis1=2, axis2=3)  # (n, S, users)
+    interference = power.sum(axis=3) - signal
+    sinr = signal / np.maximum(
+        interference + noise_power[:, None, None], 1e-30
+    )
+    return power, signal, sinr, 10.0 * np.log10(np.maximum(sinr, 1e-30))
+
+
+def _per_sample_mean(values: np.ndarray) -> np.ndarray:
+    """The mean of each sample's slice of ``values``, one slice at a time.
+
+    The link simulator's gain tensors are not C-ordered, and a sample's
+    slice is summed in memory order; a batched ``reshape(n, -1)``
+    reduction would copy to C order, sum in a different order and move
+    the last bit.
+    """
+    means = np.empty(values.shape[0])
+    for j in range(values.shape[0]):
+        means[j] = np.mean(values[j])
+    return means
+
+
 def batch_link_metrics(
     gains: np.ndarray, noise_power: np.ndarray
 ) -> LinkMetrics:
@@ -143,39 +192,14 @@ def batch_link_metrics(
     The elementwise work (powers, SINR, logs) and the sums over each
     row's users run once over the whole batch, but every reduction over
     a whole sample (means, minimum, totals) runs on that sample's own
-    slice.  The link simulator's gain tensors are not C-ordered, and a
-    sample's slice is summed in memory order; a batched
-    ``reshape(n, -1)`` reduction would copy to C order, sum in a
-    different order and move the last bit.
+    slice (see :func:`_per_sample_mean`).
     """
-    gains = np.asarray(gains, dtype=np.complex128)
-    noise_power = np.asarray(noise_power, dtype=np.float64)
-    if gains.ndim != 4 or gains.shape[2] != gains.shape[3]:
-        raise ShapeError(
-            f"gains must be (n, S, n_users, n_users), got {gains.shape}"
-        )
-    if noise_power.shape != gains.shape[:1]:
-        raise ShapeError(
-            f"noise_power shape {noise_power.shape} does not match "
-            f"{gains.shape[0]} samples"
-        )
-    if gains.shape[0] == 0:
-        raise ShapeError("batch_link_metrics needs at least one sample")
-    if np.any(noise_power < 0):
-        raise ShapeError("noise_power must be non-negative")
-    # The steps of sinr_per_user, leakage_ratio and sum_rate_bps_per_hz.
-    power = np.abs(gains) ** 2  # (n, S, i, j)
-    signal = np.diagonal(power, axis1=2, axis2=3)  # (n, S, users)
-    interference = power.sum(axis=3) - signal
-    sinr = signal / np.maximum(
-        interference + noise_power[:, None, None], 1e-30
-    )
-    sinr_db = 10.0 * np.log10(np.maximum(sinr, 1e-30))
+    power, signal, sinr, sinr_db = _batch_sinr(gains, noise_power)
     rates = np.log2(1.0 + sinr)
-    per_sample = np.empty((4, gains.shape[0]))
-    for j in range(gains.shape[0]):
+    per_sample = np.empty((4, power.shape[0]))
+    per_sample[0] = _per_sample_mean(sinr_db)
+    for j in range(power.shape[0]):
         signal_total = signal[j].sum()
-        per_sample[0, j] = np.mean(sinr_db[j])
         per_sample[1, j] = np.min(sinr_db[j])
         per_sample[2, j] = (
             np.inf
@@ -189,3 +213,14 @@ def batch_link_metrics(
         leakage=float(np.mean(per_sample[2])),
         sum_rate_bps_per_hz=float(np.mean(per_sample[3])),
     )
+
+
+def batch_mean_sinr_db(gains: np.ndarray, noise_power: np.ndarray) -> float:
+    """``batch_link_metrics(gains, noise_power).mean_sinr_db``, alone.
+
+    The one metric a campaign or session round reports, without the
+    minimum, leakage and sum-rate reductions it would discard; same
+    steps, same bits.
+    """
+    *_, sinr_db = _batch_sinr(gains, noise_power)
+    return float(np.mean(_per_sample_mean(sinr_db)))

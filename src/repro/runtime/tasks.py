@@ -9,6 +9,11 @@ that rebuilds instead of reusing gets bit-identical objects, so results
 never depend on which worker ran what.  The helpers the coordinators
 share with their tasks (:func:`get_dataset`, :func:`step_chain`,
 :func:`campaign_round_indices`) live here too.
+
+A network campaign runs one task per STA with pending rounds: a
+SplitBeam STA's :func:`network_chain` steps its adaptive controller
+round by round, and an 802.11 STA's :func:`network_dot11` measures all
+its rounds in one codec pass and one link pass.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 from repro.config import Fidelity
 from repro.errors import ConfigurationError
 from repro.phy.link import LinkConfig, LinkSimulator
-from repro.phy.metrics import batch_link_metrics
+from repro.phy.metrics import batch_mean_sinr_db
 
 __all__ = [
     "run_point",
@@ -28,6 +33,7 @@ __all__ = [
     "session_round",
     "network_round",
     "network_chain",
+    "network_dot11",
     "step_chain",
     "campaign_round_indices",
     "train_zoo_entry",
@@ -257,15 +263,16 @@ def session_round(params: Mapping) -> dict:
         label = "802.11"
     else:
         raise ConfigurationError(f"unknown session scheme {scheme['kind']!r}")
-    # One gain pass per round: the SINR metrics reuse the effective
-    # gains the BER measurement already computed.
+    # One gain pass per round: the SINR reuses the effective gains the
+    # BER measurement already computed.
     measured = LinkSimulator(params["link_config"]).measure_ber(channels, bf)
-    metrics = batch_link_metrics(measured.gains, measured.noise_power)
     return {
         "scheme": label,
         "feedback_bits": int(scheme["bits"]),
         "ber": float(measured.ber),
-        "mean_sinr_db": float(metrics.mean_sinr_db),
+        "mean_sinr_db": batch_mean_sinr_db(
+            measured.gains, measured.noise_power
+        ),
     }
 
 
@@ -305,8 +312,8 @@ def step_chain(controller, n_rounds: int, round_params, measure) -> "list[dict]"
 def campaign_round_indices(dataset, profile: Mapping, round_index: int):
     """A campaign round's CSI draw: a pure function of (STA profile, round).
 
-    The draw never depends on a measured BER, so the coordinator (an
-    802.11 round) and a chain task (a SplitBeam round) draw alike.
+    The draw never depends on a measured BER, so a chain task (a
+    SplitBeam round) and an 802.11 STA's task draw alike.
     """
     pool = dataset.splits.test
     rng = np.random.default_rng(
@@ -350,3 +357,48 @@ def network_chain(params: Mapping) -> "list[dict]":
         params["ladder"], params["state"]
     )
     return step_chain(controller, len(links), round_params, network_round)
+
+
+def network_dot11(params: Mapping) -> "list[dict]":
+    """An 802.11 STA's pending campaign rounds, measured inside one task.
+
+    ``params``: the STA ``profile``, the campaign ``fidelity``, the
+    pending ``rounds`` (round indices, ascending; a list, because the
+    STA's cached rounds can sit anywhere), and ``links``, one
+    round-pinned :class:`LinkConfig` per pending round.  Every round's
+    draw and slices come from the :func:`get_dataset` memo; the 802.11
+    codec runs once over all of them, and one
+    :meth:`~repro.phy.link.LinkSimulator.measure_ber` pass measures
+    every round with its own generator and SNR.  Returns one
+    :func:`network_round` result per pending round, in ``rounds``
+    order, each bit-identical to measuring that round alone.
+    """
+    from repro.baselines.dot11 import Dot11Feedback
+    from repro.core.session import dot11_round_scheme
+
+    profile = params["profile"]
+    dataset = get_dataset(profile["dataset"], params["fidelity"])
+    links = params["links"]
+    indices = np.concatenate(
+        [
+            campaign_round_indices(dataset, profile, round_index)
+            for round_index in params["rounds"]
+        ]
+    )
+    scheme = dot11_round_scheme(dataset, indices)
+    bf = Dot11Feedback().quantize_reconstruct(scheme["bf_true"])
+    measured = LinkSimulator(links[0]).measure_ber(
+        dataset.link_channels(indices), bf, links=links
+    )
+    return [
+        {
+            "scheme": "802.11",
+            "feedback_bits": int(scheme["bits"]),
+            "ber": float(result.ber),
+            "mean_sinr_db": batch_mean_sinr_db(
+                result.gains, result.noise_power
+            ),
+            "effective_snr_db": float(link.snr_db),
+        }
+        for link, result in zip(links, measured)
+    ]

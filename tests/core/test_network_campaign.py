@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import pickle
 import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.config import SMOKE
@@ -16,19 +19,29 @@ from repro.core.network import (
     campaign_round_spec,
     run_campaign,
 )
+from repro.core.session import dot11_round_scheme
 from repro.datasets import build_dataset, dataset_spec
 from repro.errors import ConfigurationError
 from repro.obs import metrics
+from repro.phy.link import LinkConfig
 from repro.runtime import (
     CheckpointStore,
     NetworkCampaignSpec,
     ResultCache,
     RetryPolicy,
+    get_campaign,
     mobility_episode,
     parse_plan,
     sta_profile,
 )
-from repro.runtime.tasks import clear_memos
+from repro.runtime.hashing import code_version, task_key
+from repro.runtime.tasks import (
+    campaign_round_indices,
+    clear_memos,
+    get_dataset,
+    network_dot11,
+    network_round,
+)
 
 SMOKE_FIDELITY = asdict(SMOKE)
 
@@ -503,12 +516,13 @@ class TestChaosCampaign:
     @pytest.fixture(scope="class")
     def chaos_run(self, campaign_runs, tmp_path_factory):
         # One worker hard-crash and a scheduling delay on SplitBeam
-        # chains, a 50% first-attempt error rate over chains and 802.11
-        # rounds alike, and torn writes on half the cache entries — all
-        # seeded, all recoverable within the default retry budget.
+        # chains, a first-attempt error on 50% of chains and on every
+        # 802.11 STA's task, and torn writes on half the cache entries —
+        # all seeded, all recoverable within the default retry budget.
         plan = parse_plan(
             "crash,sta004/rounds-*,count=1;"
-            "error,*/round*,rate=0.5,count=1;"
+            "error,*/rounds-*,rate=0.5,count=1;"
+            "error,*/dot11-*,count=1;"
             "delay,sta002/rounds-*,count=1,delay_s=0.01;"
             "torn,cache:*,rate=0.5"
         )
@@ -521,7 +535,19 @@ class TestChaosCampaign:
             n_workers=2,
             faults=plan,
         ).run()
-        return {"result": result, "cache": cache}
+        return {"result": result, "cache": cache, "plan": plan}
+
+    def test_plan_errors_chains_and_802_11_tasks(self, chaos_run):
+        # Every STA ran one task from round 0, its id naming its kind.
+        errors = [r for r in chaos_run["plan"].rules if r.kind == "error"]
+        for prefix, chained in (("rounds", True), ("dot11", False)):
+            ids = [
+                f"{row['name']}/{prefix}-0000-{N_ROUNDS - 1:04d}"
+                for row in chaos_run["result"].stas
+                if (row["mode"] == "splitbeam") == chained
+            ]
+            assert ids
+            assert any(rule.selects(t) for rule in errors for t in ids)
 
     def test_chaotic_run_is_byte_identical_to_clean(
         self, campaign_runs, chaos_run
@@ -685,6 +711,55 @@ class TestGracefulDegradation:
         assert rerun.n_executed_rounds == 2
         assert rerun.to_dict() == degraded_runs["clean"].to_dict()
 
+    @pytest.fixture(scope="class")
+    def dot11_degraded(self, degraded_runs, tmp_path_factory):
+        # The 802.11 twin: round 0 is stored, then STA "b"'s task over
+        # rounds 1-2 fails beyond the retry budget.
+        spec, store = degraded_runs["spec"], degraded_runs["store"]
+        cache = ResultCache(tmp_path_factory.mktemp("degrade-dot11") / "c")
+        NetworkCampaign(replace(spec, n_rounds=1), cache=cache, store=store).run()
+        clear_memos()
+        degraded = NetworkCampaign(
+            spec,
+            cache=cache,
+            store=store,
+            policy=RetryPolicy(retries=1, backoff_s=0.0),
+            faults=parse_plan("error,b/dot11-*,count=99"),
+        ).run()
+        return {"cache": cache, "degraded": degraded}
+
+    def test_failed_dot11_task_reports_first_round_failed_rest_skipped(
+        self, degraded_runs, dot11_degraded
+    ):
+        result = dot11_degraded["degraded"]
+        assert result.summary["degraded_stas"] == ["b"]
+        row = result.sta("b")
+        assert [r["round"] for r in row["rounds"]] == [0]
+        assert [f["round"] for f in row["degraded"]["failed_rounds"]] == [1]
+        assert "InjectedFaultError" in (
+            row["degraded"]["failed_rounds"][0]["error"]
+        )
+        assert row["degraded"]["skipped_rounds"] == [2]
+        assert [r["task"] for r in result.health["executor"]["failed"]] == [
+            "b/dot11-0001-0002"
+        ]
+        assert result.sta("a") == degraded_runs["clean"].sta("a")
+
+    def test_rerun_resumes_only_the_failed_dot11_task(
+        self, degraded_runs, dot11_degraded, monkeypatch
+    ):
+        submitted = TestChainDispatch._spy(monkeypatch)
+        clear_memos()
+        rerun = NetworkCampaign(
+            degraded_runs["spec"],
+            cache=dot11_degraded["cache"],
+            store=degraded_runs["store"],
+        ).run()
+        assert submitted == ["b/dot11-0001-0002"]
+        assert rerun.n_cached_rounds == 4
+        assert rerun.n_executed_rounds == 2
+        assert rerun.to_dict() == degraded_runs["clean"].to_dict()
+
     def test_aggregates_cover_reporting_stas_only(self, degraded_runs):
         result = degraded_runs["degraded"]
         # Rounds 1 and 2 aggregate over STA "b" alone.
@@ -779,7 +854,11 @@ class TestDeadlineAccounting:
 
 
 class TestChainDispatch:
-    """A SplitBeam STA's pending rounds travel as one chain task."""
+    """Each STA's pending rounds travel as one task.
+
+    A SplitBeam STA's as a chain (``<sta>/rounds-<first>-<last>``), an
+    802.11 STA's as one pass (``<sta>/dot11-<first>-<last>``).
+    """
 
     @staticmethod
     def _spy(monkeypatch) -> "list[str]":
@@ -805,14 +884,12 @@ class TestChainDispatch:
             n_workers=1,
         ).run()
         last = N_ROUNDS - 1
-        expected = []
-        for row in result.stas:
-            if row["mode"] == "splitbeam":
-                expected.append(f"{row['name']}/rounds-0000-{last:04d}")
-            else:
-                expected.extend(
-                    f"{row['name']}/round-{r:04d}" for r in range(N_ROUNDS)
-                )
+        expected = [
+            f"{row['name']}/rounds-0000-{last:04d}"
+            if row["mode"] == "splitbeam"
+            else f"{row['name']}/dot11-0000-{last:04d}"
+            for row in result.stas
+        ]
         assert sorted(submitted) == sorted(expected)
         assert result.n_executed_rounds == N_STAS * N_ROUNDS
         assert result.to_dict() == campaign_runs["cold_serial"].to_dict()
@@ -908,11 +985,7 @@ class TestChainDispatch:
         assert prefix[1]["scheme"] != prefix[0]["scheme"]
         submitted = self._spy(monkeypatch)
         resumed = NetworkCampaign(spec(4), cache=cache, store=store).run()
-        assert submitted == [
-            "a/rounds-0002-0003",
-            "b/round-0002",
-            "b/round-0003",
-        ]
+        assert submitted == ["a/rounds-0002-0003", "b/dot11-0002-0003"]
         assert resumed.n_cached_rounds == 4
         cold = NetworkCampaign(
             spec(4), cache=ResultCache(tmp_path / "cold"), store=store
@@ -921,6 +994,147 @@ class TestChainDispatch:
         assert {r["scheme"] for r in resumed.sta("a")["rounds"][1:]} == {
             prefix[1]["scheme"]
         }
+
+
+    def test_dot11_rounds_with_gaps_run_as_one_task(
+        self, monkeypatch, tmp_path
+    ):
+        # STA b's cache holds rounds 0 and 2 of 4: one task runs exactly
+        # the missing rounds 1 and 3.
+        spec = NetworkCampaignSpec(
+            name="gap-test",
+            title="gaps",
+            fidelity=SMOKE_FIDELITY,
+            stas=(
+                sta_profile(
+                    "b", "D1", scheme="dot11", samples_per_round=2, seed=1
+                ),
+            ),
+            n_rounds=4,
+        )
+        clear_memos()
+        cold_cache = ResultCache(tmp_path / "cold")
+        cold = NetworkCampaign(spec, cache=cold_cache).run()
+        cache = ResultCache(tmp_path / "gaps")
+        for round_index in (0, 2):
+            round_spec = campaign_round_spec(spec, spec.stas[0], round_index)
+            key = task_key(
+                round_spec, code_version(), kind=network_mod.CAMPAIGN_ROUND_KIND
+            )
+            cache.put(key, round_spec, cold_cache.get(key))
+        submitted: "list" = []
+        run_tasks = network_mod.run_tasks
+
+        def spy(tasks, **kwargs):
+            submitted.extend(tasks)
+            return run_tasks(tasks, **kwargs)
+
+        monkeypatch.setattr(network_mod, "run_tasks", spy)
+        resumed = NetworkCampaign(spec, cache=cache).run()
+        assert [task.task_id for task in submitted] == ["b/dot11-0001-0003"]
+        assert submitted[0].params["rounds"] == [1, 3]
+        assert resumed.n_cached_rounds == 2
+        assert resumed.n_executed_rounds == 2
+        assert resumed.to_dict() == cold.to_dict()
+
+
+class TestDot11Pass:
+    """An 802.11 STA's task keeps every round's bits (``==``, not approx).
+
+    40 rounds of 4 samples at 40 and 80 MHz make batches past the size
+    (144 samples at 114 tones, 68 at 242) where numpy splits the noise
+    calibration's per-sample sums differently, so a pass that
+    calibrated its whole batch at once would move the last bit of some
+    rounds.  The rounds have gaps, as an 802.11 STA's pending rounds
+    may.
+    """
+
+    @pytest.mark.parametrize(
+        "dataset_id,link",
+        [
+            ("D5", {}),
+            ("D10", {}),
+            ("D5", {"precoder": "rzf"}),
+            ("D10", {"precoder": "rzf"}),
+            ("D5", {"use_coding": True}),
+        ],
+    )
+    def test_each_round_equals_network_round_alone(self, dataset_id, link):
+        rng = np.random.default_rng([int(dataset_id[1:]), len(link)])
+        profile = sta_profile(
+            "x", dataset_id, scheme="dot11", samples_per_round=4, seed=3
+        )
+        rounds = sorted(int(r) for r in rng.choice(60, 40, replace=False))
+        links = [
+            LinkConfig(
+                **link,
+                snr_db=float(rng.uniform(0.0, 30.0)),
+                seed=int(rng.integers(1, 2**31 - 1)),
+            )
+            for _ in rounds
+        ]
+        batched = network_dot11(
+            {
+                "profile": profile,
+                "fidelity": SMOKE_FIDELITY,
+                "rounds": rounds,
+                "links": links,
+            }
+        )
+        dataset = get_dataset(profile["dataset"], SMOKE_FIDELITY)
+        assert len(batched) == len(rounds)
+        for round_index, round_link, measured in zip(rounds, links, batched):
+            indices = campaign_round_indices(dataset, profile, round_index)
+            assert indices.size == 4
+            alone = network_round(
+                {
+                    "channels": dataset.link_channels(indices),
+                    "link_config": round_link,
+                    "scheme": dot11_round_scheme(dataset, indices),
+                }
+            )
+            assert measured == alone, round_index
+
+
+class TestChaosPlanExample:
+    """``examples/network_campaign.py``'s ``--chaos`` plan on the CI smoke."""
+
+    @staticmethod
+    def _example():
+        path = (
+            Path(__file__).resolve().parents[2]
+            / "examples"
+            / "network_campaign.py"
+        )
+        spec = importlib.util.spec_from_file_location("campaign_example", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_plan_crashes_chains_only_and_errors_an_802_11_task(self):
+        # The smoke: --fidelity smoke --stas 6 --rounds 3 --gamma-scale 10.
+        spec = get_campaign(
+            "network-scale", fidelity=SMOKE, n_stas=6, n_rounds=3, gamma_scale=10
+        )
+        dot11 = [
+            f"{sta['name']}/dot11-0000-0002"
+            for sta in spec.stas
+            if sta["scheme"]["kind"] == "dot11"
+        ]
+        chains = [
+            f"{sta['name']}/rounds-0000-0002"
+            for sta in spec.stas
+            if sta["scheme"]["kind"] == "splitbeam"
+        ]
+        assert dot11 and chains
+        plan = parse_plan(self._example().CHAOS_PLAN)
+        crashes = [r for r in plan.rules if r.kind == "crash"]
+        errors = [r for r in plan.rules if r.kind == "error"]
+        # A crash can only come from a chain, so an observed crash proves
+        # the plan reached one.
+        assert any(rule.selects(t) for rule in crashes for t in chains)
+        assert not any(rule.selects(t) for rule in crashes for t in dot11)
+        assert any(rule.selects(t) for rule in errors for t in dot11)
 
 
 class TestPresetExecution:

@@ -311,11 +311,15 @@ class TestCampaignAcceptance:
             chrome = json.load(handle)
         tasks = _task_events(chrome)
         round_events = [
-            event for event in tasks if "/round" in event["args"]["task"]
+            event
+            for event in tasks
+            if "/rounds-" in event["args"]["task"]
+            or "/dot11-" in event["args"]["task"]
         ]
         # One worker span per executed task: a SplitBeam STA's chain
-        # (``<sta>/rounds-<first>-<last>``) or one 802.11 round
-        # (``<sta>/round-<r>``); together they cover every round once.
+        # (``<sta>/rounds-<first>-<last>``) or an 802.11 STA's rounds
+        # (``<sta>/dot11-<first>-<last>``, no gaps on a cold run);
+        # together they cover every round once.
         covered = []
         for event in round_events:
             sta, _, rounds = event["args"]["task"].partition("/")
@@ -329,6 +333,7 @@ class TestCampaignAcceptance:
         assert sorted(covered) == expected
         assert len(covered) == traced.n_executed_rounds
         assert any("/rounds-" in e["args"]["task"] for e in round_events)
+        assert any("/dot11-" in e["args"]["task"] for e in round_events)
         assert all(event["pid"] != 0 for event in round_events)
         # The embedded zoo build joined the campaign's timeline.
         names = {

@@ -1,7 +1,8 @@
 """The fused link pass: one gain computation serves BER and SINR metrics.
 
 ``session_round`` derives its SINR from the gains ``measure_ber``
-already computed, through :func:`batch_link_metrics`.  Both must equal
+already computed, through :func:`batch_mean_sinr_db` — the
+``mean_sinr_db`` of :func:`batch_link_metrics`, alone.  Both must equal
 the two-pass computation they replace exactly (``==``, not approx):
 ``measure_ber(...).ber`` and the per-sample average of
 :func:`compute_link_metrics` over the link simulator's batched gains.
@@ -17,7 +18,11 @@ import pytest
 from repro.baselines.dot11 import Dot11Feedback
 from repro.errors import ShapeError
 from repro.phy.link import LinkConfig, LinkSimulator
-from repro.phy.metrics import batch_link_metrics, compute_link_metrics
+from repro.phy.metrics import (
+    batch_link_metrics,
+    batch_mean_sinr_db,
+    compute_link_metrics,
+)
 from repro.phy.svd import beamforming_matrices
 from repro.runtime.tasks import session_round
 
@@ -151,6 +156,38 @@ class TestBatchLinkMetrics:
             batch_link_metrics(gains[:0], np.ones(0))
         with pytest.raises(ShapeError):
             batch_link_metrics(gains, np.array([0.1, -0.1]))
+
+
+class TestMeanSinrOnly:
+    """The SINR a round reports, without the reductions it discards."""
+
+    @pytest.mark.parametrize("n_sc", (56, 114))  # 20 and 40 MHz
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_equals_batch_link_metrics_on_link_gains(self, precoder, n_sc):
+        rng = np.random.default_rng([11, n_sc, PRECODERS.index(precoder)])
+        for users in (1, 2, 3):
+            for n_samples in range(1, 10):
+                channels = random_channels(rng, n_samples, users, n_sc)
+                bf_true = beamforming_matrices(channels, n_streams=1)[..., 0]
+                bf = Dot11Feedback().quantize_reconstruct(bf_true)
+                measured = LinkSimulator(
+                    random_config(rng, precoder)
+                ).measure_ber(channels, bf)
+                # The simulator's gains, exactly as a round reduces them
+                # (one user's (n, S, 1, 1) tensor is trivially C-ordered).
+                assert measured.gains.flags.c_contiguous == (users == 1)
+                assert batch_mean_sinr_db(
+                    measured.gains, measured.noise_power
+                ) == batch_link_metrics(
+                    measured.gains, measured.noise_power
+                ).mean_sinr_db, (users, n_samples)
+
+    def test_rejects_bad_batches(self):
+        gains = np.ones((2, 8, 2, 2), dtype=np.complex128)
+        with pytest.raises(ShapeError):
+            batch_mean_sinr_db(gains[0], np.ones(2))
+        with pytest.raises(ShapeError):
+            batch_mean_sinr_db(gains[:0], np.ones(0))
 
 
 class TestBerResultCarriesGains:

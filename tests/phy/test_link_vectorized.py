@@ -10,9 +10,12 @@ batched path are checked against their LAPACK twins here too.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError, ShapeError
 from repro.phy.link import BerResult, LinkConfig, LinkSimulator
 from repro.phy.svd import (
     beamforming_matrices,
@@ -109,6 +112,81 @@ class TestMeasureBerEquivalence:
             float(np.mean([m.sum_rate_bps_per_hz for m in per_sample])),
             rel=1e-9,
         )
+
+
+def assert_same_result(batched, alone):
+    assert batched.bit_errors == alone.bit_errors
+    assert batched.total_bits == alone.total_bits
+    assert batched.per_user_ber.tobytes() == alone.per_user_ber.tobytes()
+    assert batched.gains.tobytes() == alone.gains.tobytes()
+    assert batched.noise_power.tobytes() == alone.noise_power.tobytes()
+
+
+class TestMultiRoundPass:
+    """``measure_ber(..., links=...)``: one pass, each round's own bits."""
+
+    @staticmethod
+    def round_links(rng, config, n_rounds):
+        return [
+            replace(
+                config,
+                snr_db=float(rng.uniform(0.0, 30.0)),
+                seed=int(rng.integers(1, 2**31 - 1)),
+            )
+            for _ in range(n_rounds)
+        ]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            LinkConfig(),
+            LinkConfig(precoder="rzf"),
+            LinkConfig(use_coding=True, use_interleaver=True),
+            LinkConfig(n_ofdm_symbols=2, qam_order=64),
+        ],
+    )
+    @pytest.mark.parametrize("users,n_sc,n_rx,n_tx", [(1, 56, 1, 2), (3, 114, 2, 3)])
+    def test_each_round_equals_its_own_measurement(
+        self, rng, config, users, n_sc, n_rx, n_tx
+    ):
+        n_rounds, size = 6, 3
+        channels, bf = random_link(rng, n_rounds * size, users, n_sc, n_rx, n_tx)
+        links = self.round_links(rng, config, n_rounds)
+        batched = LinkSimulator(links[0]).measure_ber(channels, bf, links=links)
+        assert len(batched) == n_rounds
+        for k, link in enumerate(links):
+            part = slice(k * size, (k + 1) * size)
+            alone = LinkSimulator(link).measure_ber(channels[part], bf[part])
+            assert_same_result(batched[k], alone)
+
+    def test_one_link_is_the_single_round_pass(self, rng):
+        channels, bf = random_link(rng, 5, 2, 56, 1, 2)
+        config = LinkConfig(snr_db=12.5, seed=99)
+        (batched,) = LinkSimulator(config).measure_ber(
+            channels, bf, links=[config]
+        )
+        assert_same_result(batched, LinkSimulator(config).measure_ber(channels, bf))
+
+    def test_empty_batch_gives_one_empty_result_per_round(self):
+        channels = np.zeros((0, 2, 8, 1, 2), dtype=np.complex128)
+        bf = np.zeros((0, 2, 8, 2), dtype=np.complex128)
+        links = [LinkConfig(seed=1), LinkConfig(seed=2)]
+        results = LinkSimulator().measure_ber(channels, bf, links=links)
+        assert [r.total_bits for r in results] == [0, 0]
+
+    def test_rejects_inconsistent_rounds(self, rng):
+        channels, bf = random_link(rng, 4, 2, 8, 1, 2)
+        simulator = LinkSimulator(LinkConfig())
+        with pytest.raises(ConfigurationError, match="seeds"):
+            simulator.measure_ber(channels, bf, rng=1, links=[LinkConfig()])
+        with pytest.raises(ShapeError, match="equal rounds"):
+            simulator.measure_ber(channels, bf, links=[LinkConfig()] * 3)
+        with pytest.raises(ShapeError, match="equal rounds"):
+            simulator.measure_ber(channels, bf, links=[])
+        with pytest.raises(ConfigurationError, match="snr_db and seed only"):
+            simulator.measure_ber(
+                channels, bf, links=[LinkConfig(), LinkConfig(qam_order=64)]
+            )
 
 
 class TestFastKernels:
