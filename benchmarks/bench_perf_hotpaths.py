@@ -734,28 +734,23 @@ def build_report() -> PerfReport:
     report.add_comparison("obs_trace_overhead", traced, untraced)
 
     # -- static analysis: full-tree lint with the dataflow rule pack -----------
-    serial, parallel = _lint_stage(bench, report)
-    report.add_comparison(
-        "lint_jobs", serial, parallel, requires_cpus=2
-    )
+    report.add(_lint_stage(bench))
     return report
 
 
-def _lint_stage(bench, report, jobs: int = 2):
-    """One full ``repro.lint`` pass over ``src/`` — serial vs ``--jobs``.
+def _lint_stage(bench):
+    """One full ``repro.lint`` pass over ``src/``.
 
-    The interprocedural rules (read-set summaries, escape lattice, key
-    coverage) dominate this stage, so it tracks the analyzer's own
-    perf trajectory; the parallel leg measures the rule-partitioned
-    ``ProcessPoolExecutor`` speedup the CI gate relies on.
+    The interprocedural rules (read-set summaries, callback-escape
+    inference, key coverage) dominate this stage, so it tracks the
+    analyzer's own perf trajectory.
     """
     from repro.lint import run_lint
 
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     n_modules = run_lint([src]).n_modules
-
-    serial = bench.run(
+    return bench.run(
         "lint/analyze_tree",
         lambda: run_lint([src]),
         n_items=n_modules,
@@ -763,17 +758,6 @@ def _lint_stage(bench, report, jobs: int = 2):
         warmup=1,
         meta={"n_modules": n_modules},
     )
-    parallel = bench.run(
-        "lint/analyze_tree_jobs",
-        lambda: run_lint([src], jobs=jobs),
-        n_items=n_modules,
-        repeats=3,
-        warmup=0,
-        meta={"n_modules": n_modules, "jobs": jobs},
-    )
-    report.add(serial)
-    report.add(parallel)
-    return serial, parallel
 
 
 def _obs_stage(bench, report, repeats: int = 2):

@@ -10,8 +10,6 @@ guarantees" and ``docs/static-analysis.md`` for the rule catalog):
                      registered runtime task functions
 ``REP-FALSY-STORE``  truthiness tests on ``__len__``-bearing objects
                      where identity is meant (the PR 7 bug family)
-``REP-UNLOCKED-GLOBAL``  unguarded mutation of module-level shared
-                     state in thread-exposed modules
 ``REP-ENV-READ``     ``os.environ`` access outside ``runtime/knobs.py``
 ``REP-GETSTATE-CACHE``  shipped classes whose ``__getstate__`` leaks
                      transient cache attributes
@@ -21,8 +19,10 @@ guarantees" and ``docs/static-analysis.md`` for the rule catalog):
                      interprocedural read-set summaries
 ``REP-PURE-TASK``    task-reachable reads of module-level mutable
                      state that another function mutates
-``REP-THREAD-ESCAPE``  unguarded mutation on inferred callback-shared
-                     paths (``add_done_callback``/``Thread(target=)``)
+``REP-THREAD-ESCAPE``  unguarded mutation of shared state: module-level
+                     containers in a module that declares a lock, and
+                     any mutation on an inferred callback path
+                     (``add_done_callback``/``Thread(target=)``)
 ``REP-REDUCTION-ORDER``  float accumulation over sets/``os.listdir``
                      orderings reachable from task roots
 ==================  ====================================================

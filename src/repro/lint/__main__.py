@@ -53,13 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write current findings to the baseline file and exit 0",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run rules across N worker processes (0 = one per CPU)",
-    )
-    parser.add_argument(
         "--verbose",
         action="store_true",
         help="also show suppressed and baselined findings",
@@ -84,9 +77,7 @@ def main(argv: "list[str] | None" = None) -> int:
         rules = [part.strip() for part in args.rules.split(",") if part.strip()]
     baseline = None if args.no_baseline else Baseline.load(args.baseline)
     try:
-        result = run_lint(
-            list(args.paths), rules=rules, baseline=baseline, jobs=args.jobs
-        )
+        result = run_lint(list(args.paths), rules=rules, baseline=baseline)
     except LintUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -178,35 +178,8 @@ def constructed_class(
     return scopes.resolve_class(fq)
 
 
-def class_attr_bindings(
-    scopes: ScopeTable, cls: ClassInfo
-) -> dict[str, ClassInfo]:
-    """``self.X`` attributes known to hold project-class instances."""
-    bindings: dict[str, ClassInfo] = {}
-    for klass in reversed(scopes.mro(cls)):
-        for method in klass.methods.values():
-            param_types = local_class_bindings(scopes, method)
-            for node in ast.walk(method.node):
-                if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                    continue
-                target = node.targets[0]
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                klass_scope = scopes.scope_of(klass.module)
-                attr_cls = constructed_class(scopes, klass_scope, method, node.value)
-                if attr_cls is None and isinstance(node.value, ast.Name):
-                    attr_cls = param_types.get(node.value.id)
-                if attr_cls is not None:
-                    bindings[target.attr] = attr_cls
-    return bindings
-
-
 class CallGraph:
-    """Call sites, project edges, and reachability over a project."""
+    """Call sites, project edges, class bindings, and reachability."""
 
     def __init__(self, scopes: ScopeTable) -> None:
         self.scopes = scopes
@@ -218,19 +191,53 @@ class CallGraph:
         for scope in scopes.scopes.values():
             for fn in scope.functions.values():
                 self.functions[fn.fq] = fn
+        #: function fq -> locals and parameters holding project-class
+        #: instances (:func:`local_class_bindings`)
+        self.local_bindings: dict[str, dict[str, ClassInfo]] = {
+            fq: local_class_bindings(scopes, fn)
+            for fq, fn in self.functions.items()
+        }
+        #: class fq -> ``self.X`` attributes holding project-class instances
+        self.attr_bindings: dict[str, dict[str, ClassInfo]] = {
+            cls.fq: self._class_attr_bindings(cls)
+            for scope in scopes.scopes.values()
+            for cls in scope.classes.values()
+        }
         for fn in self.functions.values():
             self._analyze(fn)
 
     # -- construction -------------------------------------------------------
 
+    def _class_attr_bindings(self, cls: ClassInfo) -> dict[str, ClassInfo]:
+        """``self.X`` assignments of project-class instances in ``cls``'s MRO."""
+        bindings: dict[str, ClassInfo] = {}
+        for klass in reversed(self.scopes.mro(cls)):
+            klass_scope = self.scopes.scope_of(klass.module)
+            for method in klass.methods.values():
+                param_types = self.local_bindings[method.fq]
+                for node in ast.walk(method.node):
+                    if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+                        continue
+                    target = node.targets[0]
+                    if not (
+                        isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"
+                    ):
+                        continue
+                    attr_cls = constructed_class(
+                        self.scopes, klass_scope, method, node.value
+                    )
+                    if attr_cls is None and isinstance(node.value, ast.Name):
+                        attr_cls = param_types.get(node.value.id)
+                    if attr_cls is not None:
+                        bindings[target.attr] = attr_cls
+        return bindings
+
     def _analyze(self, fn: FunctionInfo) -> None:
         scope = self.scopes.scope_of(fn.module)
-        bindings = local_class_bindings(self.scopes, fn)
-        attr_bindings: dict[str, ClassInfo] = {}
-        if fn.class_name is not None:
-            own_cls = scope.classes.get(fn.class_name)
-            if own_cls is not None:
-                attr_bindings = class_attr_bindings(self.scopes, own_cls)
+        bindings = self.local_bindings[fn.fq]
+        attr_bindings = self.self_bindings(fn)
         local_names = _locally_bound_names(fn.node)
         sites: list[CallSite] = []
         edges: set[str] = set()
@@ -397,6 +404,12 @@ class CallGraph:
         return self.scopes.resolve_class(fq)
 
     # -- queries ------------------------------------------------------------
+
+    def self_bindings(self, fn: FunctionInfo) -> dict[str, ClassInfo]:
+        """``self.X`` bindings of the class that owns ``fn`` ({} if none)."""
+        if fn.class_name is None:
+            return {}
+        return self.attr_bindings.get(f"{fn.module.name}.{fn.class_name}", {})
 
     def reachable_from(
         self, roots: "list[str]"

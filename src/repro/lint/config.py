@@ -1,14 +1,18 @@
 """Configuration for the determinism & concurrency linter.
 
-Every rule reads its knobs from one :class:`LintConfig` instance so the
-fixture tests can point the analyzer at synthetic projects (different
-task-root modules, different sanctioned env module) without touching
-the defaults the CLI enforces on the real tree.
+:class:`LintConfig` describes the project layout: task-root modules,
+the sanctioned env module, shipped classes, key functions and task
+constructors.  Fixture tests set its fields to point the analyzer at
+synthetic projects without touching the defaults the CLI enforces on
+the real tree.  The module-level constants below are the rules' fixed
+vocabularies (nondeterministic calls, cosmetic keys, lock-name hints,
+callback registrations, unordered sources); the rules read them
+directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Fully-qualified external calls that are nondeterministic per se:
 #: wall clocks, entropy sources, and process identity.
@@ -72,12 +76,6 @@ LOCK_NAME_HINTS = ("lock", "mutex", "guard")
 #: an executor/coordinator thread (thread-escape seed discovery).
 CALLBACK_REGISTER_ATTRS = frozenset({"add_done_callback"})
 
-#: Method attributes handing a callable to a worker pool (runs in its
-#: own process under ProcessPoolExecutor: worker-local, not shared).
-WORKER_SUBMIT_ATTRS = frozenset(
-    {"submit", "map", "imap", "imap_unordered", "apply_async", "map_async"}
-)
-
 #: Constructors that spawn a coordinator-side thread around a callable.
 THREAD_FACTORIES = frozenset({"threading.Thread", "threading.Timer"})
 
@@ -97,7 +95,7 @@ ORDER_SAFE_CALLS = frozenset({"math.fsum"})
 
 @dataclass
 class LintConfig:
-    """All repo-specific knobs the rules consult."""
+    """The project layout the rules consult."""
 
     #: Modules whose ``__all__`` functions are the task roots REP-NONDET
     #: walks the call graph from.
@@ -139,37 +137,3 @@ class LintConfig:
     #: planner-site inference cannot see; an empty builder means the
     #: spec is hashed as-is.  Mainly for fixtures.
     key_bindings: tuple[tuple[str, str], ...] = ()
-
-    #: Modules whose module-level mutable state is known to be touched
-    #: from executor callback threads even when the module itself does
-    #: not declare a lock (REP-UNLOCKED-GLOBAL treats these as
-    #: thread-exposed).
-    concurrent_modules: tuple[str, ...] = (
-        "repro.obs.metrics",
-        "repro.obs.trace",
-        "repro.runtime.cache",
-        "repro.runtime.checkpoints",
-        "repro.runtime.executor",
-        "repro.runtime.faults",
-    )
-
-    nondet_calls: frozenset = field(default_factory=lambda: NONDET_CALLS)
-    nondet_prefixes: tuple[str, ...] = NONDET_PREFIXES
-    nondet_prefix_allowed: frozenset = field(
-        default_factory=lambda: NONDET_PREFIX_ALLOWED
-    )
-    nondet_builtins: frozenset = field(default_factory=lambda: NONDET_BUILTINS)
-    cosmetic_keys: frozenset = field(default_factory=lambda: COSMETIC_KEYS)
-    transient_prefixes: tuple[str, ...] = TRANSIENT_PREFIXES
-    transient_exact: frozenset = field(default_factory=lambda: TRANSIENT_EXACT)
-    lock_name_hints: tuple[str, ...] = LOCK_NAME_HINTS
-    callback_register_attrs: frozenset = field(
-        default_factory=lambda: CALLBACK_REGISTER_ATTRS
-    )
-    worker_submit_attrs: frozenset = field(
-        default_factory=lambda: WORKER_SUBMIT_ATTRS
-    )
-    thread_factories: frozenset = field(default_factory=lambda: THREAD_FACTORIES)
-    unordered_calls: frozenset = field(default_factory=lambda: UNORDERED_CALLS)
-    unordered_attrs: frozenset = field(default_factory=lambda: UNORDERED_ATTRS)
-    order_safe_calls: frozenset = field(default_factory=lambda: ORDER_SAFE_CALLS)

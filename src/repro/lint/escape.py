@@ -1,31 +1,17 @@
-"""Thread-escape lattice: which functions run on which kind of thread.
+"""Thread-escape inference: which functions run on a callback thread.
 
-Classifies every project function into a three-point lattice by walking
-the call graph from *inferred* concurrency seeds — no hand-configured
-module lists:
+A function is ``callback-shared`` when it is reachable from a callable
+registered as a completion callback (``future.add_done_callback(f)``)
+or handed to a coordinator-side thread (``threading.Thread(target=f)``,
+``threading.Timer(_, f)``).  Such functions run concurrently with the
+coordinator inside the same process, so every module-level or instance
+attribute they mutate is shared state.  Everything else is
+single-threaded coordinator code.
 
-``callback-shared``
-    Reachable from a callable registered as a completion callback
-    (``future.add_done_callback(f)``) or handed to a coordinator-side
-    thread (``threading.Thread(target=f)``, ``threading.Timer(_, f)``).
-    These run concurrently with the coordinator inside the same
-    process, so every module-level or instance attribute they mutate is
-    shared state.
-
-``worker-local``
-    Reachable from a callable submitted to an executor pool
-    (``pool.submit(f, ...)``, ``pool.map(f, ...)``).  With a process
-    pool these run in their own interpreter: module globals are
-    per-process and need no locking.
-
-``coordinator``
-    Everything else: single-threaded coordinator code.
-
-``callback-shared`` dominates ``worker-local`` (a function reachable
-both ways can race), which dominates ``coordinator``.  Seed discovery
-leans on the call graph's indirect-reference resolution, so
-``self._on_done`` method references and ``lambda f: handler(f)``
-wrappers both seed correctly.
+Seeds are inferred from the registration sites — no hand-configured
+module lists.  Seed discovery leans on the call graph's
+indirect-reference resolution, so ``self._on_done`` method references
+and ``lambda f: handler(f)`` wrappers both seed correctly.
 """
 
 from __future__ import annotations
@@ -33,87 +19,62 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.lint.callgraph import CallGraph, local_class_bindings
-from repro.lint.config import LintConfig
+from repro.lint.callgraph import CallGraph
+from repro.lint.config import CALLBACK_REGISTER_ATTRS, THREAD_FACTORIES
 from repro.lint.scopes import FunctionInfo, dotted_name
-
-ESCAPE_COORDINATOR = "coordinator"
-ESCAPE_CALLBACK = "callback-shared"
-ESCAPE_WORKER = "worker-local"
 
 
 @dataclass
 class EscapeLattice:
-    """Escape classification for every project function."""
+    """The callback-shared functions and the seeds that share them."""
 
     #: fq -> predecessor fq on a path from a callback seed (BFS tree)
     callback_shared: dict[str, "str | None"] = field(default_factory=dict)
-    #: fq -> predecessor fq on a path from a worker seed
-    worker_local: dict[str, "str | None"] = field(default_factory=dict)
     #: seed fq -> human-readable registration site ("module:line")
     callback_seeds: dict[str, str] = field(default_factory=dict)
-    worker_seeds: dict[str, str] = field(default_factory=dict)
-
-    def classify(self, fq: str) -> str:
-        if fq in self.callback_shared:
-            return ESCAPE_CALLBACK
-        if fq in self.worker_local:
-            return ESCAPE_WORKER
-        return ESCAPE_COORDINATOR
 
     def chain(self, graph: CallGraph, fq: str) -> "list[str]":
         """Root-first path from the callback seed that shares ``fq``."""
         return graph.chain(self.callback_shared, fq)
 
 
-def build_escape_lattice(graph: CallGraph, config: LintConfig) -> EscapeLattice:
-    """Infer concurrency seeds from registration sites and close over calls."""
+def build_escape_lattice(graph: CallGraph) -> EscapeLattice:
+    """Infer callback seeds from registration sites and close over calls."""
     lattice = EscapeLattice()
-    callback_roots: list[str] = []
-    worker_roots: list[str] = []
     for fn in graph.functions.values():
-        for target, kind, node in _seed_sites(graph, fn, config):
-            where = f"{fn.module.name}:{node.lineno}"
-            if kind == ESCAPE_CALLBACK:
-                callback_roots.append(target.fq)
-                lattice.callback_seeds.setdefault(target.fq, where)
-            else:
-                worker_roots.append(target.fq)
-                lattice.worker_seeds.setdefault(target.fq, where)
-    lattice.callback_shared = graph.reachable_from(sorted(set(callback_roots)))
-    lattice.worker_local = graph.reachable_from(sorted(set(worker_roots)))
+        for target, node in _seed_sites(graph, fn):
+            lattice.callback_seeds.setdefault(
+                target.fq, f"{fn.module.name}:{node.lineno}"
+            )
+    lattice.callback_shared = graph.reachable_from(sorted(lattice.callback_seeds))
     return lattice
 
 
-def _seed_sites(graph: CallGraph, fn: FunctionInfo, config: LintConfig):
-    """(target function, escape kind, registration node) triples in ``fn``."""
+def _seed_sites(graph: CallGraph, fn: FunctionInfo):
+    """(target function, registration node) pairs in ``fn``."""
     scope = graph.scopes.scope_of(fn.module)
-    bindings = None  # computed lazily; most functions register nothing
+    bindings = graph.local_bindings[fn.fq]
     for node in ast.walk(fn.node):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        candidates: "list[tuple[ast.expr, str]]" = []
+        candidates: "list[ast.expr]" = []
         if isinstance(func, ast.Attribute):
-            if func.attr in config.callback_register_attrs and node.args:
-                candidates.append((node.args[0], ESCAPE_CALLBACK))
-            elif func.attr in config.worker_submit_attrs and node.args:
-                candidates.append((node.args[0], ESCAPE_WORKER))
+            if func.attr in CALLBACK_REGISTER_ATTRS and node.args:
+                candidates.append(node.args[0])
         raw = dotted_name(func)
         if raw is not None:
             fq = graph.scopes.resolve_in_module(scope, raw, fn.local_imports)
-            if fq in config.thread_factories:
+            if fq in THREAD_FACTORIES:
                 for kw in node.keywords:
                     if kw.arg in ("target", "function"):
-                        candidates.append((kw.value, ESCAPE_CALLBACK))
+                        candidates.append(kw.value)
                 if len(node.args) >= 2:  # threading.Timer(interval, function)
-                    candidates.append((node.args[1], ESCAPE_CALLBACK))
-        for expr, kind in candidates:
-            if bindings is None:
-                bindings = local_class_bindings(graph.scopes, fn)
+                    candidates.append(node.args[1])
+        for expr in candidates:
             target = _resolve_callable(graph, fn, scope, bindings, expr)
             if target is not None:
-                yield target, kind, node
+                yield target, node
 
 
 def _resolve_callable(graph, fn, scope, bindings, expr) -> "FunctionInfo | None":

@@ -1,17 +1,17 @@
 """Shared mutation/lock modelling for the concurrency rules.
 
-REP-UNLOCKED-GLOBAL, REP-PURE-TASK, and REP-THREAD-ESCAPE all need the
-same three facts about code: which module-level names hold mutable
-containers, which names hold locks, and whether a given statement
-mutates a watched name while (not) holding a lock.  This module owns
-that logic so the rules stay small and agree on what "a mutation" is.
+REP-PURE-TASK and REP-THREAD-ESCAPE both need the same three facts
+about code: which module-level names hold mutable containers, which
+names hold locks, and whether a given statement mutates a watched name
+while (not) holding a lock.  This module owns that logic so the rules
+stay small and agree on what "a mutation" is.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.config import LintConfig
+from repro.lint.config import LOCK_NAME_HINTS
 from repro.lint.scopes import FunctionInfo, ModuleScope, ScopeTable, dotted_name
 
 #: Container methods that mutate the receiver in place.
@@ -61,20 +61,17 @@ def is_mutable_literal(expr: ast.expr) -> bool:
     )
 
 
-def lockish_name(name: str, hints: "tuple[str, ...]") -> bool:
+def lockish_name(name: str) -> bool:
     lowered = name.lower()
-    return any(hint in lowered for hint in hints)
+    return any(hint in lowered for hint in LOCK_NAME_HINTS)
 
 
 class ModuleFacts:
     """Mutable globals and lock names declared at module level."""
 
-    def __init__(
-        self, scopes: ScopeTable, config: LintConfig, scope: ModuleScope
-    ) -> None:
+    def __init__(self, scopes: ScopeTable, scope: ModuleScope) -> None:
         self.mutable_globals: set[str] = set()
         self.locks: set[str] = set()
-        hints = config.lock_name_hints
         for name, value in scope.module_assigns.items():
             if name.startswith("__"):
                 continue
@@ -91,25 +88,21 @@ class ModuleFacts:
                 if fq in MUTABLE_FACTORIES:
                     self.mutable_globals.add(name)
                 elif fq in LOCK_FACTORIES or (
-                    raw is not None and lockish_name(raw.split(".")[-1], hints)
+                    raw is not None and lockish_name(raw.split(".")[-1])
                 ):
                     self.locks.add(name)
-                elif lockish_name(name, hints):
+                elif lockish_name(name):
                     self.locks.add(name)
 
 
-def guarded(
-    with_stack: "list[ast.expr]",
-    locks: "set[str]",
-    hints: "tuple[str, ...]",
-) -> bool:
+def guarded(with_stack: "list[ast.expr]", locks: "set[str]") -> bool:
     """True when any enclosing ``with`` item looks like a lock."""
     for expr in with_stack:
         name = dotted_name(expr)
         if name is None:
             continue
         last = name.split(".")[-1]
-        if last in locks or lockish_name(last, hints):
+        if last in locks or lockish_name(last):
             return True
     return False
 
@@ -128,7 +121,6 @@ def walk_mutations(
     watched: "set[str]",
     *,
     locks: "set[str]",
-    hints: "tuple[str, ...]",
     self_attrs: bool = False,
 ):
     """Yield ``(node, name, action, guarded)`` for mutations of watched state.
@@ -164,7 +156,7 @@ def walk_mutations(
             node is not fn.node
         ):
             return  # nested defs are analyzed as their own functions
-        held = guarded(with_stack, locks, hints)
+        held = guarded(with_stack, locks)
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (
                 node.targets if isinstance(node, ast.Assign) else [node.target]

@@ -11,7 +11,6 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration side ef
     pure_task,
     reduction_order,
     thread_escape,
-    unlocked_global,
 )
 
 __all__ = ["RULES", "LintContext", "Rule", "register"]

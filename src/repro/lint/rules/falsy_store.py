@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.callgraph import class_attr_bindings, local_class_bindings
 from repro.lint.findings import Finding, make_finding
 from repro.lint.rules.base import LintContext, Rule, register
 from repro.lint.scopes import ClassInfo, FunctionInfo
@@ -77,12 +76,8 @@ class FalsyStoreRule(Rule):
     def _check_function(
         self, ctx: LintContext, fn: FunctionInfo, sized: "set[str]"
     ) -> "list[Finding]":
-        locals_map = local_class_bindings(ctx.scopes, fn)
-        attr_map: dict[str, ClassInfo] = {}
-        if fn.class_name is not None:
-            own = ctx.scopes.scope_of(fn.module).classes.get(fn.class_name)
-            if own is not None:
-                attr_map = class_attr_bindings(ctx.scopes, own)
+        locals_map = ctx.callgraph.local_bindings[fn.fq]
+        attr_map = ctx.callgraph.self_bindings(fn)
         findings: list[Finding] = []
         for expr in _boolean_contexts(fn.node):
             cls: "ClassInfo | None" = None

@@ -21,18 +21,15 @@ from __future__ import annotations
 
 import ast
 
+from repro.lint.config import TRANSIENT_EXACT, TRANSIENT_PREFIXES
 from repro.lint.findings import Finding, make_finding
 from repro.lint.rules.base import LintContext, Rule, register
 from repro.lint.scopes import ClassInfo, FunctionInfo
 
 
-def _transient_attrs(
-    ctx: LintContext, cls: ClassInfo
-) -> "dict[str, tuple[FunctionInfo, int, int]]":
+def _transient_attrs(cls: ClassInfo) -> "dict[str, tuple[FunctionInfo, int, int]]":
     """Transient-named ``self.X`` assignments in this class's own methods."""
     out: dict[str, tuple[FunctionInfo, int, int]] = {}
-    prefixes = ctx.config.transient_prefixes
-    exact = ctx.config.transient_exact
     for method in cls.methods.values():
         for node in ast.walk(method.node):
             if not isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -48,8 +45,8 @@ def _transient_attrs(
                 ):
                     continue
                 name = target.attr
-                matches = name in exact or any(
-                    name.startswith(prefix) for prefix in prefixes
+                matches = name in TRANSIENT_EXACT or any(
+                    name.startswith(prefix) for prefix in TRANSIENT_PREFIXES
                 )
                 if matches and name not in out:
                     out[name] = (method, target.lineno, target.col_offset)
@@ -124,7 +121,7 @@ class GetstateCacheRule(Rule):
         findings: list[Finding] = []
         for fq in sorted(shipped):
             cls = shipped[fq]
-            transients = _transient_attrs(ctx, cls)
+            transients = _transient_attrs(cls)
             if not transients:
                 continue
             has_getstate, exact, prefixes = _getstate_coverage(ctx, cls)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import ast
 
+from repro.lint.config import COSMETIC_KEYS
 from repro.lint.findings import Finding, make_finding
 from repro.lint.rules.base import LintContext, Rule, register
 from repro.lint.scopes import FunctionInfo, dotted_name
 
 
-def _cosmetic_keys_in(expr: ast.expr, cosmetic: frozenset) -> "list[tuple[str, int, int]]":
+def _cosmetic_keys_in(expr: ast.expr) -> "list[tuple[str, int, int]]":
     """Cosmetic string keys anywhere inside a literal dict expression."""
     out: list[tuple[str, int, int]] = []
     for node in ast.walk(expr):
@@ -31,14 +32,14 @@ def _cosmetic_keys_in(expr: ast.expr, cosmetic: frozenset) -> "list[tuple[str, i
                 if (
                     isinstance(key, ast.Constant)
                     and isinstance(key.value, str)
-                    and key.value in cosmetic
+                    and key.value in COSMETIC_KEYS
                 ):
                     out.append((key.value, key.lineno, key.col_offset))
         elif isinstance(node, ast.Call):
             name = dotted_name(node.func)
             if name == "dict" or (name or "").endswith(".dict"):
                 for keyword in node.keywords:
-                    if keyword.arg in cosmetic:
+                    if keyword.arg in COSMETIC_KEYS:
                         out.append(
                             (keyword.arg, keyword.value.lineno, keyword.value.col_offset)
                         )
@@ -67,7 +68,6 @@ class HashInputRule(Rule):
 
     def run(self, ctx: LintContext) -> "list[Finding]":
         key_functions = set(ctx.config.key_functions)
-        cosmetic = ctx.config.cosmetic_keys
         findings: list[Finding] = []
         graph = ctx.callgraph
         for fq, sites in sorted(graph.calls.items()):
@@ -83,7 +83,7 @@ class HashInputRule(Rule):
                     if local_dicts is None:
                         local_dicts = _local_dict_assignments(fn)
                     spec_arg = local_dicts.get(spec_arg.id, spec_arg)
-                for key, lineno, col in _cosmetic_keys_in(spec_arg, cosmetic):
+                for key, lineno, col in _cosmetic_keys_in(spec_arg):
                     findings.append(
                         make_finding(
                             self.code,

@@ -35,6 +35,7 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.lint.callgraph import CallSite
+from repro.lint.config import COSMETIC_KEYS
 from repro.lint.dataflow import MAX_PATH_DEPTH
 from repro.lint.findings import Finding, make_finding
 from repro.lint.readsets import ReadSetAnalysis
@@ -217,7 +218,7 @@ class KeyCoverageRule(Rule):
                         len(excluded) > len(event.path)
                         and _prefix(event.path, excluded)
                         and not _covered(excluded, contribs)
-                        and excluded[-1] not in ctx.config.cosmetic_keys
+                        and excluded[-1] not in COSMETIC_KEYS
                     ):
                         emit(
                             event,

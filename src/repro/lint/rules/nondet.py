@@ -13,6 +13,12 @@ which only feeds telemetry, never result bytes.
 
 from __future__ import annotations
 
+from repro.lint.config import (
+    NONDET_BUILTINS,
+    NONDET_CALLS,
+    NONDET_PREFIX_ALLOWED,
+    NONDET_PREFIXES,
+)
 from repro.lint.findings import Finding, make_finding
 from repro.lint.rules.base import LintContext, Rule, register, task_roots
 
@@ -22,15 +28,14 @@ class NondetRule(Rule):
     code = "REP-NONDET"
     summary = "nondeterminism source reachable from a runtime task body"
 
-    def _is_nondet(self, ctx: LintContext, fq: str) -> bool:
-        config = ctx.config
-        if fq in config.nondet_calls:
+    def _is_nondet(self, fq: str) -> bool:
+        if fq in NONDET_CALLS:
             return True
         stripped = fq[len("builtins.") :] if fq.startswith("builtins.") else None
-        if stripped is not None and stripped in config.nondet_builtins:
+        if stripped is not None and stripped in NONDET_BUILTINS:
             return True
-        for prefix in config.nondet_prefixes:
-            if fq.startswith(prefix) and fq not in config.nondet_prefix_allowed:
+        for prefix in NONDET_PREFIXES:
+            if fq.startswith(prefix) and fq not in NONDET_PREFIX_ALLOWED:
                 return True
         return False
 
@@ -47,7 +52,7 @@ class NondetRule(Rule):
                 continue
             for site in graph.calls.get(fq, ()):
                 target = site.target_fq
-                if target is None or not self._is_nondet(ctx, target):
+                if target is None or not self._is_nondet(target):
                     continue
                 chain = tuple(graph.chain(predecessor, fq))
                 via = " -> ".join(part.split(".")[-1] for part in chain)

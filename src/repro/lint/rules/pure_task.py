@@ -53,15 +53,12 @@ class PureTaskRule(Rule):
             if scope is None:
                 continue
             if module_name not in facts_cache:
-                facts = ModuleFacts(ctx.scopes, ctx.config, scope)
+                facts = ModuleFacts(ctx.scopes, scope)
                 facts_cache[module_name] = facts
                 mutators: dict[str, set[str]] = {}
                 for other in scope.functions.values():
                     for _node, name, _action, _held in walk_mutations(
-                        other,
-                        facts.mutable_globals,
-                        locks=facts.locks,
-                        hints=ctx.config.lock_name_hints,
+                        other, facts.mutable_globals, locks=facts.locks
                     ):
                         if name in facts.mutable_globals:
                             mutators.setdefault(name, set()).add(other.qualname)

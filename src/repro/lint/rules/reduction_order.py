@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ast
 
+from repro.lint.config import ORDER_SAFE_CALLS, UNORDERED_ATTRS, UNORDERED_CALLS
 from repro.lint.findings import Finding, make_finding
 from repro.lint.rules.base import LintContext, Rule, register, task_roots
 from repro.lint.scopes import FunctionInfo
@@ -82,17 +83,17 @@ class ReductionOrderRule(Rule):
                 return None
             if isinstance(expr, ast.Call):
                 target = sites.get(id(expr))
-                if target in ctx.config.order_safe_calls:
+                if target in ORDER_SAFE_CALLS:
                     return None
                 if target == "builtins.sorted":
                     return None
                 if target in _SET_FACTORIES:
                     return "set()"
-                if target in ctx.config.unordered_calls:
+                if target in UNORDERED_CALLS:
                     return f"{target}()"
                 if (
                     isinstance(expr.func, ast.Attribute)
-                    and expr.func.attr in ctx.config.unordered_attrs
+                    and expr.func.attr in UNORDERED_ATTRS
                 ):
                     return f".{expr.func.attr}()"
                 return None

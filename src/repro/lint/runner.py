@@ -1,18 +1,7 @@
-"""Orchestration: load a project, run rules, filter, and report.
-
-With ``jobs > 1`` the selected rules are partitioned round-robin across
-a fork-based ``ProcessPoolExecutor``.  The parent builds the analysis
-context (parsed project, scope table, call graph) *once* and the forked
-workers inherit it copy-on-write, so the fixed cost is paid once and
-only rule execution fans out.  Findings are reassembled in rule order,
-making the output byte-identical to a serial run.  Rule partitioning
-(rather than module partitioning) keeps the interprocedural rules
-whole — a call-graph walk cannot see only half the project.
-"""
+"""Orchestration: load a project, run rules, filter, and report."""
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 from repro.lint.config import LintConfig
@@ -25,54 +14,6 @@ from repro.lint.findings import (
 from repro.lint.loader import LintUsageError, Project, load_project
 from repro.lint.report import LintResult
 from repro.lint.rules import RULES, LintContext
-
-#: Parent-side slot the forked workers read the prepared context from.
-_SHARED: dict = {}
-
-
-def _run_rule_batch(codes: "list[str]") -> "list[Finding]":
-    """Worker-side: run one batch of rules over the inherited context."""
-    ctx = _SHARED["ctx"]
-    findings: list[Finding] = []
-    for code in codes:
-        findings.extend(RULES[code].run(ctx))
-    return findings
-
-
-def _run_parallel(
-    ctx: LintContext, selected: "list[str]", jobs: int
-) -> "list[Finding] | None":
-    """Fan rules out across processes; None means "fall back to serial"."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = min(jobs, len(selected))
-    if jobs < 2:
-        return None
-    try:
-        fork = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork: serial is still correct
-        return None
-    # Force the lazy layers now so every worker inherits them built.
-    ctx.scopes
-    ctx.callgraph
-    by_code: dict[str, list[Finding]] = {}
-    _SHARED["ctx"] = ctx
-    try:
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=fork) as pool:
-            # one task per rule: the pool load-balances around the
-            # expensive rules instead of a static batch assignment
-            futures = [
-                pool.submit(_run_rule_batch, [code]) for code in selected
-            ]
-            for code, future in zip(selected, futures):
-                by_code[code] = future.result()
-    except OSError:  # no usable multiprocessing here
-        return None
-    finally:
-        _SHARED.pop("ctx", None)
-    # reassemble in rule order: identical to the serial concatenation
-    return [f for code in selected for f in by_code.get(code, [])]
 
 
 def run_lint(
@@ -88,25 +29,21 @@ def run_lint(
 
     ``rules`` selects a subset by code; ``baseline`` marks grandfathered
     fingerprints as non-failing.  Suppression comments are always
-    honoured.  ``jobs`` > 1 partitions rules across forked worker
-    processes (0 means one per CPU).
+    honoured.  The analysis runs in this process: ``jobs`` is accepted
+    only as 1, for callers that still pass it.
     """
+    if jobs != 1:
+        raise LintUsageError(f"jobs must be 1, got {jobs}")
     if project is None:
         if not paths:
             raise LintUsageError("no paths given")
         project = load_project(list(paths))
     config = config or LintConfig()
     selected = _select_rules(rules)
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
     ctx = LintContext(project=project, config=config)
-    findings = None
-    if jobs > 1:
-        findings = _run_parallel(ctx, selected, jobs)
-    if findings is None:
-        findings = []
-        for code in selected:
-            findings.extend(RULES[code].run(ctx))
+    findings: list[Finding] = []
+    for code in selected:
+        findings.extend(RULES[code].run(ctx))
     assign_fingerprints(findings)
     apply_suppressions(findings, project.modules)
     if baseline is not None:

@@ -30,8 +30,8 @@ import time
 
 __all__ = ["count", "drain", "merge", "profiled", "since", "snapshot"]
 
-#: One lock for both tables: executor callback threads, worker-delta
-#: merges and profiled user code update them concurrently.
+#: One lock for both tables: callers that share the registry across
+#: their own threads update them concurrently.
 _LOCK = threading.Lock()
 _COUNTERS: "dict[str, int]" = {}
 #: Timer name -> ``[calls, total_s]``.

@@ -121,7 +121,7 @@ def sweep_stale_tmp(root: Path, pattern: str = "*.tmp.*") -> int:
 
 
 _SWEPT_ROOTS: "set[str]" = set()
-# ``put`` can run on executor callback threads, so the once-per-root
+# Callers may share a store across their own threads, so the once-per-root
 # bookkeeping needs a real guard rather than relying on GIL luck.
 _SWEPT_LOCK = threading.Lock()
 

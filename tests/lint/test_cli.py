@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint import LintUsageError, run_lint
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 
@@ -34,6 +36,18 @@ def write_fixture(tmp_path, body):
     (pkg / "__init__.py").write_text("", encoding="utf-8")
     (pkg / "config.py").write_text(textwrap.dedent(body), encoding="utf-8")
     return tmp_path
+
+
+def insert_after(path, prefix, body_lines):
+    """Insert ``body_lines`` as the first statements of the ``prefix`` def."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for index, line in enumerate(lines):
+        if line.startswith(prefix):
+            lines[index + 1 : index + 1] = [f"    {body}\n" for body in body_lines]
+            break
+    else:
+        pytest.fail(f"{prefix} not found in {path.name}")
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 DIRTY = """\
@@ -87,7 +101,7 @@ class TestOutputs:
         for code in (
             "REP-NONDET",
             "REP-FALSY-STORE",
-            "REP-UNLOCKED-GLOBAL",
+            "REP-THREAD-ESCAPE",
             "REP-ENV-READ",
             "REP-GETSTATE-CACHE",
             "REP-HASH-INPUT",
@@ -139,76 +153,89 @@ class TestRealTree:
         )
         assert payload["findings"] == []
 
-    def test_injected_wall_clock_fails_the_gate(self, tmp_path):
-        """Seeding time.time() into a task body must fail CI's lint job."""
-        staged = tmp_path / "src"
-        shutil.copytree(SRC, staged, ignore=shutil.ignore_patterns("__pycache__"))
-        tasks = staged / "repro" / "runtime" / "tasks.py"
-        source = tasks.read_text(encoding="utf-8")
-        lines = source.splitlines(keepends=True)
-        for index, line in enumerate(lines):
-            if line.startswith("def run_point"):
-                # Insert a wall-clock read as the first statement.
-                lines.insert(index + 1, "    import time\n")
-                lines.insert(index + 2, "    _seeded_now = time.time()\n")
-                break
-        else:
-            pytest.fail("run_point not found in runtime/tasks.py")
-        tasks.write_text("".join(lines), encoding="utf-8")
+    @pytest.fixture(scope="class")
+    def injected(self, tmp_path_factory):
+        """Three seeded bugs in one staged tree, linted once.
 
-        proc = run_cli(str(staged), "--no-baseline")
-        assert proc.returncode == 1
-        assert "REP-NONDET" in proc.stdout
-        assert "time.time" in proc.stdout
-        assert "runtime/tasks.py" in proc.stdout
+        - a wall-clock read in the task root ``run_point`` (REP-NONDET);
+        - a consumed read of a spec field that ``train_zoo_entry``'s key
+          builder never hashes (REP-KEY-COVERAGE): ``checkpoint_spec``
+          is inclusion-model, it hashes an explicit field list, so the
+          read is exactly the stale-cache bug the rule exists to stop;
+        - ``count()`` in ``obs/metrics.py`` updating the registry
+          without its ``with _LOCK:`` (REP-THREAD-ESCAPE: the module
+          declares a lock).
 
-    def test_injected_unhashed_field_read_fails_the_gate(self, tmp_path):
-        """Reading a spec field the cache key never hashes must fail CI.
-
-        ``train_zoo_entry``'s key builder (``checkpoint_spec``) is
-        inclusion-model: it hashes an explicit field list.  Seeding a
-        read of a field outside that list is exactly the stale-cache
-        bug REP-KEY-COVERAGE exists to stop.
+        Returns the CLI process, the active findings, and the staged
+        ``metrics.py``.
         """
-        staged = tmp_path / "src"
+        staged = tmp_path_factory.mktemp("injected") / "src"
         shutil.copytree(SRC, staged, ignore=shutil.ignore_patterns("__pycache__"))
         tasks = staged / "repro" / "runtime" / "tasks.py"
-        source = tasks.read_text(encoding="utf-8")
-        lines = source.splitlines(keepends=True)
-        for index, line in enumerate(lines):
-            if line.startswith("def train_zoo_entry"):
-                # a *consumed* read: bare aliases that feed nothing are
-                # (correctly) invisible to the read-set analysis
-                lines.insert(index + 1, '    if params["secret_knob"]:\n')
-                lines.insert(index + 2, "        pass\n")
-                break
-        else:
-            pytest.fail("train_zoo_entry not found in runtime/tasks.py")
-        tasks.write_text("".join(lines), encoding="utf-8")
+        insert_after(
+            tasks, "def run_point", ["import time", "_seeded_now = time.time()"]
+        )
+        # a *consumed* read: bare aliases that feed nothing are
+        # (correctly) invisible to the read-set analysis
+        insert_after(
+            tasks, "def train_zoo_entry", ['if params["secret_knob"]:', "    pass"]
+        )
+        metrics = staged / "repro" / "obs" / "metrics.py"
+        locked = "    with _LOCK:\n        _COUNTERS[name] = "
+        source = metrics.read_text(encoding="utf-8")
+        assert source.count(locked) == 1
+        metrics.write_text(
+            source.replace(locked, "    _COUNTERS[name] = "), encoding="utf-8"
+        )
 
-        proc = run_cli(str(staged), "--no-baseline")
-        assert proc.returncode == 1
-        assert "REP-KEY-COVERAGE" in proc.stdout
-        assert "'train_zoo_entry'" in proc.stdout  # the task root, by name
-        assert "'secret_knob'" in proc.stdout  # the missing field, by name
-        assert "never hashes" in proc.stdout
+        proc = run_cli(str(staged), "--no-baseline", "--format", "json")
+        findings = json.loads(proc.stdout)["findings"]
+        active = [f for f in findings if not f.get("suppressed")]
+        return proc, active, metrics
+
+    def test_injected_bugs_fail_the_gate(self, injected):
+        proc, active, _ = injected
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert sorted(f["rule"] for f in active) == [
+            "REP-KEY-COVERAGE", "REP-NONDET", "REP-THREAD-ESCAPE"
+        ]
+
+    def test_injected_wall_clock_fails_the_gate(self, injected):
+        """Seeding time.time() into a task body must fail CI's lint job."""
+        _, active, _ = injected
+        (nondet,) = [f for f in active if f["rule"] == "REP-NONDET"]
+        assert nondet["path"].endswith("repro/runtime/tasks.py")
+        assert "time.time" in nondet["message"]
+        assert "'run_point'" in nondet["message"]
+
+    def test_injected_unhashed_field_read_fails_the_gate(self, injected):
+        """Reading a spec field the cache key never hashes must fail CI."""
+        _, active, _ = injected
+        (coverage,) = [f for f in active if f["rule"] == "REP-KEY-COVERAGE"]
+        assert coverage["path"].endswith("repro/runtime/tasks.py")
+        assert "'train_zoo_entry'" in coverage["message"]  # the task root
+        assert "'secret_knob'" in coverage["message"]  # the missing field
+        assert "never hashes" in coverage["message"]
+
+    def test_injected_unlocked_counter_fails_the_gate(self, injected):
+        """Dropping the registry's lock from ``count()`` must fail CI."""
+        _, active, metrics = injected
+        (race,) = [f for f in active if f["rule"] == "REP-THREAD-ESCAPE"]
+        assert race["path"].endswith("repro/obs/metrics.py")
+        assert "'_COUNTERS'" in race["message"]
+        assert "'count'" in race["message"]
+        lines = metrics.read_text(encoding="utf-8").splitlines()
+        unlocked = [
+            number
+            for number, line in enumerate(lines, start=1)
+            if line.startswith("    _COUNTERS[name] = ")
+        ]
+        assert unlocked == [race["line"]]
 
 
-class TestParallelJobs:
-    def test_jobs_output_is_byte_identical_to_serial(self, tmp_path):
+class TestJobs:
+    def test_jobs_other_than_one_is_a_usage_error(self, tmp_path):
         fixture = write_fixture(tmp_path, DIRTY)
-        serial = run_cli(str(fixture), "--no-baseline")
-        parallel = run_cli(str(fixture), "--no-baseline", "--jobs", "4")
-        assert serial.returncode == parallel.returncode == 1
-        assert serial.stdout == parallel.stdout
-
-    def test_jobs_clean_tree_exit_0(self, tmp_path):
-        fixture = write_fixture(tmp_path, CLEAN)
-        proc = run_cli(str(fixture), "--no-baseline", "--jobs", "2")
-        assert proc.returncode == 0
-
-    def test_jobs_zero_means_cpu_count(self, tmp_path):
-        fixture = write_fixture(tmp_path, DIRTY)
-        proc = run_cli(str(fixture), "--no-baseline", "--jobs", "0")
-        assert proc.returncode == 1
-        assert "REP-ENV-READ" in proc.stdout
+        assert len(run_lint([fixture], jobs=1).active) == 1
+        with pytest.raises(LintUsageError, match="jobs"):
+            run_lint([fixture], jobs=2)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
+from repro.lint import LintConfig, callgraph, run_lint
+
 STORE = """\
     class Store:
         def __init__(self):
@@ -156,3 +160,68 @@ class TestFalsyStoreNegative:
         """
         result = lint(files, "REP-FALSY-STORE")
         assert result.active == []
+
+
+class TestBindingsComputedOnce:
+    def test_full_pass_types_each_function_and_class_once(
+        self, make_project, monkeypatch
+    ):
+        # REP-FALSY-STORE, the call graph and the escape inference all
+        # read one table: a full pass types each function's locals and
+        # each class's ``self.X`` once, however many methods share them
+        local_calls: Counter = Counter()
+        class_calls: Counter = Counter()
+        real_local = callgraph.local_class_bindings
+        real_class = callgraph.CallGraph._class_attr_bindings
+
+        def counting_local(scopes, fn):
+            local_calls[fn.fq] += 1
+            return real_local(scopes, fn)
+
+        def counting_class(graph, cls):
+            class_calls[cls.fq] += 1
+            return real_class(graph, cls)
+
+        monkeypatch.setattr(callgraph, "local_class_bindings", counting_local)
+        monkeypatch.setattr(
+            callgraph.CallGraph, "_class_attr_bindings", counting_class
+        )
+        files = dict(PKG)
+        files["app/use.py"] = """\
+            from app.store import Store
+
+
+            class Engine:
+                def __init__(self):
+                    self.store = Store()
+
+                def get(self, key):
+                    if self.store:
+                        return self.store.items.get(key)
+                    return None
+
+
+            class FastEngine(Engine):
+                def peek(self, key):
+                    store = Store()
+                    return self.store.items.get(key) if self.store else store
+        """
+        result = run_lint(project=make_project(files), config=LintConfig())
+        falsy = [f for f in result.active if f.rule == "REP-FALSY-STORE"]
+        # the subclass's finding needs the base class's ``self.store``
+        assert [(f.path.split("/")[-1], f.line) for f in falsy] == [
+            ("use.py", 9),
+            ("use.py", 17),
+        ]
+        assert dict(local_calls) == {
+            "app.store.Store.__init__": 1,
+            "app.store.Store.__len__": 1,
+            "app.use.Engine.__init__": 1,
+            "app.use.Engine.get": 1,
+            "app.use.FastEngine.peek": 1,
+        }
+        assert dict(class_calls) == {
+            "app.store.Store": 1,
+            "app.use.Engine": 1,
+            "app.use.FastEngine": 1,
+        }

@@ -14,60 +14,56 @@ from repro.lint import Baseline, LintConfig, run_lint
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 
-# One mutation line that trips BOTH concurrency rules: the module
-# declares a lock (REP-UNLOCKED-GLOBAL territory) and the mutating
-# function is registered as a done-callback (REP-THREAD-ESCAPE).
+# One line in a task root that trips two rules: an environment read
+# outside the sanctioned knobs module (REP-ENV-READ, column 11) and a
+# process-identity call (REP-NONDET, column 37).
 DOUBLE_TROUBLE = """\
-    import threading
+    import os
 
-    _STATE = {}
-    _LOCK = threading.Lock()
-
-
-    def handler(future):
-        _STATE["last"] = future{SUPPRESS}
+    __all__ = ["seed"]
 
 
-    def wire(future):
-        future.add_done_callback(handler)
+    def seed(spec):
+        return os.environ.get("SEED") or os.getpid(){SUPPRESS}
 """
 
-BOTH_RULES = ["REP-THREAD-ESCAPE", "REP-UNLOCKED-GLOBAL"]
+BOTH_RULES = ["REP-ENV-READ", "REP-NONDET"]
+
+TASKS = LintConfig(task_root_modules=("app.tasks",))
 
 
 def build(make_project, suppress=""):
     source = DOUBLE_TROUBLE.replace("{SUPPRESS}", suppress)
-    return make_project({"app/__init__.py": "", "app/state.py": source})
+    return make_project({"app/__init__.py": "", "app/tasks.py": source})
 
 
 class TestOneLineTwoRules:
     def test_both_rules_fire_on_the_same_line(self, make_project):
         project = build(make_project)
-        result = run_lint(project=project, rules=BOTH_RULES)
+        result = run_lint(project=project, config=TASKS, rules=BOTH_RULES)
         assert sorted(f.rule for f in result.active) == BOTH_RULES
-        lines = {f.line for f in result.active}
-        assert len(lines) == 1
+        assert {(f.rule, f.line, f.col) for f in result.active} == {
+            ("REP-ENV-READ", 7, 11),
+            ("REP-NONDET", 7, 37),
+        }
 
     def test_single_code_allow_suppresses_only_that_rule(self, make_project):
-        project = build(
-            make_project, suppress="  # repro: allow[REP-UNLOCKED-GLOBAL]"
-        )
-        result = run_lint(project=project, rules=BOTH_RULES)
-        assert [f.rule for f in result.active] == ["REP-THREAD-ESCAPE"]
+        project = build(make_project, suppress="  # repro: allow[REP-ENV-READ]")
+        result = run_lint(project=project, config=TASKS, rules=BOTH_RULES)
+        assert [f.rule for f in result.active] == ["REP-NONDET"]
         assert result.n_suppressed == 1
 
     def test_comma_list_suppresses_both(self, make_project):
         project = build(
-            make_project,
-            suppress="  # repro: allow[REP-UNLOCKED-GLOBAL,REP-THREAD-ESCAPE]",
+            make_project, suppress="  # repro: allow[REP-ENV-READ,REP-NONDET]"
         )
-        result = run_lint(project=project, rules=BOTH_RULES)
+        result = run_lint(project=project, config=TASKS, rules=BOTH_RULES)
         assert result.active == []
         assert result.n_suppressed == 2
 
     def test_star_suppresses_both(self, make_project):
         project = build(make_project, suppress="  # repro: allow[*]")
-        result = run_lint(project=project, rules=BOTH_RULES)
+        result = run_lint(project=project, config=TASKS, rules=BOTH_RULES)
         assert result.active == []
         assert result.n_suppressed == 2
 
@@ -75,15 +71,16 @@ class TestOneLineTwoRules:
         self, make_project, tmp_path
     ):
         project = build(make_project)
-        first = run_lint(project=project, rules=["REP-UNLOCKED-GLOBAL"])
+        first = run_lint(project=project, config=TASKS, rules=["REP-ENV-READ"])
         baseline_path = tmp_path / "baseline.json"
         Baseline.write(baseline_path, first.findings)
         result = run_lint(
             project=project,
+            config=TASKS,
             rules=BOTH_RULES,
             baseline=Baseline.load(baseline_path),
         )
-        assert [f.rule for f in result.active] == ["REP-THREAD-ESCAPE"]
+        assert [f.rule for f in result.active] == ["REP-NONDET"]
         assert result.n_baselined == 1
 
 

@@ -1,9 +1,9 @@
-"""REP-THREAD-ESCAPE: inferred callback-shared mutation races.
+"""REP-THREAD-ESCAPE's callback trigger: inferred callback-shared races.
 
 The acceptance fixture mirrors the runtime's PR 8 ``_SWEPT_ROOTS`` race:
 a once-per-process sweep set mutated from a completion callback.  The
 rule must re-detect it from inference alone — no lock declaration, no
-``concurrent_modules`` listing — and go quiet when the lock is restored.
+module list — and go quiet when the lock is restored.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class TestSweptRootsRace:
         files = dict(PKG)
         files["app/executor.py"] = EXECUTOR
         files["app/cache.py"] = CACHE_UNLOCKED
-        # note: NO concurrent_modules, NO lock in cache.py — the sharing
-        # is inferred from the add_done_callback registration alone
+        # note: NO lock in cache.py — the sharing is inferred from the
+        # add_done_callback registration alone
         result = lint(files, "REP-THREAD-ESCAPE")
         assert len(result.active) == 1
         finding = result.active[0]
@@ -159,8 +159,8 @@ class TestSeedInference:
         assert "'self.done'" in result.active[0].message
 
     def test_worker_submitted_function_is_not_callback_shared(self, lint):
-        # pool.submit targets run worker-local (own process/thread
-        # without coordinator-shared module state by default policy)
+        # pool.submit targets are not callback seeds: a process pool
+        # runs them in their own interpreter, with their own globals
         files = dict(PKG)
         files["app/spin.py"] = """\
             _CACHE = {}
@@ -188,3 +188,30 @@ class TestSeedInference:
         """
         result = lint(files, "REP-THREAD-ESCAPE")
         assert result.active == []
+
+
+class TestBothTriggers:
+    def test_callback_mutation_in_a_lock_module_is_reported_once(self, lint):
+        # the module declares a lock AND the handler runs on a callback
+        # thread: one finding, carrying the callback chain
+        files = dict(PKG)
+        files["app/state.py"] = """\
+            import threading
+
+            _STATE = {}
+            _LOCK = threading.Lock()
+
+
+            def handler(future):
+                _STATE["last"] = future
+
+
+            def wire(future):
+                future.add_done_callback(handler)
+        """
+        result = lint(files, "REP-THREAD-ESCAPE")
+        assert len(result.active) == 1
+        finding = result.active[0]
+        assert finding.line == 8
+        assert "callback thread" in finding.message
+        assert finding.chain == ("app.state.handler",)

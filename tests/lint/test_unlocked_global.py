@@ -1,4 +1,5 @@
-"""REP-UNLOCKED-GLOBAL: unguarded module-level state mutation."""
+"""REP-THREAD-ESCAPE's declared-lock trigger: a module that declares a
+lock must mutate its module-level state under it."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ class TestUnlockedGlobalPositive:
             def record(name, value):
                 _REGISTRY[name] = value
         """
-        result = lint(files, "REP-UNLOCKED-GLOBAL")
+        result = lint(files, "REP-THREAD-ESCAPE")
         assert len(result.active) == 1
         finding = result.active[0]
         assert finding.line == 8
@@ -37,7 +38,7 @@ class TestUnlockedGlobalPositive:
             def mark(name):
                 _SEEN.add(name)
         """
-        result = lint(files, "REP-UNLOCKED-GLOBAL")
+        result = lint(files, "REP-THREAD-ESCAPE")
         assert len(result.active) == 1
         assert ".add() mutation" in result.active[0].message
 
@@ -55,23 +56,9 @@ class TestUnlockedGlobalPositive:
                 global _COUNT
                 _COUNT = _COUNT + 1
         """
-        result = lint(files, "REP-UNLOCKED-GLOBAL")
+        result = lint(files, "REP-THREAD-ESCAPE")
         assert len(result.active) == 1
         assert "rebinding" in result.active[0].message
-
-    def test_concurrent_module_config_without_lock(self, lint):
-        files = dict(PKG)
-        files["app/state.py"] = """\
-            _CACHE = {}
-
-
-            def put(key, value):
-                _CACHE[key] = value
-        """
-        result = lint(
-            files, "REP-UNLOCKED-GLOBAL", concurrent_modules=("app.state",)
-        )
-        assert len(result.active) == 1
 
 
 class TestUnlockedGlobalNegative:
@@ -88,7 +75,7 @@ class TestUnlockedGlobalNegative:
                 with _LOCK:
                     _REGISTRY[name] = value
         """
-        result = lint(files, "REP-UNLOCKED-GLOBAL")
+        result = lint(files, "REP-THREAD-ESCAPE")
         assert result.active == []
 
     def test_unexposed_module_clean(self, lint):
@@ -100,8 +87,23 @@ class TestUnlockedGlobalNegative:
             def remember(key, value):
                 _MEMO[key] = value
         """
-        # No lock declared and not configured concurrent: single-threaded.
-        result = lint(files, "REP-UNLOCKED-GLOBAL", concurrent_modules=())
+        # No lock declared and no callback path: single-threaded.
+        result = lint(files, "REP-THREAD-ESCAPE")
+        assert result.active == []
+
+    def test_unexposed_module_global_rebind_clean(self, lint):
+        files = dict(PKG)
+        files["app/tracer.py"] = """\
+            _ACTIVE = None
+
+
+            def install(tracer):
+                global _ACTIVE
+                _ACTIVE = tracer
+        """
+        # The install-a-hook pattern: a scalar global rebound in a module
+        # with no lock and no callback path is not a race.
+        result = lint(files, "REP-THREAD-ESCAPE")
         assert result.active == []
 
     def test_local_variable_mutation_clean(self, lint):
@@ -119,5 +121,5 @@ class TestUnlockedGlobalNegative:
                 scratch.update({"y": 2})
                 return scratch
         """
-        result = lint(files, "REP-UNLOCKED-GLOBAL")
+        result = lint(files, "REP-THREAD-ESCAPE")
         assert result.active == []
