@@ -30,7 +30,8 @@ from repro.channels.sampler import CsiSampler
 from repro.datasets.catalog import DatasetSpec
 from repro.datasets.preprocess import align_users, moving_median, normalize_amplitude
 from repro.datasets.splits import SplitIndices, split_indices
-from repro.phy.svd import beamforming_matrices
+from repro.obs.metrics import profiled
+from repro.phy.svd import dominant_right_singular_pair
 from repro.utils.complexmat import complex_to_real
 from repro.utils.rng import as_generator
 
@@ -116,6 +117,7 @@ class CsiDataset:
         return self.bf if indices is None else self.bf[indices]
 
 
+@profiled("datasets.build")
 def build_dataset(
     spec: DatasetSpec,
     fidelity: Fidelity = FAST,
@@ -128,6 +130,13 @@ def build_dataset(
     ``fidelity`` controls the sample count (``fidelity.n_samples``
     overrides ``spec.n_samples``), session structure, and channel
     re-randomization cadence (``reset_interval`` overrides it).
+
+    The targets come from :func:`repro.phy.svd.dominant_right_singular_pair`
+    in the canonical phase gauge.  Every catalog entry has one receive
+    antenna per STA, so each target is the rank-one closed form (the
+    conjugated CSI row, normalised and gauge-fixed): within 8 eps of
+    LAPACK's :func:`repro.phy.svd.beamforming_matrices`, but not
+    bit-equal to it.
     """
     rng = as_generator(seed)
     if reset_interval is None:
@@ -168,7 +177,7 @@ def build_dataset(
     csi = normalize_amplitude(csi)
 
     # Supervised targets: gauge-fixed SVD beamforming vector per user.
-    bf = beamforming_matrices(csi, n_streams=1)[..., 0]
+    bf = dominant_right_singular_pair(csi)[0]
     splits = split_indices(n_target, rng=rng)
     return CsiDataset(spec=spec, csi=csi, bf=bf, splits=splits)
 

@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import DatasetError
 from repro.channels.sampler import CsiBatch
+from repro.obs.metrics import profiled
 
 __all__ = [
     "align_users",
@@ -67,6 +68,7 @@ def normalize_amplitude(csi: np.ndarray) -> np.ndarray:
     return csi / mean_amp
 
 
+@profiled("datasets.median")
 def moving_median(csi: np.ndarray, window: int = 10) -> np.ndarray:
     """``window``-point moving median along the time axis (axis 0).
 
@@ -76,10 +78,12 @@ def moving_median(csi: np.ndarray, window: int = 10) -> np.ndarray:
 
     Each part's full windows are sorted by one ``np.sort`` over a
     ``sliding_window_view`` along time, in blocks of at most
-    ``_SORT_BLOCK_ELEMENTS`` values.  The median is ``np.mean`` of the
-    middle one or two sorted entries, the averaging ``np.median``
-    applies, and a window whose last sorted entry is NaN gives NaN.  The
-    first ``window - 1`` (truncated) rows keep one ``np.median`` each.
+    ``_SORT_BLOCK_ELEMENTS`` values, and the truncated window of each of
+    the first ``window - 1`` rows as one block of its own.  The median
+    is ``np.mean`` of the middle one or two sorted entries, the
+    averaging ``np.median`` applies, and a window whose last sorted
+    entry is NaN gives NaN.  No ``np.median`` is called: its NaN check
+    would import ``numpy.ma`` into every cold build.
 
     The result is exact: bit-identical to the per-step ``np.median``
     loop frozen as :func:`repro.perf.reference.reference_moving_median`.
@@ -107,7 +111,10 @@ def _moving_median_part(part: np.ndarray, window: int, out: np.ndarray) -> None:
     """Write the moving median of one real part into ``out``."""
     n = part.shape[0]
     for t in range(min(window - 1, n)):
-        out[t] = np.median(part[: t + 1], axis=0)
+        # The truncated window ending at row t: one window of t + 1 rows.
+        out[t : t + 1] = _sorted_window_median(
+            sliding_window_view(part[: t + 1], t + 1, axis=0)
+        )
     if n < window:
         return
     windows = sliding_window_view(part, window, axis=0)

@@ -62,9 +62,12 @@ def _extract_suppressions(source: str) -> dict[int, set[str]]:
     Uses ``tokenize`` so comment-looking text inside strings is never
     misread.  A comment-only line forwards its allowance to the next
     line, which keeps long statements suppressible without trailing
-    100-column comments.
+    100-column comments.  A source without the marker text anywhere is
+    never tokenized.
     """
     out: dict[int, set[str]] = {}
+    if _SUPPRESS_RE.search(source) is None:
+        return out
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):

@@ -3,8 +3,10 @@
 Implements step (2) of the 802.11 sounding procedure (Sec. III-A2):
 ``H = U S Z†`` with the beamforming matrix ``V`` given by the first
 ``Nss`` columns of ``Z``.  Also provides the effective-channel assembly
-``H_EQ = [V_1 ... V_Ns]`` used by the BER procedure (Sec. 5.2.2) and a
-batched variant used when building training targets.
+``H_EQ = [V_1 ... V_Ns]`` used by the BER procedure (Sec. 5.2.2), a
+batched LAPACK variant, and :func:`dominant_right_singular_pair`, the
+batched closed-form solver that the training targets and the batched
+link simulator use (within a few eps of LAPACK, in the same gauge).
 """
 
 from __future__ import annotations
@@ -312,12 +314,15 @@ def dominant_right_singular_pair(
     """Dominant right singular vector and value per ``(..., Nr, Nt)``.
 
     Returns ``(v1, sigma1)`` with ``v1`` in the canonical gauge (last
-    entry real non-negative, matching :func:`beamforming_matrices`) and
-    ``sigma1 >= 0``.  One batched closed-form eigensolve of the
-    smaller-side Gram matrix replaces a LAPACK SVD pass; callers that
-    also need the combiner can form ``u1 = H v1 / sigma1`` themselves
-    (or note that ``u1† H = sigma1 v1†`` makes ``u1`` unnecessary, as in
-    the link simulator).
+    entry real non-negative, matching :func:`beamforming_matrices` to
+    machine precision, not bit for bit) and ``sigma1 >= 0``.  A
+    single-row channel (``Nr == 1``, every catalog dataset) takes the
+    rank-one closed form, the conjugated row over its norm; otherwise
+    one batched closed-form eigensolve of the smaller-side Gram matrix
+    replaces a LAPACK SVD pass.  Callers that also need the combiner can
+    form ``u1 = H v1 / sigma1`` themselves (or note that
+    ``u1† H = sigma1 v1†`` makes ``u1`` unnecessary, as in the link
+    simulator).
 
     Samples the closed form flags as ill-conditioned (near-degenerate
     top eigenvalue) are recomputed with ``np.linalg.svd``; for generic

@@ -20,6 +20,7 @@ from repro.datasets.preprocess import (
     normalize_amplitude,
     preprocess_csi,
 )
+from repro.phy.svd import beamforming_matrices, dominant_right_singular_pair
 
 
 class TestCatalog:
@@ -170,13 +171,20 @@ class TestBuilder:
         assert np.allclose(bf[..., -1].imag, 0.0, atol=1e-10)
         assert np.all(bf[..., -1].real >= -1e-12)
 
-    def test_targets_match_svd_of_csi(self, smoke_dataset_2x2):
-        ds = smoke_dataset_2x2
-        h = ds.csi[3, 1, 7, :, :]  # (1, 2)
-        from repro.phy.svd import beamforming_matrix
-
-        expected = beamforming_matrix(h, n_streams=1)[:, 0]
-        assert np.allclose(ds.bf[3, 1, 7], expected)
+    # One catalog entry per shape: 2 and 3 users at 56, 114, 242 and 484
+    # tones, and 4 users at 484.
+    @pytest.mark.parametrize(
+        "dataset_id", ["D1", "D2", "D5", "D6", "D9", "D10", "D13", "D14", "D15"]
+    )
+    def test_targets_match_svd_of_csi(self, dataset_id):
+        ds = build_dataset(dataset_spec(dataset_id), fidelity=SMOKE, seed=5)
+        # The targets are the closed-form dominant pair's, bit for bit ...
+        closed_form, _ = dominant_right_singular_pair(ds.csi)
+        assert ds.bf.tobytes() == closed_form.tobytes()
+        # ... and LAPACK's gauge-fixed right singular vectors to within
+        # a few eps, though only a few percent of entries share its bits.
+        lapack = beamforming_matrices(ds.csi, n_streams=1)[..., 0]
+        assert np.abs(ds.bf - lapack).max() <= 8 * np.finfo(float).eps
 
     def test_model_arrays_consistent(self, smoke_dataset_2x2):
         ds = smoke_dataset_2x2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tokenize
+
 from repro.lint import Baseline, LintConfig, run_lint
 
 ENV_FILES = {
@@ -76,6 +78,17 @@ class TestSuppressions:
         )
         result = lint(files, "REP-ENV-READ", **SANCTIONED)
         assert len(result.active) == 1
+
+    def test_marker_free_source_is_never_tokenized(self, lint, monkeypatch):
+        # Most modules carry no suppression; tokenizing them all made
+        # loading the largest part of a lint pass.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a marker-free source was tokenized")
+
+        monkeypatch.setattr(tokenize, "generate_tokens", forbidden)
+        result = lint(ENV_FILES, "REP-ENV-READ", **SANCTIONED)
+        assert len(result.active) == 1
+        assert result.n_suppressed == 0
 
 
 class TestBaseline:

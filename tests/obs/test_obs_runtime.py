@@ -439,6 +439,8 @@ class TestNestedRunTelemetry:
 #: perfbench ledger layer -> how the registry counts the same calls.
 _LEDGER_LAYERS = {
     "channels.collect": ("timer", ("sampler.collect_session",)),
+    "datasets.build": ("timer", ("datasets.build",)),
+    "datasets.median": ("timer", ("datasets.median",)),
     "phy.link": ("timer", ("link.measure_ber",)),
     "nn.fit": ("timer", ("trainer.fit",)),
     "runtime.store_get": (
