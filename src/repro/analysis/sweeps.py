@@ -26,6 +26,7 @@ from repro.datasets.builder import CsiDataset
 from repro.errors import ConfigurationError
 from repro.phy.link import LinkConfig
 from repro.runtime.executor import Task, run_tasks
+from repro.utils.blas import one_blas_thread
 
 __all__ = ["SweepPoint", "ber_sweep"]
 
@@ -52,6 +53,7 @@ class SweepPoint:
         return min(self.mean_ber + self.ci_halfwidth, 1.0)
 
 
+@one_blas_thread()
 def ber_sweep(
     scheme: FeedbackScheme,
     dataset: CsiDataset,
@@ -68,7 +70,8 @@ def ber_sweep(
     on the link noise); only the link simulation is repeated per seed.
     ``n_workers`` parallelizes the (SNR x seed) grid (``None`` reads
     ``$REPRO_RUNTIME_WORKERS``; 1 = in-process serial execution, and
-    results are identical regardless).
+    results are identical regardless: the sweep runs at one BLAS thread,
+    like every job — see :func:`~repro.utils.blas.one_blas_thread`).
     """
     if not snrs_db:
         raise ConfigurationError("need at least one SNR point")

@@ -40,6 +40,7 @@ from repro.runtime.executor import Task, run_tasks
 from repro.runtime.tasks import session_round, step_chain
 from repro.sounding.campaign import MU_MIMO_SOUNDING_INTERVAL_S, SoundingCampaign
 from repro.standard.feedback import Dot11FeedbackConfig, bmr_bits
+from repro.utils.blas import one_blas_thread
 
 __all__ = [
     "RoundRecord",
@@ -282,8 +283,13 @@ class NetworkSession:
 
     # -- public API -----------------------------------------------------------
 
+    @one_blas_thread()
     def run(self, n_rounds: int) -> SessionReport:
-        """Simulate ``n_rounds`` sounding rounds and aggregate a report."""
+        """Simulate ``n_rounds`` sounding rounds and aggregate a report.
+
+        Runs at one BLAS thread, like every job
+        (:func:`~repro.utils.blas.one_blas_thread`).
+        """
         if n_rounds < 1:
             raise ConfigurationError("n_rounds must be >= 1")
         pool = self.dataset.splits.test

@@ -20,6 +20,19 @@ from repro.lint.scopes import dotted_name
 _ENV_ATTRS = frozenset({"os.environ", "os.getenv", "os.putenv", "os.unsetenv"})
 
 
+def _os_roots(scope) -> "frozenset[str]":
+    """Names bound from ``os`` in ``scope``'s module.
+
+    A chain resolves through its root name, so only a chain whose root
+    is ``os`` or a name imported from it can reach ``os.environ``.
+    """
+    return frozenset(
+        name
+        for name, target in scope.imports.items()
+        if target == "os" or target.startswith("os.")
+    )
+
+
 @register
 class EnvReadRule(Rule):
     code = "REP-ENV-READ"
@@ -31,12 +44,18 @@ class EnvReadRule(Rule):
         for scope in ctx.scopes.scopes.values():
             if scope.module.name in sanctioned:
                 continue
+            roots = _os_roots(scope)
+            if not roots:
+                continue
             for node in ast.walk(scope.module.tree):
                 if not isinstance(node, (ast.Attribute, ast.Name)):
                     continue
-                raw = dotted_name(node)
-                if raw is None:
+                root = node
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not isinstance(root, ast.Name) or root.id not in roots:
                     continue
+                raw = dotted_name(node)
                 fq = ctx.scopes.resolve_in_module(scope, raw)
                 # Exact match only: for `os.environ.get(...)` the inner
                 # `os.environ` attribute node matches, so each access

@@ -24,18 +24,34 @@ Blocks of 16 to 64 Ki elements time alike on the wide Table II model
 (see ``docs/perf.md``), so nothing is gained by tuning it per host.  A
 model of at most :data:`BLOCK` parameters is simply one block.
 
+A large model's blocks are split into contiguous *chunks*, one per
+core, each of at least :data:`_MIN_BLOCKS` blocks and with its own two
+scratch rows, and every sweep (``step``, :meth:`Optimizer.zero_grad`,
+and the clip's sums and rescale) runs its chunks on that many threads;
+NumPy drops the GIL inside each block's operations.  The threads pay
+only while the job holds one BLAS thread
+(:func:`repro.utils.blas.one_blas_thread`): otherwise OpenBLAS's idle
+thread spins on the core the sweep wants.  A model built in a pool
+worker gets one chunk, because the pool already has a process per
+core, and a model of fewer than ``2 * _MIN_BLOCKS`` blocks (every
+campaign ladder model, the Table II 3-layer model) is one chunk swept
+in the calling thread, which starts no thread.  Threads are started
+per sweep, so an optimizer never holds a thread pool a fork could
+inherit without its threads.
+
 Every element sees the same arithmetic in the same order as the
 per-parameter loop formulation (no reciprocal multiplies, no regrouped
-terms), so trained weights are bit-identical to it — the frozen loop
-implementations live in ``repro.perf.reference`` and the equivalence
-is regression-tested.  The gradient clip stays bit-identical too,
-although a parameter may span many blocks: NumPy's float64 ``sum``
-over a contiguous span is one pairwise recursion that splits at
-``n // 2`` rounded down to a multiple of 8, so
+terms), so trained weights are bit-identical to it whatever the chunks
+— the frozen loop implementations live in ``repro.perf.reference`` and
+the equivalence is regression-tested.  The gradient clip stays
+bit-identical too, although a parameter may span many blocks: NumPy's
+float64 ``sum`` over a contiguous span is one pairwise recursion that
+splits at ``n // 2`` rounded down to a multiple of 8, so
 :meth:`Optimizer.clip_global_norm` descends that same split tree until
-a node fits in one block, squares the node into block scratch, sums it
-with ``sum`` and adds the partial sums back up the tree — exactly the
-additions ``np.sum(grad**2)`` makes.
+a node fits in one block, squares each such leaf into its chunk's
+scratch, sums it with ``sum``, and adds the leaf sums back up the tree
+in tree order once every chunk is done — exactly the additions
+``np.sum(grad**2)`` makes.
 
 Construction order matters only in the trivial sense: packing copies
 the parameters' current values, so sequential use of several
@@ -46,17 +62,74 @@ meaningful and remains unsupported.
 
 from __future__ import annotations
 
-from typing import Iterable
+import bisect
+import multiprocessing
+import os
+import threading
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nn.module import Parameter
+from repro.obs.metrics import profiled
 
 __all__ = ["Optimizer", "SGD", "Adam", "BLOCK"]
 
 #: Elements per block of the optimizer sweep (see the module docstring).
 BLOCK = 1 << 15
+
+#: Fewest blocks a sweep thread takes.  A thread costs a start and a
+#: join per sweep, so a chunk must be long enough to pay for them.
+_MIN_BLOCKS = 16
+
+
+def _sweep_threads(n_blocks: int) -> int:
+    """Threads that sweep ``n_blocks`` blocks: one per core, 1 in a pool worker."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_blocks // _MIN_BLOCKS))
+
+
+def _split(count: int) -> int:
+    """Where NumPy's pairwise ``sum`` splits a span of ``count`` elements."""
+    half = count // 2
+    return half - half % 8
+
+
+def _tree_leaves(start: int, count: int) -> "list[tuple[int, int]]":
+    """``(start, count)`` of every node of the split tree that fits a block.
+
+    Left to right: the order in which :func:`_tree_sum` consumes them.
+    """
+    if count <= BLOCK:
+        return [(start, count)]
+    half = _split(count)
+    return _tree_leaves(start, half) + _tree_leaves(start + half, count - half)
+
+
+def _tree_sum(count: int, leaf_sums: Iterator[float]) -> float:
+    """Add the next leaves' sums up the split tree of ``count`` elements."""
+    if count <= BLOCK:
+        return next(leaf_sums)
+    half = _split(count)
+    return _tree_sum(half, leaf_sums) + _tree_sum(count - half, leaf_sums)
+
+
+class _Chunk(NamedTuple):
+    """One sweep thread's contiguous share of the packed buffers."""
+
+    blocks: "list[slice]"
+    #: Elements ``blocks`` cover.
+    span: slice
+    #: Indices of the clip's tree leaves that start inside ``span``.
+    leaves: range
+    #: The chunk's own two block-sized scratch rows.
+    work: np.ndarray
 
 
 class Optimizer:
@@ -96,45 +169,107 @@ class Optimizer:
             slice(start, min(start + BLOCK, total))
             for start in range(0, total, BLOCK)
         ]
-        #: Two block-sized scratch rows, reused by every block.
-        self._work = np.empty((2, min(total, BLOCK)))
+        self._leaves = [
+            leaf
+            for span in self._slices
+            for leaf in _tree_leaves(span.start, span.stop - span.start)
+        ]
+        n_chunks = _sweep_threads(len(self._blocks))
+        edges = [len(self._blocks) * i // n_chunks for i in range(n_chunks + 1)]
+        # Element offsets where the chunks meet, and the first leaf of
+        # each chunk: a leaf belongs to the chunk it starts in.
+        bounds = [0, *(self._blocks[edge].start for edge in edges[1:-1]), total]
+        leaf_starts = [start for start, _ in self._leaves]
+        cuts = [
+            0,
+            *(bisect.bisect_left(leaf_starts, bound) for bound in bounds[1:-1]),
+            len(self._leaves),
+        ]
+        work = np.empty((n_chunks, 2, min(total, BLOCK)))
+        self._chunks = [
+            _Chunk(
+                blocks=self._blocks[edges[i] : edges[i + 1]],
+                span=slice(bounds[i], bounds[i + 1]),
+                leaves=range(cuts[i], cuts[i + 1]),
+                work=work[i],
+            )
+            for i in range(n_chunks)
+        ]
+
+    def _sweep(self, fn: "Callable[[_Chunk], None]") -> None:
+        """Run ``fn`` on every chunk, each on its own thread.
+
+        The calling thread takes the first chunk, so a one-chunk
+        optimizer starts no thread.  An exception on any thread is
+        raised here once every thread has finished.
+        """
+        errors: "list[BaseException]" = []
+
+        def run(chunk: _Chunk) -> None:
+            try:
+                fn(chunk)
+            except BaseException as exc:  # re-raised below, in the caller
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(chunk,)) for chunk in self._chunks[1:]
+        ]
+        for thread in threads:
+            thread.start()
+        run(self._chunks[0])
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
 
     def zero_grad(self) -> None:
-        self._flat_grad[...] = 0.0
+        def zero(chunk: _Chunk) -> None:
+            self._flat_grad[chunk.span] = 0.0
+
+        self._sweep(zero)
 
     def clip_global_norm(self, limit: float) -> float:
         """Scale all gradients so their global L2 norm stays <= ``limit``.
 
-        Each parameter's sum of squares is taken block by block along
-        NumPy's pairwise-summation tree (:meth:`_sum_of_squares`), and
-        the partial sums are accumulated in parameter order, which
-        reproduces the reference loop's float arithmetic bit for bit.
-        The rescale, when needed, is one in-place pass over the packed
-        gradient buffer.  Returns the pre-clip norm.
+        The norm is the root of :meth:`_sum_of_squares`, bit for bit the
+        reference loop's.  The rescale, when needed, is one in-place
+        pass over each chunk of the gradient buffer.  Returns the
+        pre-clip norm.
         """
-        total = 0.0
-        for span in self._slices:
-            total += self._sum_of_squares(span.start, span.stop - span.start)
-        norm = float(np.sqrt(total))
+        norm = float(np.sqrt(self._sum_of_squares()))
         if norm > limit:
-            self._flat_grad *= limit / norm
+            scale = limit / norm
+
+            def rescale(chunk: _Chunk) -> None:
+                self._flat_grad[chunk.span] *= scale
+
+            self._sweep(rescale)
         return norm
 
-    def _sum_of_squares(self, start: int, count: int) -> float:
-        """``np.sum(grad**2)`` over ``grad[start:start + count]``, bit for bit.
+    def _sum_of_squares(self) -> float:
+        """``np.sum(grad**2)`` per parameter, added in parameter order.
 
-        Follows the split points of NumPy's pairwise sum (``count // 2``
-        rounded down to a multiple of 8) until a node fits in one block;
-        a node's ``sum`` is then the very subtree NumPy would compute.
+        Each parameter's sum is taken along NumPy's pairwise-summation
+        tree: the chunks sum their tree leaves (nodes that fit one
+        block), then the leaf sums are added up each parameter's tree,
+        which reproduces the reference loop's float arithmetic bit for
+        bit.
         """
-        if count <= BLOCK:
-            grad = self._flat_grad[start : start + count]
-            return float(np.multiply(grad, grad, out=self._work[0, :count]).sum())
-        half = count // 2
-        half -= half % 8
-        return self._sum_of_squares(start, half) + self._sum_of_squares(
-            start + half, count - half
-        )
+        leaf_sums = [0.0] * len(self._leaves)
+
+        def square_sums(chunk: _Chunk) -> None:
+            row = chunk.work[0]
+            for index in chunk.leaves:
+                start, count = self._leaves[index]
+                grad = self._flat_grad[start : start + count]
+                leaf_sums[index] = float(np.multiply(grad, grad, out=row[:count]).sum())
+
+        self._sweep(square_sums)
+        ordered = iter(leaf_sums)
+        total = 0.0
+        for span in self._slices:
+            total += _tree_sum(span.stop - span.start, ordered)
+        return total
 
     def step(self) -> None:
         raise NotImplementedError
@@ -159,22 +294,26 @@ class SGD(Optimizer):
         self.weight_decay = float(weight_decay)
         self._velocity = np.zeros_like(self._flat_data)
 
+    @profiled("optim.step")
     def step(self) -> None:
-        for block in self._blocks:
-            data = self._flat_data[block]
-            grad = self._flat_grad[block]
-            work = self._work[0, : block.stop - block.start]
-            if self.weight_decay:
-                # grad + weight_decay * data
-                np.multiply(self.weight_decay, data, out=work)
-                grad = np.add(grad, work, out=work)
-            if self.momentum:
-                update = self._velocity[block]
-                update *= self.momentum
-                update += grad
-            else:
-                update = grad
-            data -= np.multiply(self.lr, update, out=work)
+        def update(chunk: _Chunk) -> None:
+            for block in chunk.blocks:
+                data = self._flat_data[block]
+                grad = self._flat_grad[block]
+                work = chunk.work[0, : block.stop - block.start]
+                if self.weight_decay:
+                    # grad + weight_decay * data
+                    np.multiply(self.weight_decay, data, out=work)
+                    grad = np.add(grad, work, out=work)
+                if self.momentum:
+                    update = self._velocity[block]
+                    update *= self.momentum
+                    update += grad
+                else:
+                    update = grad
+                data -= np.multiply(self.lr, update, out=work)
+
+        self._sweep(update)
 
 
 class Adam(Optimizer):
@@ -202,32 +341,37 @@ class Adam(Optimizer):
         self._m = np.zeros_like(self._flat_data)
         self._v = np.zeros_like(self._flat_data)
 
+    @profiled("optim.step")
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for block in self._blocks:
-            data = self._flat_data[block]
-            grad = self._flat_grad[block]
-            m = self._m[block]
-            v = self._v[block]
-            num, den = self._work[:, : block.stop - block.start]
-            if self.weight_decay:
-                # grad + weight_decay * data
-                np.multiply(self.weight_decay, data, out=num)
-                grad = np.add(grad, num, out=num)
-            # First and second moments; each elementwise expression
-            # matches the reference loop's operation order exactly.
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, grad, out=den)
-            v *= self.beta2
-            np.multiply(grad, grad, out=den)
-            v += np.multiply(1.0 - self.beta2, den, out=den)
-            # Bias-corrected update: data -= lr * m_hat / (sqrt(v_hat) + eps).
-            np.divide(m, bias1, out=num)
-            num *= self.lr
-            np.divide(v, bias2, out=den)
-            np.sqrt(den, out=den)
-            den += self.eps
-            num /= den
-            data -= num
+
+        def update(chunk: _Chunk) -> None:
+            for block in chunk.blocks:
+                data = self._flat_data[block]
+                grad = self._flat_grad[block]
+                m = self._m[block]
+                v = self._v[block]
+                num, den = chunk.work[:, : block.stop - block.start]
+                if self.weight_decay:
+                    # grad + weight_decay * data
+                    np.multiply(self.weight_decay, data, out=num)
+                    grad = np.add(grad, num, out=num)
+                # First and second moments; each elementwise expression
+                # matches the reference loop's operation order exactly.
+                m *= self.beta1
+                m += np.multiply(1.0 - self.beta1, grad, out=den)
+                v *= self.beta2
+                np.multiply(grad, grad, out=den)
+                v += np.multiply(1.0 - self.beta2, den, out=den)
+                # Bias-corrected update: data -= lr * m_hat / (sqrt(v_hat) + eps).
+                np.divide(m, bias1, out=num)
+                num *= self.lr
+                np.divide(v, bias2, out=den)
+                np.sqrt(den, out=den)
+                den += self.eps
+                num /= den
+                data -= num
+
+        self._sweep(update)

@@ -22,6 +22,7 @@ from repro.nn.optim import Adam, Optimizer, SGD
 from repro.nn.schedulers import LRScheduler, MultiStepLR
 from repro.nn.serialize import load_state_dict, state_dict
 from repro.obs.metrics import profiled
+from repro.utils.blas import one_blas_thread
 from repro.utils.rng import as_generator
 
 __all__ = ["TrainingConfig", "TrainingHistory", "Trainer"]
@@ -118,6 +119,7 @@ class Trainer:
     # -- public API -----------------------------------------------------------
 
     @profiled("trainer.fit")
+    @one_blas_thread()
     def fit(
         self,
         train_inputs: np.ndarray,
@@ -126,7 +128,12 @@ class Trainer:
         val_targets: np.ndarray | None = None,
     ) -> TrainingHistory:
         """Train and (when a validation split is given) restore the best
-        parameters observed on the validation metric."""
+        parameters observed on the validation metric.
+
+        Trains at one BLAS thread (:func:`~repro.utils.blas.one_blas_thread`;
+        a no-op inside a job, which already holds it), so the weights do
+        not depend on the core count or the BLAS thread setting.
+        """
         train_inputs = np.asarray(train_inputs, dtype=np.float64)
         train_targets = np.asarray(train_targets, dtype=np.float64)
         if train_inputs.shape[0] != train_targets.shape[0]:

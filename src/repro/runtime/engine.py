@@ -37,6 +37,7 @@ from repro.runtime.hashing import code_version
 from repro.runtime.planner import plan_scenario
 from repro.runtime.spec import Scenario
 from repro.utils.artifacts import write_json_artifact
+from repro.utils.blas import one_blas_thread
 
 __all__ = ["EngineRun", "ExperimentEngine", "run_scoped"]
 
@@ -57,17 +58,21 @@ def run_scoped(name: str, trace, faults, body):
     and land in the same timeline; both are restored afterwards.
     Traced, the run is one root span called ``name``, and the result's
     ``trace_dir`` says where its trace lands: the run that created the
-    tracer writes the trace there when it ends.
+    tracer writes the trace there when it ends.  The run computes at one
+    BLAS thread (:func:`~repro.utils.blas.one_blas_thread`), and so do
+    the pool workers it forks, so its bytes do not depend on the core
+    count or the BLAS thread setting.
     """
     plan = faults_mod.active_plan(faults)
     previous = faults_mod.install(plan)
     tracer, owned = trace_mod.tracer_for_run(trace, name)
     prev_tracer = trace_mod.install_tracer(tracer) if tracer else None
     try:
-        if tracer is None:
-            return body(plan)
-        with tracer.span(name, "engine"):
-            result = body(plan)
+        with one_blas_thread():
+            if tracer is None:
+                return body(plan)
+            with tracer.span(name, "engine"):
+                result = body(plan)
         result.trace_dir = write_trace(tracer) if owned else tracer.out_dir
         return result
     finally:

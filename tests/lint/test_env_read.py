@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from repro.lint import LintConfig
+from repro.lint.rules.base import LintContext
+from repro.lint.rules.env_read import EnvReadRule
+from repro.lint.scopes import ScopeTable
+
 PKG = {"app/__init__.py": ""}
 
 
@@ -82,3 +87,46 @@ class TestEnvReadNegative:
             files, "REP-ENV-READ", sanctioned_env_modules=("app.knobs",)
         )
         assert result.active == []
+
+
+class TestEnvReadResolution:
+    """The rule resolves only chains whose root name is bound from ``os``."""
+
+    def test_module_without_os_binding_resolves_nothing(
+        self, make_project, monkeypatch
+    ):
+        files = dict(PKG)
+        files["app/model.py"] = """\
+            import numpy as np
+            from app import helpers
+
+
+            def forward(x):
+                return np.tanh(helpers.scale.value * x)
+        """
+        files["app/config.py"] = """\
+            import os
+            import numpy as np
+
+
+            def root():
+                return os.environ.get("APP_ROOT"), np.linalg.norm
+        """
+        ctx = LintContext(
+            project=make_project(files),
+            config=LintConfig(sanctioned_env_modules=("app.knobs",)),
+        )
+        ctx.scopes  # built before the spy: only the rule's calls count
+        calls = []
+        resolve = ScopeTable.resolve_in_module
+
+        def spy(self, scope, dotted, local_imports=None):
+            calls.append((scope.module.name, dotted))
+            return resolve(self, scope, dotted, local_imports)
+
+        monkeypatch.setattr(ScopeTable, "resolve_in_module", spy)
+        findings = EnvReadRule().run(ctx)
+        assert [(f.line, f.col) for f in findings] == [(6, 11)]
+        assert calls, "the os-bound chain was never resolved"
+        assert {module for module, _ in calls} == {"app.config"}
+        assert {dotted.split(".")[0] for _, dotted in calls} == {"os"}

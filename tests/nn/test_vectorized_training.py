@@ -6,7 +6,9 @@ The contract the vectorized training stack makes (see
 - the block-swept SGD/Adam updates and gradient clip, and the
   trainer's preallocated batch pipeline replay the loop
   implementations element-for-element — trained weights are
-  **bit-identical**, also for models that span many optimizer blocks;
+  **bit-identical**, also for models that span many optimizer blocks,
+  and whether the blocks are swept in one chunk or in one chunk per
+  core on that many threads;
 - the im2col convolution's *forward* is bit-identical to the frozen
   per-kernel-position loops; its *backward* contracts each gradient in
   one GEMM, which reorders floating-point reductions — gradients match
@@ -16,10 +18,15 @@ The contract the vectorized training stack makes (see
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.nn import optim
 from repro.nn.conv import Conv1d
 from repro.nn.layers import Linear, Sequential, Tanh
 from repro.nn.losses import NormalizedL1Loss
@@ -239,6 +246,207 @@ class TestFusedOptimizerBitIdentity:
         )
         opt.zero_grad()
         assert np.array_equal(param.grad, np.zeros((2, 3)))
+
+
+#: A layout of 49 blocks (at least ``2 * _MIN_BLOCKS + 1``) that the
+#: sweep splits into uneven chunks at 2 and at 3 cores (24 + 25 and
+#: 16 + 16 + 17 blocks): a 30-block parameter straddles the chunk edge
+#: at either count, a 3-row matrix the second edge at 3 cores, the
+#: edges fall inside clip-tree leaves, and a 5-element bias ends in a
+#: ragged 68-element last block.
+_CHUNKED_SHAPES = (
+    (3,),
+    (BLOCK + 1,),
+    (30 * BLOCK + 5,),
+    (5, 3 * BLOCK + 11),
+    (2 * BLOCK - 1,),
+    (5,),
+)
+
+
+@pytest.fixture(params=[2, 3], ids=["2-cores", "3-cores"])
+def cores(request, monkeypatch):
+    """The sweep sees ``request.param`` cores, whatever the host has."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False
+    )
+    return request.param
+
+
+def _chunked_twins():
+    """Twin :data:`_CHUNKED_SHAPES` bags and ``feed(rng)`` for their gradients."""
+    model_a = _ParameterBag(_CHUNKED_SHAPES, seed=4)
+    model_b = _ParameterBag(_CHUNKED_SHAPES, seed=4)
+
+    def feed(rng):
+        for pa, pb in zip(model_a.parameters(), model_b.parameters()):
+            grad = rng.standard_normal(pa.shape)
+            pa.grad += grad
+            pb.grad += grad
+
+    return model_a, model_b, feed
+
+
+def _assert_chunked(opt, n_cores):
+    """The layout really is chunked as :data:`_CHUNKED_SHAPES` claims."""
+    sizes = [len(chunk.blocks) for chunk in opt._chunks]
+    assert sizes == ([24, 25] if n_cores == 2 else [16, 16, 17])
+    assert [block for chunk in opt._chunks for block in chunk.blocks] == opt._blocks
+    assert opt._blocks[-1].stop - opt._blocks[-1].start == 68
+    edges = [chunk.span.start for chunk in opt._chunks[1:]]
+    assert all(
+        any(span.start < edge < span.stop for span in opt._slices) for edge in edges
+    )
+    leaves = [index for chunk in opt._chunks for index in chunk.leaves]
+    assert leaves == list(range(len(opt._leaves)))
+
+
+class TestChunkedSweep:
+    """One chunk per core, each on its own thread, replays the loops exactly."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_adam_steps(self, cores, weight_decay):
+        model_a, model_b, feed = _chunked_twins()
+        opt_a = ReferenceAdam(
+            list(model_a.parameters()), lr=1e-2, weight_decay=weight_decay
+        )
+        opt_b = Adam(list(model_b.parameters()), lr=1e-2, weight_decay=weight_decay)
+        _assert_chunked(opt_b, cores)
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            opt_a.zero_grad()
+            opt_b.zero_grad()
+            feed(rng)
+            opt_a.step()
+            opt_b.step()
+            _assert_states_equal(model_a, model_b)
+
+    @pytest.mark.parametrize(
+        ("weight_decay", "momentum"), itertools.product([0.0, 1e-3], [0.0, 0.9])
+    )
+    def test_sgd_steps(self, cores, weight_decay, momentum):
+        model_a, model_b, feed = _chunked_twins()
+        opt_a = ReferenceSGD(
+            list(model_a.parameters()),
+            lr=0.05,
+            momentum=momentum,
+            weight_decay=weight_decay,
+        )
+        opt_b = SGD(
+            list(model_b.parameters()),
+            lr=0.05,
+            momentum=momentum,
+            weight_decay=weight_decay,
+        )
+        _assert_chunked(opt_b, cores)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            opt_a.zero_grad()
+            opt_b.zero_grad()
+            feed(rng)
+            opt_a.step()
+            opt_b.step()
+            _assert_states_equal(model_a, model_b)
+
+    @pytest.mark.parametrize("limit", [1.0, 1e6], ids=["clips", "below-limit"])
+    def test_clip(self, cores, limit):
+        model_a, model_b, feed = _chunked_twins()
+        opt_b = SGD(list(model_b.parameters()), lr=0.1)
+        _assert_chunked(opt_b, cores)
+        feed(np.random.default_rng(2))
+        grads = [p.grad.copy() for p in model_b.parameters()]
+        # The sum of squares before the root: the root can hide a
+        # difference in the last bit of the sum.
+        total = 0.0
+        for grad in grads:
+            total += float(np.sum(grad**2))
+        assert opt_b._sum_of_squares() == total
+        expected = float(np.sqrt(total))
+        reference_clip_gradients(model_a, limit)
+        assert opt_b.clip_global_norm(limit) == expected
+        for pa, pb, grad in zip(model_a.parameters(), model_b.parameters(), grads):
+            assert np.array_equal(pa.grad, pb.grad)
+            assert np.array_equal(pb.grad, grad) == (limit > expected)
+
+    def test_zero_grad(self, cores):
+        model_a, model_b, feed = _chunked_twins()
+        opt_a = ReferenceSGD(list(model_a.parameters()), lr=0.1)
+        opt_b = SGD(list(model_b.parameters()), lr=0.1)
+        _assert_chunked(opt_b, cores)
+        feed(np.random.default_rng(3))
+        opt_a.zero_grad()
+        opt_b.zero_grad()
+        for pa, pb in zip(model_a.parameters(), model_b.parameters()):
+            assert not pb.grad.any()
+            assert np.array_equal(pa.grad, pb.grad)
+        _assert_states_equal(model_a, model_b)
+
+
+    def test_more_threads_than_cores_with_a_short_switch_interval(self, monkeypatch):
+        """Three sweep threads on a 2-core host, switching every 10 µs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        model_a, model_b, feed = _chunked_twins()
+        opt_a = ReferenceAdam(list(model_a.parameters()), lr=1e-2)
+        opt_b = Adam(list(model_b.parameters()), lr=1e-2)
+        assert len(opt_b._chunks) == 3
+        rng = np.random.default_rng(6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                opt_a.zero_grad()
+                opt_b.zero_grad()
+                feed(rng)
+                reference_clip_gradients(model_a, 1.0)
+                opt_a.step()
+                opt_b.clip_global_norm(1.0)
+                opt_b.step()
+                _assert_states_equal(model_a, model_b)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class _NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the optimizer sweep started a thread")
+
+
+def _sweep_everything(opt, feed):
+    """Every sweep an optimizer makes: zero, clip (with rescale), step."""
+    opt.zero_grad()
+    feed(np.random.default_rng(5))
+    assert opt.clip_global_norm(1e-3) > 1e-3
+    opt.step()
+
+
+class TestSweepStartsNoThread:
+    """Small models, and every model built in a pool worker, stay on one thread."""
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_small_model(self, cores, monkeypatch, kind):
+        shapes = ((2 * optim._MIN_BLOCKS - 1) * BLOCK,)
+        model = _ParameterBag(shapes, seed=0)
+        monkeypatch.setattr(threading, "Thread", _NoThread)
+        opt = (Adam if kind == "adam" else SGD)(list(model.parameters()), lr=1e-2)
+        assert len(opt._chunks) == 1
+
+        def feed(rng):
+            for param in model.parameters():
+                param.grad += rng.standard_normal(param.shape)
+
+        _sweep_everything(opt, feed)
+
+    def test_one_more_block_is_chunked(self, cores):
+        model = _ParameterBag(((2 * optim._MIN_BLOCKS - 1) * BLOCK + 1,), seed=0)
+        assert len(SGD(list(model.parameters()), lr=1e-2)._chunks) == 2
+
+    def test_model_built_in_a_pool_worker(self, cores, monkeypatch):
+        _, model, feed = _chunked_twins()
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        monkeypatch.setattr(threading, "Thread", _NoThread)
+        opt = Adam(list(model.parameters()), lr=1e-2)
+        assert len(opt._chunks) == 1
+        _sweep_everything(opt, feed)
 
 
 class TestTrainerBitIdentity:

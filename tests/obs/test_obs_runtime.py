@@ -442,6 +442,7 @@ _LEDGER_LAYERS = {
     "datasets.build": ("timer", ("datasets.build",)),
     "datasets.median": ("timer", ("datasets.median",)),
     "phy.link": ("timer", ("link.measure_ber",)),
+    "nn.optim": ("timer", ("optim.step",)),
     "nn.fit": ("timer", ("trainer.fit",)),
     "runtime.store_get": (
         "counter",
