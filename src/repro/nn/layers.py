@@ -4,17 +4,34 @@ Each layer caches its forward inputs and implements an explicit backward
 pass.  Backward must be called after forward with a gradient of the same
 shape as the forward output; parameter gradients *accumulate* (call
 ``zero_grad`` between steps, as the optimizers do).
+
+A large :class:`Sequential` runs its backward on two threads.  A
+``Linear``'s weight gradient (``x.T @ dy``, added into ``weight.grad``)
+feeds nothing further down the chain, so :meth:`Sequential.backward`
+hands it to one helper thread, which adds them in the order the chain
+reaches them, while the calling thread computes the bias gradient and
+the input gradient ``dy @ W.T`` and moves on to the next layer.  Every
+product keeps its operands, its shape and the job's one BLAS thread
+(:func:`repro.utils.blas.one_blas_thread`), so every gradient keeps its
+bits.  The overlap engages under the optimizer's own rule
+(:func:`repro.nn.optim.sweep_threads`): more than one core, not a pool
+worker, and at least ``2 * _MIN_BLOCKS`` optimizer blocks of
+parameters, so the Table II 3-layer model and every campaign ladder
+model back-propagate on the calling thread and start no thread.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import queue
+import threading
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.init import initializer
 from repro.nn.module import Module, Parameter
+from repro.nn.optim import sweep_threads
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -27,6 +44,16 @@ __all__ = [
     "Dropout",
     "Sequential",
 ]
+
+
+#: ``(weight.grad, x, dy)`` of one Linear's backward: add ``x.T @ dy``
+#: into ``weight.grad``.
+_WeightGrad = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _add_weight_grad(job: _WeightGrad) -> None:
+    weight_grad, inputs, grad_output = job
+    weight_grad += inputs.T @ grad_output
 
 
 class Linear(Module):
@@ -109,12 +136,22 @@ class Linear(Module):
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        return self._backward(grad_output, _add_weight_grad)
+
+    def _backward(
+        self, grad_output: np.ndarray, add_weight_grad: "Callable[[_WeightGrad], None]"
+    ) -> np.ndarray:
+        """Backward, with the weight gradient's product handed to ``add_weight_grad``.
+
+        :meth:`backward` adds it at once; :meth:`Sequential.backward`
+        may queue it for its helper thread instead.
+        """
         if self._cached_input is None:
             raise ShapeError("backward called before forward on Linear")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         if grad_output.ndim == 1:
             grad_output = grad_output[None, :]
-        self.weight.grad += self._cached_input.T @ grad_output
+        add_weight_grad((self.weight.grad, self._cached_input, grad_output))
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)
         return grad_output @ self.weight.data.T
@@ -272,9 +309,42 @@ class Sequential(Module):
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        """Back-propagate through the chain; see the module docstring.
+
+        A helper thread adds the Linears' weight gradients when
+        :func:`~repro.nn.optim.sweep_threads` gives this model more than
+        one thread.  The helper is joined before this returns, and an
+        exception raised on it is raised here.
+        """
+        if sweep_threads(self.parameters()) < 2:
+            grad = grad_output
+            for layer in reversed(self.layers):
+                grad = layer.backward(grad)
+            return grad
+        jobs: "queue.SimpleQueue[_WeightGrad | None]" = queue.SimpleQueue()
+        errors: "list[BaseException]" = []
+
+        def add_weight_grads() -> None:
+            try:
+                for job in iter(jobs.get, None):
+                    _add_weight_grad(job)
+            except BaseException as exc:  # re-raised below, in the caller
+                errors.append(exc)
+
+        helper = threading.Thread(target=add_weight_grads)
+        helper.start()
+        try:
+            grad = grad_output
+            for layer in reversed(self.layers):
+                if isinstance(layer, Linear):
+                    grad = layer._backward(grad, jobs.put)
+                else:
+                    grad = layer.backward(grad)
+        finally:
+            jobs.put(None)
+            helper.join()
+        if errors:
+            raise errors[0]
         return grad
 
     def __len__(self) -> int:

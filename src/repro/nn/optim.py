@@ -53,6 +53,20 @@ scratch, sums it with ``sum``, and adds the leaf sums back up the tree
 in tree order once every chunk is done — exactly the additions
 ``np.sum(grad**2)`` makes.
 
+``step(max_norm=limit)`` folds the clip into the update: it sums the
+norm as the clip does and, when the norm exceeds ``limit``, scales each
+gradient block in place inside the update's sweep, just before the rule
+reads it.  Every gradient element is multiplied by the same factor as
+in :meth:`Optimizer.clip_global_norm`, so the weights and the gradient
+buffer keep their bits, and the buffer is streamed once per step
+instead of twice.  The trainer clips this way; ``clip_global_norm``
+stays for callers that want the norm or the clipped gradients alone.
+
+The rule that decides the chunks, :func:`sweep_threads`, also decides
+whether :meth:`repro.nn.layers.Sequential.backward` runs its weight
+gradients on a helper thread, so one policy covers every thread the
+training step starts.
+
 Construction order matters only in the trivial sense: packing copies
 the parameters' current values, so sequential use of several
 optimizers over the same model (train, then fine-tune) is fine; two
@@ -84,14 +98,26 @@ BLOCK = 1 << 15
 _MIN_BLOCKS = 16
 
 
-def _sweep_threads(n_blocks: int) -> int:
-    """Threads that sweep ``n_blocks`` blocks: one per core, 1 in a pool worker."""
+def sweep_threads(parameters: "Iterable[Parameter]") -> int:
+    """Threads that sweep a model of ``parameters``.
+
+    One per core the process may run on (``os.sched_getaffinity``),
+    each taking at least :data:`_MIN_BLOCKS` blocks; 1 in a pool worker,
+    whose pool already runs a process per core.  The optimizer splits
+    its sweeps by this count, and :meth:`repro.nn.layers.Sequential.backward`
+    overlaps its GEMMs only when it exceeds 1.  The parameters are
+    counted last, so a backward in a pool worker or on one core never
+    walks the model.
+    """
     if multiprocessing.parent_process() is not None:
         return 1
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cores = os.cpu_count() or 1
+    if cores < 2:
+        return 1
+    n_blocks = -(-sum(param.size for param in parameters) // BLOCK)
     return max(1, min(cores, n_blocks // _MIN_BLOCKS))
 
 
@@ -174,7 +200,7 @@ class Optimizer:
             for span in self._slices
             for leaf in _tree_leaves(span.start, span.stop - span.start)
         ]
-        n_chunks = _sweep_threads(len(self._blocks))
+        n_chunks = sweep_threads(self.parameters)
         edges = [len(self._blocks) * i // n_chunks for i in range(n_chunks + 1)]
         # Element offsets where the chunks meet, and the first leaf of
         # each chunk: a leaf belongs to the chunk it starts in.
@@ -233,18 +259,38 @@ class Optimizer:
 
         The norm is the root of :meth:`_sum_of_squares`, bit for bit the
         reference loop's.  The rescale, when needed, is one in-place
-        pass over each chunk of the gradient buffer.  Returns the
-        pre-clip norm.
+        pass over each chunk's blocks, the pass ``step(max_norm=limit)``
+        makes inside its update.  Returns the pre-clip norm.
         """
-        norm = float(np.sqrt(self._sum_of_squares()))
-        if norm > limit:
-            scale = limit / norm
+        norm, scale = self._clip(limit)
+        if scale is not None:
 
             def rescale(chunk: _Chunk) -> None:
-                self._flat_grad[chunk.span] *= scale
+                for block in chunk.blocks:
+                    self._grad(block, scale)
 
             self._sweep(rescale)
         return norm
+
+    def _clip(self, limit: float) -> "tuple[float, float | None]":
+        """The global gradient norm, and the factor that scales it to ``limit``.
+
+        The factor is ``None`` when the norm is within ``limit``.
+        """
+        norm = float(np.sqrt(self._sum_of_squares()))
+        return norm, (limit / norm if norm > limit else None)
+
+    def _grad(self, block: slice, scale: "float | None") -> np.ndarray:
+        """The gradient of ``block``, first scaled in place by ``scale``.
+
+        The clip's element arithmetic: every gradient element times the
+        one factor, which leaves the buffer as :meth:`clip_global_norm`
+        would, however the blocks are grouped.
+        """
+        grad = self._flat_grad[block]
+        if scale is not None:
+            grad *= scale
+        return grad
 
     def _sum_of_squares(self) -> float:
         """``np.sum(grad**2)`` per parameter, added in parameter order.
@@ -271,7 +317,15 @@ class Optimizer:
             total += _tree_sum(span.stop - span.start, ordered)
         return total
 
-    def step(self) -> None:
+    def step(self, max_norm: "float | None" = None) -> None:
+        """One update; with ``max_norm``, clip the gradients first.
+
+        ``step(max_norm=limit)`` leaves the weights and the gradients bit
+        for bit as ``clip_global_norm(limit); step()`` does: it sums the
+        norm the same way and scales each gradient block in place inside
+        the update's sweep, just before the rule reads it, instead of in
+        a pass of its own.
+        """
         raise NotImplementedError
 
 
@@ -295,11 +349,13 @@ class SGD(Optimizer):
         self._velocity = np.zeros_like(self._flat_data)
 
     @profiled("optim.step")
-    def step(self) -> None:
+    def step(self, max_norm: "float | None" = None) -> None:
+        scale = None if max_norm is None else self._clip(max_norm)[1]
+
         def update(chunk: _Chunk) -> None:
             for block in chunk.blocks:
                 data = self._flat_data[block]
-                grad = self._flat_grad[block]
+                grad = self._grad(block, scale)
                 work = chunk.work[0, : block.stop - block.start]
                 if self.weight_decay:
                     # grad + weight_decay * data
@@ -342,7 +398,8 @@ class Adam(Optimizer):
         self._v = np.zeros_like(self._flat_data)
 
     @profiled("optim.step")
-    def step(self) -> None:
+    def step(self, max_norm: "float | None" = None) -> None:
+        scale = None if max_norm is None else self._clip(max_norm)[1]
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
@@ -350,7 +407,7 @@ class Adam(Optimizer):
         def update(chunk: _Chunk) -> None:
             for block in chunk.blocks:
                 data = self._flat_data[block]
-                grad = self._flat_grad[block]
+                grad = self._grad(block, scale)
                 m = self._m[block]
                 v = self._v[block]
                 num, den = chunk.work[:, : block.stop - block.start]

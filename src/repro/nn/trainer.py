@@ -167,6 +167,7 @@ class Trainer:
         history = TrainingHistory()
         best_state: dict[str, np.ndarray] | None = None
         self._epoch_buffers = None  # fresh per fit; shapes may change
+        last_epoch = self.config.epochs - 1
 
         for epoch in range(self.config.epochs):
             epoch_loss = self._run_epoch(
@@ -186,7 +187,13 @@ class Trainer:
                 if metric < history.best_val_metric:
                     history.best_val_metric = metric
                     history.best_epoch = epoch
-                    best_state = state_dict(self.model)
+                    # The model keeps a best last epoch's weights, so
+                    # they need no copy, and no restore below.  (An
+                    # improving epoch never stops early, so only the
+                    # last scheduled epoch can end the fit this way.)
+                    best_state = (
+                        None if epoch == last_epoch else state_dict(self.model)
+                    )
             if self.config.verbose:  # pragma: no cover - console output
                 val_text = (
                     f" val={history.val_metric[-1]:.5f}" if has_validation else ""
@@ -260,9 +267,7 @@ class Trainer:
             # final batch (e.g. 1 sample at batch size 16) counts 16x.
             total += self.loss.forward(prediction, batch_target) * (stop - start)
             self.model.backward(self.loss.backward())
-            if self.config.max_grad_norm is not None:
-                optimizer.clip_global_norm(self.config.max_grad_norm)
-            optimizer.step()
+            optimizer.step(max_norm=self.config.max_grad_norm)
         return total / count
 
     def _build_optimizer(self) -> Optimizer:

@@ -25,8 +25,9 @@ algorithm or the statistics.)
 The training-stack references (:class:`ReferenceConv1d`,
 :class:`ReferenceSGD`, :class:`ReferenceAdam`,
 :class:`ReferenceTrainer`) freeze the pre-vectorization NN loops.  The
-block-swept optimizers, the clip, and the trainer's batch pipeline
-replay the reference arithmetic element-for-element, so trained weights
+block-swept optimizers, the clip, the two-thread ``Sequential``
+backward and the trainer's batch pipeline replay the reference
+arithmetic element-for-element, so trained weights
 are asserted *bit-identical*; the im2col convolution's forward is likewise
 bit-identical, while its backward contracts each gradient in one GEMM —
 a floating-point reduction-order change, so conv gradients (and
@@ -340,7 +341,12 @@ def reference_moving_median(csi: np.ndarray, window: int = 10) -> np.ndarray:
 
 
 from repro.nn.conv import Conv1d as _Conv1d
-from repro.nn.layers import Linear as _Linear, Sigmoid as _Sigmoid, Tanh as _Tanh
+from repro.nn.layers import (
+    Linear as _Linear,
+    Sequential as _Sequential,
+    Sigmoid as _Sigmoid,
+    Tanh as _Tanh,
+)
 from repro.nn.losses import NormalizedL1Loss as _NormalizedL1Loss
 from repro.nn.trainer import Trainer as _Trainer
 
@@ -441,6 +447,16 @@ class ReferenceLinear(_Linear):
         return out
 
 
+class ReferenceSequential(_Sequential):
+    """Seed ``Sequential.backward``: every layer's backward in turn, on one thread."""
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grad = grad_output
+        for layer in reversed(self.layers):
+            grad = layer.backward(grad)
+        return grad
+
+
 class ReferenceTanh(_Tanh):
     """Seed ``Tanh``: backward re-evaluates tanh instead of reusing it."""
 
@@ -471,6 +487,7 @@ class ReferenceNormalizedL1Loss(_NormalizedL1Loss):
 _REFERENCE_LAYERS = {
     _Conv1d: ReferenceConv1d,
     _Linear: ReferenceLinear,
+    _Sequential: ReferenceSequential,
     _Tanh: ReferenceTanh,
     _Sigmoid: ReferenceSigmoid,
 }
@@ -484,7 +501,8 @@ def pin_reference_nn(module) -> None:
     yields the pre-vectorization implementation with the very same
     parameters — the benchmarks use this to time reference-pinned
     models.  Layers whose arithmetic never changed (ReLU, LeakyReLU,
-    Dropout, Flatten, Reshape) are left alone.
+    Dropout, Flatten, Reshape) are left alone; a ``Sequential`` keeps
+    its serial backward, so a pinned model starts no helper thread.
     """
     for sub in module.modules():
         twin = _REFERENCE_LAYERS.get(type(sub))
@@ -605,9 +623,10 @@ class ReferenceTrainer(_Trainer):
 
     Inherits ``fit`` (the epoch/validation/checkpoint control flow is
     unchanged) but pins the per-epoch batch pipeline, the gradient
-    clip, the optimizers, the model's layers (via
-    :func:`pin_reference_nn` — construction mutates the model!), and
-    the default loss to their frozen pre-vectorization implementations.
+    clip, the optimizers, the model's layers and their serial backward
+    (via :func:`pin_reference_nn` — construction mutates the model!),
+    and the default loss to their frozen pre-vectorization
+    implementations.
     """
 
     def __init__(self, model, loss=None, config=None, validation_metric=None):

@@ -577,9 +577,15 @@ class _Execution:
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def close(self) -> None:
+    def close(self, wait: bool) -> None:
+        """Shut the pool down; ``wait`` joins its workers first.
+
+        A clean run waits, so :func:`run_tasks` returns with no worker
+        left to race the interpreter's exit.  A run that raised does not
+        wait on the chunks still running.
+        """
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
 
     def _consume_chunk(self, chunk_result, remaining: dict) -> None:
@@ -810,6 +816,9 @@ def run_tasks(
         collect_errors=collect_errors,
     )
     try:
-        return execution.execute(tasks)
-    finally:
-        execution.close()
+        results = execution.execute(tasks)
+    except BaseException:
+        execution.close(wait=False)
+        raise
+    execution.close(wait=True)
+    return results

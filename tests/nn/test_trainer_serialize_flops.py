@@ -20,6 +20,7 @@ from repro.nn.serialize import (
     state_dict,
     state_digest,
 )
+from repro.nn import trainer as trainer_mod
 from repro.nn.trainer import Trainer, TrainingConfig
 
 
@@ -81,6 +82,54 @@ class TestTrainer:
         )
         history = trainer.fit(x, y, x[:8], y[:8])
         assert history.best_epoch == 0
+
+    def test_best_last_epoch_is_neither_copied_nor_restored(self, rng, monkeypatch):
+        x, y = linear_task(rng)
+        copies, restores = [], []
+
+        def copy(model):
+            copies.append(model)
+            return state_dict(model)
+
+        def restore(model, state):
+            restores.append(model)
+            load_state_dict(model, state)
+
+        monkeypatch.setattr(trainer_mod, "state_dict", copy)
+        monkeypatch.setattr(trainer_mod, "load_state_dict", restore)
+        scores = iter([3.0, 2.0, 1.0])  # every epoch improves; the last is best
+        model = Sequential([Linear(6, 6, rng=0)])
+        config = TrainingConfig(epochs=3, seed=0)
+        history = Trainer(
+            model, config=config, validation_metric=lambda *_: next(scores)
+        ).fit(x, y, x[:8], y[:8])
+        assert history.best_epoch == 2
+        assert len(copies) == 2  # one per improving epoch but the last
+        assert not restores
+        # The weights are the last epoch's, as a fit without validation
+        # (which copies nothing) leaves them.
+        plain = Sequential([Linear(6, 6, rng=0)])
+        Trainer(plain, config=config).fit(x, y)
+        for key, value in state_dict(plain).items():
+            assert np.array_equal(state_dict(model)[key], value)
+
+    def test_earlier_best_epoch_is_restored(self, rng):
+        x, y = linear_task(rng)
+        snapshots = []
+        scores = iter([3.0, 1.0, 2.0])
+
+        def metric(model, xv, yv):
+            snapshots.append(state_dict(model))
+            return next(scores)
+
+        model = Sequential([Linear(6, 6, rng=0)])
+        history = Trainer(
+            model, config=TrainingConfig(epochs=3, seed=0), validation_metric=metric
+        ).fit(x, y, x[:8], y[:8])
+        assert history.best_epoch == 1
+        final = state_dict(model)
+        assert all(np.array_equal(final[k], snapshots[1][k]) for k in final)
+        assert not all(np.array_equal(final[k], snapshots[2][k]) for k in final)
 
     def test_mismatched_counts_raise(self, rng):
         model = Sequential([Linear(6, 6, rng=0)])

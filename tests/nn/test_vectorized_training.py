@@ -9,6 +9,10 @@ The contract the vectorized training stack makes (see
   **bit-identical**, also for models that span many optimizer blocks,
   and whether the blocks are swept in one chunk or in one chunk per
   core on that many threads;
+- ``step(max_norm=...)`` leaves the weights and gradients exactly as
+  ``clip_global_norm(...)`` followed by ``step()`` does, and a large
+  ``Sequential``'s backward, which adds its Linears' weight gradients
+  on a helper thread, gives exactly the serial backward's gradients;
 - the im2col convolution's *forward* is bit-identical to the frozen
   per-kernel-position loops; its *backward* contracts each gradient in
   one GEMM, which reorders floating-point reductions — gradients match
@@ -28,7 +32,7 @@ import pytest
 
 from repro.nn import optim
 from repro.nn.conv import Conv1d
-from repro.nn.layers import Linear, Sequential, Tanh
+from repro.nn.layers import LeakyReLU, Linear, Sequential, Tanh
 from repro.nn.losses import NormalizedL1Loss
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import BLOCK, SGD, Adam
@@ -38,6 +42,7 @@ from repro.perf.reference import (
     ReferenceAdam,
     ReferenceConv1d,
     ReferenceSGD,
+    ReferenceSequential,
     ReferenceTrainer,
     pin_reference_nn,
     reference_clip_gradients,
@@ -449,6 +454,173 @@ class TestSweepStartsNoThread:
         _sweep_everything(opt, feed)
 
 
+def _fold_twins(layout):
+    """Twin parameter bags swept in one chunk, or chunked as :data:`_CHUNKED_SHAPES`."""
+    if layout == "chunked":
+        return _chunked_twins()
+    return _twins("multi-block", widths=None, batch=None)
+
+
+def _assert_fold_matches(layout, n_cores, build):
+    """``step(max_norm=limit)`` replays ``clip_global_norm(limit); step()``.
+
+    ``build(params)`` makes a fresh optimizer; both sides are live
+    optimizers, so their packed buffers compare directly.  The first
+    step's norm is above its limit and the second's below.
+    """
+    model_a, model_b, feed = _fold_twins(layout)
+    opt_a = build(list(model_a.parameters()))
+    opt_b = build(list(model_b.parameters()))
+    if layout == "chunked":
+        _assert_chunked(opt_b, n_cores)
+    else:
+        assert len(opt_b._chunks) == 1
+    rng = np.random.default_rng(8)
+    for limit, clips in ((1.0, True), (1e6, False)):
+        opt_a.zero_grad()
+        opt_b.zero_grad()
+        feed(rng)
+        assert (opt_a.clip_global_norm(limit) > limit) == clips
+        opt_a.step()
+        opt_b.step(max_norm=limit)
+        assert np.array_equal(opt_a._flat_grad, opt_b._flat_grad)
+        assert np.array_equal(opt_a._flat_data, opt_b._flat_data)
+
+
+_LAYOUTS = pytest.mark.parametrize("layout", ["one-chunk", "chunked"])
+
+
+class TestFoldedClip:
+    """The clip folded into the step keeps the weights' and gradients' bits."""
+
+    @_LAYOUTS
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_adam(self, cores, layout, weight_decay):
+        _assert_fold_matches(
+            layout,
+            cores,
+            lambda params: Adam(params, lr=1e-2, weight_decay=weight_decay),
+        )
+
+    @_LAYOUTS
+    @pytest.mark.parametrize(
+        ("weight_decay", "momentum"), itertools.product([0.0, 1e-3], [0.0, 0.9])
+    )
+    def test_sgd(self, cores, layout, weight_decay, momentum):
+        _assert_fold_matches(
+            layout,
+            cores,
+            lambda params: SGD(
+                params, lr=0.05, momentum=momentum, weight_decay=weight_decay
+            ),
+        )
+
+
+#: Widths of a model just over the overlap threshold: 36 optimizer
+#: blocks (at least ``2 * _MIN_BLOCKS``) in three Linears.
+_WIDE = (64, 1024, 1024, 64)
+
+
+def _wide_stack(seed=0):
+    """A :data:`_WIDE` stack with LeakyReLU and Tanh between its Linears."""
+    seeds = [int(s) for s in np.random.default_rng(seed).integers(2**31, size=3)]
+    return Sequential(
+        [
+            Linear(_WIDE[0], _WIDE[1], rng=seeds[0]),
+            LeakyReLU(),
+            Linear(_WIDE[1], _WIDE[2], rng=seeds[1]),
+            Tanh(),
+            Linear(_WIDE[2], _WIDE[3], rng=seeds[2]),
+        ]
+    )
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """The backward and the sweep see 2 cores, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread started from here on."""
+    threads = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return threads
+
+
+class TestOverlappedBackward:
+    """A helper thread adds the weight gradients; every bit stays the serial one's."""
+
+    def test_bit_equal_to_the_serial_backward(self, two_cores, started):
+        live, serial = _wide_stack(), _wide_stack()
+        serial.__class__ = ReferenceSequential
+        assert optim.sweep_threads(live.parameters()) == 2
+        rng = np.random.default_rng(10)
+        for batch in (7, 1):  # the second pass accumulates onto the first
+            x = rng.standard_normal((batch, _WIDE[0]))
+            grad = rng.standard_normal((batch, _WIDE[-1]))
+            assert np.array_equal(live.forward(x), serial.forward(x))
+            assert np.array_equal(live.backward(grad), serial.backward(grad))
+            for pa, pb in zip(live.parameters(), serial.parameters()):
+                assert np.array_equal(pa.grad, pb.grad)
+        assert len(started) == 2  # one helper per live backward
+
+    def test_helper_exception_surfaces_in_the_caller(self, two_cores, started):
+        model = _wide_stack()
+        rng = np.random.default_rng(11)
+        model.forward(rng.standard_normal((4, _WIDE[0])))
+        # The middle Linear's weight gradient is read-only, so its
+        # product fails on the helper thread.
+        model.layers[2].weight.grad.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            model.backward(rng.standard_normal((4, _WIDE[-1])))
+        assert len(started) == 1 and not started[0].is_alive()
+        # The calling thread still ran the chain to its end.
+        assert model.layers[0].bias.grad.any()
+
+
+def _train_steps(model):
+    """Two zero_grad, forward, backward and clipped Adam steps."""
+    opt = Adam(list(model.parameters()), lr=1e-3)
+    rng = np.random.default_rng(12)
+    for _ in range(2):
+        opt.zero_grad()
+        out = model.forward(rng.standard_normal((3, model.layers[0].in_features)))
+        model.backward(np.ones_like(out))
+        opt.step(max_norm=1e-3)
+    return opt
+
+
+class TestBackwardStartsNoThread:
+    """Under the threshold, on one core and in a pool worker, no thread starts."""
+
+    def test_model_under_the_threshold(self, cores, monkeypatch):
+        monkeypatch.setattr(threading, "Thread", _NoThread)
+        # As many input rows as fit the model into 31 blocks.
+        n_blocks = 2 * optim._MIN_BLOCKS - 1
+        rows = (n_blocks * BLOCK - 512 - 512 * 8 - 8) // 512
+        model = Sequential([Linear(rows, 512, rng=0), Tanh(), Linear(512, 8, rng=1)])
+        assert optim.sweep_threads(model.parameters()) == 1
+        assert len(_train_steps(model)._blocks) == n_blocks
+
+    def test_one_core(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(threading, "Thread", _NoThread)
+        assert len(_train_steps(_wide_stack())._chunks) == 1
+
+    def test_model_in_a_pool_worker(self, cores, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        monkeypatch.setattr(threading, "Thread", _NoThread)
+        assert len(_train_steps(_wide_stack())._chunks) == 1
+
+
 class TestTrainerBitIdentity:
     """Full fits (shuffle, ragged batches, validation, clip) match."""
 
@@ -476,6 +648,27 @@ class TestTrainerBitIdentity:
         assert hist_a.train_loss == hist_b.train_loss
         assert hist_a.val_metric == hist_b.val_metric
         assert hist_a.best_epoch == hist_b.best_epoch
+        _assert_states_equal(model_a, model_b)
+
+    def test_fit_above_the_overlap_threshold(self, two_cores, started):
+        """Chunked sweeps, the folded clip and the overlapped backward."""
+        rng = np.random.default_rng(13)
+        inputs = rng.standard_normal((20, _WIDE[0]))
+        targets = rng.standard_normal((20, _WIDE[-1])) * 0.1
+        config = TrainingConfig(epochs=2, batch_size=8, max_grad_norm=0.2, seed=5)
+        model_a, model_b = _wide_stack(), _wide_stack()
+        hist_a = ReferenceTrainer(model_a, config=config).fit(
+            inputs, targets, inputs[:6], targets[:6]
+        )
+        assert not started  # the reference runs on the calling thread
+        hist_b = Trainer(model_b, config=config).fit(
+            inputs, targets, inputs[:6], targets[:6]
+        )
+        # Per step: the backward's helper, then one sweep thread each for
+        # zero_grad, the clip's sums and the update.
+        assert len(started) == 4 * 2 * 3
+        assert hist_a.train_loss == hist_b.train_loss
+        assert hist_a.val_metric == hist_b.val_metric
         _assert_states_equal(model_a, model_b)
 
     def test_no_shuffle_uses_views_and_matches(self):

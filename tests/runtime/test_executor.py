@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -151,6 +155,46 @@ class TestExecution:
         tasks = [Task("ok", square, {"x": 2}), Task("bad", boom, {})]
         with pytest.raises(TaskExecutionError, match="bad"):
             run_tasks(tasks, n_workers=2)
+
+
+#: A script that runs a 2-worker job and exits at once.
+_POOLED_JOB_THEN_EXIT = textwrap.dedent(
+    """
+    from repro.runtime.executor import Task, run_tasks
+
+    def square(params):
+        return params["x"] ** 2
+
+    tasks = [Task(f"t{i}", square, {"x": i}) for i in range(6)]
+    assert run_tasks(tasks, n_workers=2) == {f"t{i}": i * i for i in range(6)}
+    """
+)
+
+
+class TestPoolShutdown:
+    """A clean run returns with its workers joined."""
+
+    def test_no_worker_outlives_run_tasks(self):
+        before = set(multiprocessing.active_children())
+        run_tasks([Task(f"t{i}", square, {"x": i}) for i in range(4)], n_workers=2)
+        assert [p for p in multiprocessing.active_children() if p not in before] == []
+
+    def test_exit_right_after_a_pooled_job_is_quiet(self):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        for _ in range(4):
+            proc = subprocess.run(
+                [sys.executable, "-c", _POOLED_JOB_THEN_EXIT],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
 
 
 class TestPackWave:
