@@ -29,6 +29,17 @@ digest — namespaced apart from result-cache keys — so editing the
 library retrains everything while a fidelity or grid tweak retrains
 exactly the entries it touches.
 
+A warm build loads its checkpoints on both cores.  Each store hit's
+get (read, CRC, key, schema and arrays-table checks, ``state_sha256``)
+and model build run together on one thread, largest record first, and
+most of that work (the read, the CRC, the sha256, the weight copy) runs
+with the GIL released.  Threads start only in the coordinator, on more
+than one core (:func:`repro.utils.cores.job_cores`), and when the hits'
+records, sized from the store's index before any read, add up to
+:data:`LOAD_THREAD_MIN_BYTES`; a campaign's ladder checkpoints load in
+the calling thread.  Loaded weights, manifests and span ids do not
+depend on the thread count.
+
 Because a :class:`ModelZoo` is keyed by what the NDP preamble announces
 (the :class:`NetworkConfiguration`), two grid entries with the same
 configuration *and* architecture — e.g. the E1 and E2 models of a
@@ -39,6 +50,7 @@ build feeds several deployment catalogs.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import nullcontext as _null
 from dataclasses import asdict, dataclass, field
@@ -64,6 +76,7 @@ from repro.runtime.executor import (
 from repro.runtime.hashing import code_version, state_digest, task_key
 from repro.runtime.planner import shard_labels
 from repro.runtime.spec import TrainingGrid, fidelity_from_dict
+from repro.utils.cores import job_cores
 
 __all__ = [
     "PlannedTraining",
@@ -79,6 +92,15 @@ MANIFEST_SCHEMA_VERSION = 1
 
 #: The builder's task entry point (importable in worker processes).
 TRAIN_FN = "repro.runtime.tasks:train_zoo_entry"
+
+#: Fewest bytes a build's store hits must add up to before they load on
+#: more than one thread.  A large record's read, CRC, sha256 and weight
+#: copy release the GIL, so a second core takes its share at full speed;
+#: a small record's load is mostly metadata parsing and layer set-up
+#: under the GIL, which a thread does not speed up.  Table II's three
+#: records (42.7 MB) clear it; the ``network-scale`` campaign's six
+#: ladder records (1.6 MiB together, the largest 0.9 MiB) do not.
+LOAD_THREAD_MIN_BYTES = 8 << 20
 
 
 def _resolve_entry(spec: dict) -> dict:
@@ -107,6 +129,13 @@ def _resolve_entry(spec: dict) -> dict:
     if ber_samples is None:
         ber_samples = int(spec["fidelity"]["ber_samples"])
     return {**spec, "model": model, "ber_samples": int(ber_samples)}
+
+
+def _model(activation: str, state: "dict") -> SplitBeamNet:
+    """The model built around ``state``'s weights: one copy in, no init draw."""
+    return model_from_state(
+        partial(SplitBeamNet.from_parameters, activation=activation), state
+    )
 
 
 def checkpoint_spec(spec: dict) -> dict:
@@ -328,33 +357,14 @@ class ZooBuilder:
                 planned = plan_training_grid(
                     grid, version=version, n_workers=self.n_workers
                 )
-        results: "dict[int, dict]" = {}
-        to_run: "list[PlannedTraining]" = []
         checkpoint_check = (
             tracer.span("checkpoint_check", "engine", entries=len(planned))
             if tracer
             else _null()
         )
         with checkpoint_check:
-            for entry in planned:
-                # `is not None`, not truthiness: an empty store is falsy
-                # (__len__ == 0), which would skip gets on cold builds.
-                checkpoint = (
-                    self.store.get(entry.key)
-                    if self.store is not None
-                    else None
-                )
-                if checkpoint is not None:
-                    results[entry.index] = {
-                        "state": checkpoint.state,
-                        # Reuse the digest get() just verified; _assemble
-                        # then skips re-hashing megabytes of weights on
-                        # the warm path.
-                        "state_sha256": checkpoint.state_sha256,
-                        **checkpoint.meta,
-                    }
-                else:
-                    to_run.append(entry)
+            results = self._load(planned, tracer)
+        to_run = [entry for entry in planned if entry.index not in results]
 
         by_task_id = {entry.task.task_id: entry for entry in to_run}
 
@@ -409,22 +419,96 @@ class ZooBuilder:
                 },
             )
 
+    def _load(self, planned, tracer) -> "dict[int, dict]":
+        """Checkpoint-load every planned entry the store holds.
+
+        Returns ``{index: result}`` for the hits, each with its model
+        already built (``"model"``), the ``state_sha256`` the get
+        verified (so :meth:`_assemble` does not re-hash the weights) and
+        the recorded training metadata.  The entries are split into one
+        share per loader thread, largest record first onto the least
+        loaded share; the calling thread takes the first share, and an
+        exception on any thread is raised here after every thread has
+        finished.  Every entry gets a ``load`` span under the calling
+        thread's span, with an id derived from its grid index, so the
+        span tree does not depend on the thread count.
+        """
+        if self.store is None:
+            return {}
+        sizes = {entry.index: self.store.record_bytes(entry.key) for entry in planned}
+        n_threads = 1
+        if sum(sizes.values()) >= LOAD_THREAD_MIN_BYTES:
+            n_hits = sum(1 for size in sizes.values() if size)
+            n_threads = min(job_cores(), n_hits)
+        shares: "list[list[PlannedTraining]]" = [[] for _ in range(n_threads)]
+        loads = [0] * n_threads
+        for entry in sorted(planned, key=lambda entry: -sizes[entry.index]):
+            share = loads.index(min(loads))
+            shares[share].append(entry)
+            loads[share] += sizes[entry.index]
+        parent = tracer.current_span_id() if tracer is not None else ""
+        results: "dict[int, dict]" = {}
+        errors: "list[BaseException]" = []
+
+        def load_share(share: "list[PlannedTraining]") -> None:
+            try:
+                for entry in share:
+                    result = self._load_entry(entry, tracer, parent)
+                    if result is not None:
+                        results[entry.index] = result
+            except BaseException as exc:  # re-raised below, in the caller
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=load_share, args=(share,)) for share in shares[1:]
+        ]
+        for thread in threads:
+            thread.start()
+        load_share(shares[0])
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+        return results
+
+    def _load_entry(self, entry: PlannedTraining, tracer, parent: str) -> "dict | None":
+        """One entry's get and, on a hit, its model; ``None`` on a miss."""
+        span = (
+            tracer.span(
+                "load",
+                "engine",
+                parent=parent,
+                fixed_id=trace_mod.span_id(parent, "load", entry.index),
+                label=entry.label,
+            )
+            if tracer is not None
+            else _null()
+        )
+        with span:
+            checkpoint = self.store.get(entry.key)
+            if checkpoint is None:
+                return None
+            return {
+                "model": _model(checkpoint.meta["activation"], checkpoint.state),
+                "state_sha256": checkpoint.state_sha256,
+                **checkpoint.meta,
+            }
+
     def _assemble(
         self, grid, planned, results, executed_indices, version, wall_s, health
     ) -> ZooBuildResult:
-        """Reconstruct models in the coordinator, in grid order."""
+        """Reconstruct trained models in the coordinator, in grid order.
+
+        Checkpoint-loaded entries arrive with their models built.
+        """
         rows: "list[dict]" = []
         zoo_entries: "dict[str, ZooEntry]" = {}
         for entry in planned:
             result = results[entry.index]
-            # Built around the trained (or checkpointed) weights: one
-            # copy in, no init draw for them to overwrite.
-            model = model_from_state(
-                partial(
-                    SplitBeamNet.from_parameters,
-                    activation=result["activation"],
-                ),
-                result["state"],
+            model = (
+                result["model"]
+                if "model" in result
+                else _model(result["activation"], result["state"])
             )
             catalog = dataset_spec(entry.spec["dataset"]["id"])
             config = NetworkConfiguration(

@@ -77,6 +77,22 @@ def _seed_sites(graph: CallGraph, fn: FunctionInfo):
                 yield target, node
 
 
+def _nested_function(scope, fn: FunctionInfo, name: str) -> "FunctionInfo | None":
+    """The function ``name`` names where ``fn`` uses it, if a def nests it.
+
+    A bare name inside ``fn`` sees functions defined in ``fn`` and in
+    each enclosing function, innermost first, but not a class body's
+    methods.
+    """
+    prefix = fn.qualname
+    while prefix and prefix != fn.class_name:
+        nested = scope.functions.get(f"{prefix}.{name}")
+        if nested is not None:
+            return nested
+        prefix = prefix.rpartition(".")[0]
+    return None
+
+
 def _resolve_callable(graph, fn, scope, bindings, expr) -> "FunctionInfo | None":
     """The project function a callback expression designates, if any."""
     if isinstance(expr, ast.Lambda):
@@ -96,6 +112,10 @@ def _resolve_callable(graph, fn, scope, bindings, expr) -> "FunctionInfo | None"
         if fq == "functools.partial" and expr.args:
             return _resolve_callable(graph, fn, scope, bindings, expr.args[0])
         return None
+    if isinstance(expr, ast.Name):
+        nested = _nested_function(scope, fn, expr.id)
+        if nested is not None:
+            return nested
     if not isinstance(expr, (ast.Name, ast.Attribute)):
         return None
     raw = dotted_name(expr)

@@ -65,7 +65,9 @@ stays for callers that want the norm or the clipped gradients alone.
 The rule that decides the chunks, :func:`sweep_threads`, also decides
 whether :meth:`repro.nn.layers.Sequential.backward` runs its weight
 gradients on a helper thread, so one policy covers every thread the
-training step starts.
+training step starts.  Its core count comes from
+:func:`repro.utils.cores.job_cores`, which also sizes the zoo
+builder's checkpoint loaders.
 
 Construction order matters only in the trivial sense: packing copies
 the parameters' current values, so sequential use of several
@@ -77,8 +79,6 @@ meaningful and remains unsupported.
 from __future__ import annotations
 
 import bisect
-import multiprocessing
-import os
 import threading
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -87,6 +87,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.nn.module import Parameter
 from repro.obs.metrics import profiled
+from repro.utils.cores import job_cores
 
 __all__ = ["Optimizer", "SGD", "Adam", "BLOCK"]
 
@@ -101,20 +102,15 @@ _MIN_BLOCKS = 16
 def sweep_threads(parameters: "Iterable[Parameter]") -> int:
     """Threads that sweep a model of ``parameters``.
 
-    One per core the process may run on (``os.sched_getaffinity``),
-    each taking at least :data:`_MIN_BLOCKS` blocks; 1 in a pool worker,
-    whose pool already runs a process per core.  The optimizer splits
+    One per core a job's helper threads may use
+    (:func:`repro.utils.cores.job_cores`: 1 in a pool worker), each
+    taking at least :data:`_MIN_BLOCKS` blocks.  The optimizer splits
     its sweeps by this count, and :meth:`repro.nn.layers.Sequential.backward`
     overlaps its GEMMs only when it exceeds 1.  The parameters are
     counted last, so a backward in a pool worker or on one core never
     walks the model.
     """
-    if multiprocessing.parent_process() is not None:
-        return 1
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cores = os.cpu_count() or 1
+    cores = job_cores()
     if cores < 2:
         return 1
     n_blocks = -(-sum(param.size for param in parameters) // BLOCK)

@@ -16,6 +16,14 @@ timestamps (and the pid *attributes* used to lay out worker lanes)
 vary.  Telemetry lives entirely outside the result artifacts:
 manifests are byte-identical with tracing on or off.
 
+Each thread nests its spans on a stack of its own, so a span opened on
+a helper thread never takes another thread's open span as its parent.
+A thread that works for its caller opens its first span with the
+caller's span as ``parent`` and a ``fixed_id`` its caller derives in
+plan order (as the zoo builder's checkpoint loaders do); spans nested
+inside it then number their occurrences under a parent only that
+thread uses, so their ids do not depend on which thread finished first.
+
 Cost contract: spans cost next to nothing when disabled.  Library
 instrumentation points call :func:`current_tracer` — one module-global
 read and a ``None`` check — and record no span when no tracer is
@@ -144,7 +152,8 @@ class Tracer:
         self.pid = os.getpid()
         self.spans: "list[Span]" = []
         self._registry_base = snapshot()
-        self._stack: "list[str]" = []
+        #: Each thread's stack of open span ids (see the module docstring).
+        self._local = threading.local()
         self._counts: "dict[tuple[str, str], int]" = {}
         self._lock = threading.RLock()
 
@@ -154,9 +163,17 @@ class Tracer:
         """Seconds since the trace epoch (monotonic)."""
         return time.perf_counter() - self.epoch
 
+    def _stack(self) -> "list[str]":
+        """The calling thread's stack of open span ids."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
+
     def current_span_id(self) -> str:
-        """Id of the innermost open span (root parent when none is)."""
-        return self._stack[-1] if self._stack else ROOT_PARENT
+        """Id of this thread's innermost open span (root parent if none)."""
+        stack = self._stack()
+        return stack[-1] if stack else ROOT_PARENT
 
     def _next_id(self, parent: str, name: str) -> str:
         with self._lock:
@@ -174,12 +191,14 @@ class Tracer:
         fixed_id: "str | None" = None,
         **attrs,
     ):
-        """Record the enclosed block as a span (nests via a stack).
+        """Record the enclosed block as a span (nests via this thread's stack).
 
         ``parent``/``fixed_id`` override the stack-derived tree — the
         executor uses them to give task spans *logical* parents (the
         run's execute phase) rather than transport-dependent ones, so
-        the tree does not change shape with the worker count.
+        the tree does not change shape with the worker count, and the
+        zoo builder to root each checkpoint load's spans under its
+        caller's span whichever thread runs the load.
         """
         parent_id = self.current_span_id() if parent is None else parent
         sid = fixed_id or self._next_id(parent_id, name)
@@ -192,11 +211,12 @@ class Tracer:
             pid=self.pid,
             attrs=dict(attrs),
         )
-        self._stack.append(sid)
+        stack = self._stack()
+        stack.append(sid)
         try:
             yield entry
         finally:
-            self._stack.pop()
+            stack.pop()
             entry.end_s = self.now()
             with self._lock:
                 self.spans.append(entry)

@@ -98,18 +98,30 @@ class Benchmark:
         repeats: int | None = None,
         warmup: int | None = None,
         meta: dict | None = None,
+        setup=None,
     ) -> BenchmarkResult:
-        """Time ``fn()`` and return a :class:`BenchmarkResult`."""
+        """Time ``fn()`` and return a :class:`BenchmarkResult`.
+
+        With ``setup``, every call (warm-up calls included) is
+        ``fn(setup())`` and only ``fn`` is timed: the inputs a call
+        consumes, such as a freshly initialised model to train, are
+        built outside the measurement.
+        """
         warmup = self.warmup if warmup is None else int(warmup)
         repeats = self.repeats if repeats is None else int(repeats)
         if warmup < 0 or repeats < 1:
             raise ConfigurationError("warmup must be >= 0 and repeats >= 1")
+
+        def inputs() -> tuple:
+            return () if setup is None else (setup(),)
+
         for _ in range(warmup):
-            fn()
+            fn(*inputs())
         timings: list[float] = []
         for _ in range(repeats):
+            args = inputs()
             start = time.perf_counter()
-            fn()
+            fn(*args)
             timings.append(time.perf_counter() - start)
         return BenchmarkResult(
             name=name,

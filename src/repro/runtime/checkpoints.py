@@ -15,12 +15,14 @@ The metadata JSON (``schema_version`` 2) records ``state_sha256`` and an
 ``arrays`` table of ``[name, dtype, shape]`` rows, one per array in the
 order its bytes follow.  The arrays go to the segment store as separate
 buffers, so a put copies no weight byte before the write, and
-:meth:`CheckpointStore.get` decodes them as read-only ``np.frombuffer``
-views over the record.  ``get`` serves a record only if its schema
-matches, every table row names a numeric dtype and non-negative integer
-dimensions, the rows account for every byte after the metadata, and
-the decoded arrays hash to ``state_sha256`` — so a half-written or
-corrupted checkpoint is a miss, never a wrong model.  Because the key
+:meth:`CheckpointStore.get` reads the record into a NumPy buffer (huge
+pages from 4 MiB up, so a multi-megabyte read takes few page faults)
+and decodes the arrays as read-only ``np.frombuffer`` views over it.
+``get`` serves a record only if its schema matches, every table row
+names a numeric dtype and non-negative integer dimensions, the rows
+account for every byte after the metadata, and the decoded arrays hash
+to ``state_sha256`` — so a half-written or corrupted checkpoint is a
+miss, never a wrong model.  Because the key
 embeds the source digest, any library edit silently invalidates every
 checkpoint (exactly like the result cache); ``prune`` compacts
 unaddressable leftovers away.
@@ -120,6 +122,16 @@ def _array_layout(row) -> "tuple[str, np.dtype, tuple[int, ...]] | None":
     return name, dtype, tuple(shape)
 
 
+def _record_buffer(n: int) -> np.ndarray:
+    """A buffer to read an ``n``-byte record into.
+
+    NumPy advises buffers of 4 MiB and up onto transparent huge pages,
+    so filling a 29 MB record takes a few hundred page faults where a
+    ``bytes`` takes one per 4 KiB page.
+    """
+    return np.empty(n, np.uint8)
+
+
 class CheckpointStore:
     """A packed, content-addressed store of trained-model checkpoints."""
 
@@ -172,14 +184,19 @@ class CheckpointStore:
             *(np.ascontiguousarray(value) for value in arrays.values()),
         ]
 
-    def _decode(self, key: str, raw: bytes) -> "Checkpoint | None":
-        """The validated checkpoint in ``raw``, or ``None`` if corrupt."""
+    def _decode(self, key: str, record) -> "Checkpoint | None":
+        """The validated checkpoint in ``record``, or ``None`` if corrupt.
+
+        ``record`` is any buffer of the record's bytes; the decoded
+        arrays are read-only views over it.
+        """
+        raw = memoryview(record).cast("B").toreadonly()
         if len(raw) < _META_LEN.size:
             return None
         (meta_len,) = _META_LEN.unpack_from(raw)
         offset = _META_LEN.size + meta_len
         try:
-            payload = json.loads(raw[_META_LEN.size : offset].decode())
+            payload = json.loads(bytes(raw[_META_LEN.size : offset]).decode())
         except ValueError:  # not JSON, or not UTF-8
             return None
         if not isinstance(payload, dict) or payload.get("key") != key:
@@ -235,7 +252,7 @@ class CheckpointStore:
         is quarantined (tombstoned and counted on :attr:`health`); the
         caller sees a miss and retrains.
         """
-        raw = self._store.get(key)
+        raw = self._store.get(key, alloc=_record_buffer)
         if raw is None:
             return None
         checkpoint = self._decode(key, raw)
@@ -289,6 +306,13 @@ class CheckpointStore:
         )
 
     # -- maintenance -----------------------------------------------------------
+
+    def record_bytes(self, key: str) -> int:
+        """Length of ``key``'s record per the store's index (0 if none).
+
+        Reads nothing, so a loader can size its work before any get.
+        """
+        return self._store.record_bytes(key)
 
     def keys(self) -> "list[str]":
         """Keys of every committed checkpoint (sorted, from the index;

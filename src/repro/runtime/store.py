@@ -22,7 +22,12 @@ record from a torn or bit-rotted one.  A value may be handed in as
 several buffers (a checkpoint's metadata and its weight arrays): the
 CRC runs over each where it lies and one ``writev`` lands the frame, so
 a multi-megabyte value is never concatenated; a read takes the header
-and key first, then the value straight into its own ``bytes``.
+and key first, then the value straight into its own buffer: a ``bytes``
+by default, or one the caller allocates (``get(key, alloc=...)``), which
+the value is ``readinto``.  The checkpoint store allocates NumPy
+buffers, which NumPy backs with huge pages from 4 MiB up, so a
+multi-megabyte read takes a few hundred page faults instead of one per
+4 KiB page.
 
 Commit protocol
 ---------------
@@ -57,8 +62,11 @@ Commit protocol
 
 Concurrent writers on one root interleave safely: every append takes
 the ``flock``, re-reads the segment size under it, and absorbs any
-records other writers appended since its last look.  Reads are
-lock-free (records are immutable once written).
+records other writers appended since its last look.  Reads take no
+``flock`` (records are immutable once written).  Threads may share one
+store handle: its mutex covers every seek and read of a shared file
+handle, every change to the index and every health count, and the
+value's CRC runs outside it.
 
 Fault injection: the :mod:`repro.runtime.faults` ``torn`` kind targets
 ``segment:<segment-name>`` (this append lands as a torn tail, exactly
@@ -132,7 +140,8 @@ class StoreHealth:
     rebuild scan; ``truncated`` counts torn segment tails dropped by
     recovery; ``compactions`` counts compaction runs.  Every counter
     moves through :meth:`bump`, which counts the same amount in the
-    telemetry registry.
+    telemetry registry; the owning :class:`SegmentStore` calls it under
+    its mutex, so threads sharing the store never lose a count.
     """
 
     quarantined: int = 0
@@ -481,77 +490,80 @@ class SegmentStore:
         return out
 
     def _discard_segment(self, name: str) -> None:
-        handle = self._read_fhs.pop(name, None)
-        if handle is not None:
-            try:
-                handle.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._segment_path(name).unlink(missing_ok=True)
-        self._segments.pop(name, None)
+        with self._mutex:
+            handle = self._read_fhs.pop(name, None)
+            if handle is not None:
+                try:
+                    handle.close()
+                except OSError:  # pragma: no cover
+                    pass
+            self._segment_path(name).unlink(missing_ok=True)
+            self._segments.pop(name, None)
 
     def _scan_segment(self, name: str, start: int) -> None:
         """Re-index records in ``[start, EOF)``; truncate a torn tail.
 
-        Caller holds the write lock.  Complete, CRC-valid records are
-        published to the index (recovery of writes the snapshot never
-        saw); a frame that runs past EOF or fails its CRC *at the tail*
-        is truncated away; a full-frame CRC failure mid-segment (bit
-        rot under a later valid record) is skipped and left for
-        compaction to drop.
+        Caller holds the write lock; the mutex guards the index, so it
+        is taken here too (it is re-entrant).  Complete, CRC-valid
+        records are published to the index (recovery of writes the
+        snapshot never saw); a frame that runs past EOF or fails its
+        CRC *at the tail* is truncated away; a full-frame CRC failure
+        mid-segment (bit rot under a later valid record) is skipped and
+        left for compaction to drop.
         """
-        path = self._segment_path(name)
-        try:
-            size = path.stat().st_size
-        except FileNotFoundError:
-            self._segments.pop(name, None)
-            return
-        if start >= size:
-            self._segments[name] = size
-            return
-        recovered = 0
-        with open(path, "rb") as handle:
-            handle.seek(start)
-            offset = start
-            good_end = start
-            while True:
-                header = handle.read(HEADER_SIZE)
-                if len(header) < HEADER_SIZE:
-                    break  # torn tail (or clean EOF)
-                magic, kind, key_len, value_len, crc = _HEADER.unpack(header)
-                if magic != MAGIC or value_len > MAX_VALUE_BYTES:
-                    break  # unrecognizable bytes: treat as torn tail
-                body = handle.read(key_len + value_len)
-                frame_end = offset + HEADER_SIZE + key_len + value_len
-                if len(body) < key_len + value_len:
-                    break  # frame runs past EOF: torn tail
-                key = body[:key_len].decode(errors="replace")
-                if _crc(kind, body) != crc:
-                    if frame_end >= size:
-                        break  # bad CRC at the tail: torn write
-                    # Bad CRC mid-segment: framing is intact, so skip
-                    # the rotted record and keep scanning.
+        with self._mutex:
+            path = self._segment_path(name)
+            try:
+                size = path.stat().st_size
+            except FileNotFoundError:
+                self._segments.pop(name, None)
+                return
+            if start >= size:
+                self._segments[name] = size
+                return
+            recovered = 0
+            with open(path, "rb") as handle:
+                handle.seek(start)
+                offset = start
+                good_end = start
+                while True:
+                    header = handle.read(HEADER_SIZE)
+                    if len(header) < HEADER_SIZE:
+                        break  # torn tail (or clean EOF)
+                    magic, kind, key_len, value_len, crc = _HEADER.unpack(header)
+                    if magic != MAGIC or value_len > MAX_VALUE_BYTES:
+                        break  # unrecognizable bytes: treat as torn tail
+                    body = handle.read(key_len + value_len)
+                    frame_end = offset + HEADER_SIZE + key_len + value_len
+                    if len(body) < key_len + value_len:
+                        break  # frame runs past EOF: torn tail
+                    key = body[:key_len].decode(errors="replace")
+                    if _crc(kind, body) != crc:
+                        if frame_end >= size:
+                            break  # bad CRC at the tail: torn write
+                        # Bad CRC mid-segment: framing is intact, so skip
+                        # the rotted record and keep scanning.
+                        offset = frame_end
+                        good_end = frame_end
+                        continue
+                    if kind == KIND_TOMBSTONE:
+                        self._entries[key] = None
+                    elif kind == KIND_DATA:
+                        self._entries[key] = RecordLocation(
+                            name, offset, frame_end - offset
+                        )
+                        recovered += 1
                     offset = frame_end
                     good_end = frame_end
-                    continue
-                if kind == KIND_TOMBSTONE:
-                    self._entries[key] = None
-                elif kind == KIND_DATA:
-                    self._entries[key] = RecordLocation(
-                        name, offset, frame_end - offset
-                    )
-                    recovered += 1
-                offset = frame_end
-                good_end = frame_end
-        if good_end < size:
-            # Torn tail: drop it now so later appends (ours or another
-            # writer's) never land after garbage.
-            with open(path, "r+b") as handle:
-                handle.truncate(good_end)
-            self.health.bump("truncated")
-            self._trace_event("torn_tail", segment=name, dropped=size - good_end)
-        self._segments[name] = good_end
-        self.health.bump("recovered", recovered)
+            if good_end < size:
+                # Torn tail: drop it now so later appends (ours or another
+                # writer's) never land after garbage.
+                with open(path, "r+b") as handle:
+                    handle.truncate(good_end)
+                self._bump("truncated")
+                self._trace_event("torn_tail", segment=name, dropped=size - good_end)
+            self._segments[name] = good_end
+            self._bump("recovered", recovered)
 
     def _catch_up(self) -> None:
         """Absorb records other writers appended since our last look."""
@@ -570,7 +582,12 @@ class SegmentStore:
                 continue
             self._scan_segment(name, self._segments.get(name, 0))
 
-    # -- tracing ---------------------------------------------------------------
+    # -- health and tracing ----------------------------------------------------
+
+    def _bump(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to health counter ``name`` under the mutex."""
+        with self._mutex:
+            self.health.bump(name, n)
 
     def _trace_event(self, name: str, **attrs) -> None:
         tracer = current_tracer()
@@ -580,18 +597,19 @@ class SegmentStore:
     # -- write path ------------------------------------------------------------
 
     def _active_handle(self):
-        if self._active is None:
-            name = _segment_name(self._generation, self._next_seq)
-            self._next_seq += 1
-            self._segment_path(name).touch()
-            self._segments.setdefault(name, 0)
-            self._active = name
-            self._write_fh = None
-        if self._write_fh is None:
-            self._write_fh = open(
-                self._segment_path(self._active), "ab", buffering=0
-            )
-        return self._write_fh
+        with self._mutex:
+            if self._active is None:
+                name = _segment_name(self._generation, self._next_seq)
+                self._next_seq += 1
+                self._segment_path(name).touch()
+                self._segments.setdefault(name, 0)
+                self._active = name
+                self._write_fh = None
+            if self._write_fh is None:
+                self._write_fh = open(
+                    self._segment_path(self._active), "ab", buffering=0
+                )
+            return self._write_fh
 
     def _roll(self) -> None:
         if self._write_fh is not None:
@@ -648,12 +666,13 @@ class SegmentStore:
                 buffers = [body]
             _write_frame(handle, buffers, length)
             location = RecordLocation(name, offset, length)
-            if kind == KIND_TOMBSTONE:
-                self._entries[key] = None
-            else:
-                self._entries[key] = location
-            self._segments[name] = offset + length
-            self._dirty_puts += 1
+            with self._mutex:  # held already; it is what guards the index
+                if kind == KIND_TOMBSTONE:
+                    self._entries[key] = None
+                else:
+                    self._entries[key] = location
+                self._segments[name] = offset + length
+                self._dirty_puts += 1
             if self._dirty_puts >= self.snapshot_every:
                 self._write_snapshot()
             return location
@@ -692,7 +711,7 @@ class SegmentStore:
 
     def _count_quarantine(self, key: str) -> None:
         """Tick health and the trace for one corrupt entry taken out."""
-        self.health.bump("quarantined")
+        self._bump("quarantined")
         self._trace_event("quarantine", key=key)
 
     def delete(self, key: str) -> bool:
@@ -780,18 +799,32 @@ class SegmentStore:
     # -- read path -------------------------------------------------------------
 
     def _read_handle(self, name: str):
-        handle = self._read_fhs.get(name)
-        if handle is None:
-            handle = open(self._segment_path(name), "rb")
-            self._read_fhs[name] = handle
-        return handle
+        with self._mutex:
+            handle = self._read_fhs.get(name)
+            if handle is None:
+                handle = open(self._segment_path(name), "rb")
+                self._read_fhs[name] = handle
+            return handle
 
-    def get(self, key: str) -> "bytes | None":
+    def record_bytes(self, key: str) -> int:
+        """Length of ``key``'s committed record per the index; 0 if none.
+
+        Reads no record, so a caller can size its reads before any get.
+        """
+        if not self._ensure_open(create=False):
+            return 0
+        with self._mutex:
+            location = self._entries.get(key)
+        return 0 if location is None else location.length
+
+    def get(self, key: str, alloc=None):
         """The committed value for ``key`` or ``None``.
 
-        A record that fails its CRC or carries the wrong key is
-        tombstoned + counted (:meth:`quarantine`) and reported as a
-        miss: one recompute, never a wrong number.
+        The value is a ``bytes``, or with ``alloc`` the writable buffer
+        ``alloc(n)`` returns for its ``n`` bytes, read into in place.  A
+        record that fails its CRC or carries the wrong key is tombstoned
+        + counted (:meth:`quarantine`) and reported as a miss: one
+        recompute, never a wrong number.
         """
         if not self._ensure_open(create=False):
             return None
@@ -799,16 +832,17 @@ class SegmentStore:
             location = self._entries.get(key)
         if location is None:
             return None
-        value = self._read_location(key, location)
+        value = self._read_location(key, location, alloc)
         if value is None:
             self.quarantine(key)
         return value
 
-    def _read_location(self, key: str, location: RecordLocation) -> "bytes | None":
+    def _read_location(self, key: str, location: RecordLocation, alloc=None):
         """The value of the record at ``location``, if intact and keyed ``key``.
 
-        The value is read into its own ``bytes`` after the header and
-        key check out, so no whole-record buffer is sliced.
+        The value is read into its own buffer (see :meth:`get`) after the
+        header and key check out, so no whole-record buffer is sliced.
+        The mutex covers the seek and the reads; the CRC runs outside it.
         """
         key_bytes = key.encode()
         for attempt in (0, 1):
@@ -830,7 +864,12 @@ class SegmentStore:
                         or head[HEADER_SIZE:] != key_bytes
                     ):
                         return None
-                    value = handle.read(value_len)
+                    if alloc is None:
+                        value = handle.read(value_len)
+                        n_read = len(value)
+                    else:
+                        value = alloc(value_len)
+                        n_read = handle.readinto(value)
             except FileNotFoundError:
                 # Segment vanished under us (another process compacted):
                 # recover once, then re-resolve the key.
@@ -844,7 +883,7 @@ class SegmentStore:
                     return None
                 continue
             break
-        if len(value) != value_len or _crc(kind, key_bytes, value) != crc:
+        if n_read != value_len or _crc(kind, key_bytes, value) != crc:
             return None
         return value
 
@@ -886,7 +925,7 @@ class SegmentStore:
         )
         with span if span is not None else nullcontext():
             dropped = self._compact(live)
-        self.health.bump("compactions")
+        self._bump("compactions")
         return dropped
 
     def _compact(self, live: "set | None") -> int:

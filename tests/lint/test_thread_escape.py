@@ -122,6 +122,62 @@ class TestSeedInference:
         assert len(result.active) == 1
         assert "_EVENTS" in result.active[0].message
 
+    def test_nested_thread_target_is_a_seed(self, lint):
+        # Helper threads usually run a closure: a target defined inside
+        # the function that starts it is as shared as a module-level one.
+        files = dict(PKG)
+        files["app/spin.py"] = """\
+            import threading
+
+            _SHARED = {}
+
+
+            def worker(key):
+                _SHARED[key] = 1
+
+
+            def start(key):
+                def work():
+                    _SHARED[key] = 2
+
+                threads = [
+                    threading.Thread(target=worker, args=(key,)),
+                    threading.Thread(target=work),
+                ]
+                for thread in threads:
+                    thread.start()
+        """
+        result = lint(files, "REP-THREAD-ESCAPE")
+        findings = sorted(result.active, key=lambda finding: finding.line)
+        assert [finding.line for finding in findings] == [7, 12]
+        assert findings[0].chain == ("app.spin.worker",)
+        assert findings[1].chain == ("app.spin.start.work",)
+        assert "'start.work'" in findings[1].message
+
+    def test_closure_of_a_method_checks_self_state(self, lint):
+        files = dict(PKG)
+        files["app/spin.py"] = """\
+            import threading
+
+
+            class Loader:
+                def __init__(self):
+                    self.done = []
+
+                def load(self, items):
+                    def share():
+                        for item in items:
+                            self.done.append(item)
+
+                    thread = threading.Thread(target=share)
+                    thread.start()
+                    thread.join()
+        """
+        result = lint(files, "REP-THREAD-ESCAPE")
+        assert len(result.active) == 1
+        assert "'self.done'" in result.active[0].message
+        assert result.active[0].chain == ("app.spin.Loader.load.share",)
+
     def test_partial_wrapped_callback_resolves(self, lint):
         files = dict(PKG)
         files["app/spin.py"] = """\

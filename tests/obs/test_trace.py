@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -48,6 +50,34 @@ class TestSpanIds:
             assert tracer.current_span_id() == outer.span_id
         assert inner.parent_id == outer.span_id
         assert outer.parent_id == ""
+
+    def test_each_thread_nests_on_its_own_stack(self):
+        # A helper thread never sees the caller's open span as its
+        # parent; it joins the caller's tree only through parent= and a
+        # fixed_id, and spans nested inside that one follow its stack.
+        tracer = Tracer(name="t")
+        seen = {}
+
+        def helper(parent):
+            with tracer.span("free") as free:
+                seen["free"] = free
+            fixed = span_id(parent, "adopted", 7)
+            with tracer.span("adopted", parent=parent, fixed_id=fixed) as adopted:
+                with tracer.span("inner") as inner:
+                    seen["inner"] = inner
+                seen["adopted"] = adopted
+
+        with tracer.span("outer") as outer:
+            thread = threading.Thread(target=helper, args=(outer.span_id,))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert tracer.current_span_id() == outer.span_id
+        assert seen["free"].parent_id == ""
+        assert seen["adopted"].parent_id == outer.span_id
+        assert seen["adopted"].span_id == span_id(outer.span_id, "adopted", 7)
+        assert seen["inner"].parent_id == seen["adopted"].span_id
+        assert seen["inner"].span_id == span_id(seen["adopted"].span_id, "inner", 0)
 
     def test_two_identical_runs_share_the_span_tree(self):
         def run():

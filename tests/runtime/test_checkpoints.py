@@ -317,6 +317,33 @@ class TestCheckpointStore:
             assert not value.flags.writeable
             assert not value.flags.owndata
 
+    def test_records_are_read_into_numpy_buffers(self, tmp_path):
+        # The record lands in one NumPy byte buffer (huge pages from
+        # 4 MiB up), and every array views it through a read-only view.
+        store = CheckpointStore(tmp_path)
+        key = _key(17)
+        store.put(key, {"x": 17}, _state())
+        loaded = store.get(key)
+        buffers = set()
+        for value in loaded.state.values():
+            base = value
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base, memoryview) and base.readonly
+            assert isinstance(base.obj, np.ndarray)
+            assert base.obj.dtype == np.uint8
+            buffers.add(id(base.obj))
+        assert len(buffers) == 1
+        assert state_digest(loaded.state) == state_digest(_state())
+
+    def test_record_bytes_size_a_load_before_reading(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        key = _key(18)
+        assert store.record_bytes(key) == 0
+        store.put(key, {"x": 18}, _state())
+        state_bytes = sum(value.nbytes for value in _state().values())
+        assert store.record_bytes(key) > state_bytes
+
     def test_put_rejects_arrays_it_cannot_persist(self, tmp_path):
         store = CheckpointStore(tmp_path)
         with pytest.raises(ConfigurationError, match="dtype"):

@@ -15,15 +15,17 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import metrics
 from repro.obs.trace import Tracer, install_tracer
 from repro.runtime.cache import ResultCache
 from repro.runtime.faults import FaultPlan, FaultRule, install
 from repro.runtime.knobs import knob_snapshot
-from repro.runtime.store import INDEX_NAME, SegmentStore
+from repro.runtime.store import HEADER_SIZE, INDEX_NAME, SegmentStore
 
 
 @pytest.fixture(autouse=True)
@@ -128,6 +130,98 @@ class TestSegmentStore:
         store = SegmentStore(tmp_path)
         with pytest.raises(ConfigurationError):
             store.put("k" * 70000, b"v")
+
+    def test_value_is_read_into_the_callers_buffer(self, tmp_path):
+        store = SegmentStore(tmp_path)
+        store.put("a", b"meta|", b"x" * 5000)
+        sizes = []
+
+        def alloc(n):
+            sizes.append(n)
+            return bytearray(n)
+
+        value = store.get("a", alloc=alloc)
+        assert sizes == [5005]
+        assert isinstance(value, bytearray)
+        assert value == b"meta|" + b"x" * 5000
+        # Without an allocator the value is plain bytes, as before.
+        assert type(store.get("a")) is bytes
+        assert store.get("missing", alloc=alloc) is None
+        assert sizes == [5005]
+
+    def test_caller_buffer_with_a_bad_crc_is_quarantined(self, tmp_path):
+        store = SegmentStore(tmp_path)
+        store.put("a", b"payload", corrupt=True)
+        assert store.get("a", alloc=bytearray) is None
+        assert store.health.quarantined == 1
+        assert store.keys() == []
+
+    def test_record_bytes_come_from_the_index(self, tmp_path):
+        store = SegmentStore(tmp_path / "never-written")
+        assert store.record_bytes("a") == 0
+        store = SegmentStore(tmp_path)
+        store.put("a", b"abc", b"defg")
+        # Header, the one-byte key, then the seven value bytes.
+        assert store.record_bytes("a") == HEADER_SIZE + 1 + 7
+        store.delete("a")
+        assert store.record_bytes("a") == 0
+        assert store.record_bytes("never-put") == 0
+
+
+class TestThreadedReads:
+    def test_concurrent_quarantines_count_exactly(self, tmp_path):
+        # Threads sharing one handle each quarantine a different torn
+        # record; no count may be lost, on the store's health or in the
+        # telemetry registry.
+        n_threads = 8
+        store = SegmentStore(tmp_path)
+        keys = [f"k{i}" for i in range(n_threads)]
+        for key in keys:
+            store.put(key, key.encode() * 100, corrupt=True)
+        base = metrics.snapshot()
+        barrier = threading.Barrier(n_threads)
+        missed = []
+
+        def read(key):
+            barrier.wait(timeout=60)
+            missed.append(store.get(key) is None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(key,)) for key in keys]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert missed == [True] * n_threads
+        assert store.health.quarantined == n_threads
+        assert metrics.since(base)["counters"]["store.quarantined"] == n_threads
+        assert store.keys() == []
+
+    def test_concurrent_reads_serve_every_value(self, tmp_path):
+        store = SegmentStore(tmp_path)
+        values = {f"k{i}": bytes([i]) * (10000 + i) for i in range(6)}
+        for key, value in values.items():
+            store.put(key, value)
+        reopened = SegmentStore(tmp_path)
+        got = {}
+
+        def read(key):
+            for _ in range(20):
+                got[key] = bytes(reopened.get(key, alloc=bytearray))
+
+        threads = [threading.Thread(target=read, args=(key,)) for key in values]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == values
+        assert reopened.health.quarantined == 0
 
 
 class TestRecovery:
