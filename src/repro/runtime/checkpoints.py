@@ -22,10 +22,9 @@ and decodes the arrays as read-only ``np.frombuffer`` views over it.
 names a numeric dtype and non-negative integer dimensions, the rows
 account for every byte after the metadata, and the decoded arrays hash
 to ``state_sha256`` — so a half-written or corrupted checkpoint is a
-miss, never a wrong model.  Because the key
-embeds the source digest, any library edit silently invalidates every
-checkpoint (exactly like the result cache); ``prune`` compacts
-unaddressable leftovers away.
+miss, never a wrong model.  Because the key embeds the source digest,
+any library edit silently invalidates every checkpoint (exactly like
+the result cache); ``prune`` compacts unaddressable leftovers away.
 """
 
 from __future__ import annotations
@@ -187,10 +186,10 @@ class CheckpointStore:
     def _decode(self, key: str, record) -> "Checkpoint | None":
         """The validated checkpoint in ``record``, or ``None`` if corrupt.
 
-        ``record`` is any buffer of the record's bytes; the decoded
-        arrays are read-only views over it.
+        ``record`` holds the record's bytes (``bytes`` or a ``uint8``
+        array); the decoded arrays are read-only views over it.
         """
-        raw = memoryview(record).cast("B").toreadonly()
+        raw = memoryview(record).toreadonly()
         if len(raw) < _META_LEN.size:
             return None
         (meta_len,) = _META_LEN.unpack_from(raw)
